@@ -28,9 +28,15 @@ def shifted_factorial(a, k: int) -> Fraction:
     if k < 0:
         raise ValueError("shift count must be nonnegative")
     a = Fraction(a)
-    out = Fraction(1)
+    p, q = a.numerator, a.denominator
+    return Fraction(_rising_product(p, q, k), q**k)
+
+
+def _rising_product(p: int, q: int, k: int) -> int:
+    """Integer product p(p+q)(p+2q)...(p+(k-1)q), i.e. q**k (p/q)_k."""
+    out = 1
     for t in range(k):
-        out *= a + t
+        out *= p + t * q
     return out
 
 
@@ -161,18 +167,28 @@ def lagrange_interpolate(points: Sequence[tuple]) -> Polynomial:
     xs = [Fraction(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation abscissae must be distinct")
-    total = Polynomial()
-    for i, (xi, yi) in enumerate(points):
-        xi = Fraction(xi)
-        basis = Polynomial([1])
+    # node polynomial prod_j (x - x_j), lowest degree first
+    node = [Fraction(1)]
+    for xj in xs:
+        node = [-xj * node[0]] + [
+            node[k - 1] - xj * node[k] for k in range(1, len(node))
+        ] + [Fraction(1)]
+    total = [Fraction(0)] * len(xs)
+    for xi, (_, yi) in zip(xs, points):
+        # synthetic division: basis = node / (x - x_i), highest degree first
+        basis = [Fraction(0)] * len(xs)
+        carry = Fraction(0)
+        for k in range(len(xs), 0, -1):
+            carry = node[k] + xi * carry
+            basis[k - 1] = carry
         denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Polynomial([-xj, 1])
-            denom *= xi - xj
-        total = total + basis * (Fraction(yi) / denom)
-    return total
+        for xj in xs:
+            if xj != xi:
+                denom *= xi - xj
+        weight = Fraction(yi) / denom
+        for k, c in enumerate(basis):
+            total[k] += weight * c
+    return Polynomial(total)
 
 
 def hypergeometric_sum(

@@ -76,12 +76,13 @@ def axis_sum(n: int, m: int, l: int) -> Fraction:
     if m < 1:
         raise ValueError("axis sum undefined for m = 0 (pole at e = 0)")
     total = Fraction(0)
+    # factor = (-1)^e C(n,e) (1/2)_e / (1/2-n)_e, carried from term to term;
+    # 2e+1-2n is odd, so the ratio never divides by 0.  The factor n-2e stays
+    # out of the ratio because it vanishes at e = n/2.
+    factor = Fraction(1)
     for e in range(l):
-        term = Fraction((-1) ** e * binomial(n, e) * (n - 2 * e))
-        term *= shifted_factorial(Fraction(1, 2), e)
-        term /= (m + e) * (m + n - e)
-        term /= shifted_factorial(Fraction(1, 2) - n, e)
-        total += term
+        total += factor * Fraction(n - 2 * e, (m + e) * (m + n - e))
+        factor *= Fraction(-(n - e) * (2 * e + 1), (e + 1) * (2 * e + 1 - 2 * n))
     return total
 
 

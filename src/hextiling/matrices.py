@@ -19,9 +19,9 @@ from typing import List, Sequence
 
 from .exact import (
     Polynomial,
+    _rising_product,
     binomial,
     lagrange_interpolate,
-    reciprocal_factorial,
     shifted_factorial,
 )
 
@@ -48,11 +48,9 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
     mat: List[List[int]] = []
     for row in rows:
         fracs = [Fraction(x) for x in row]
-        den = 1
-        for x in fracs:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in fracs))
         scale *= den
-        mat.append([int(x * den) for x in fracs])
+        mat.append([x.numerator * (den // x.denominator) for x in fracs])
 
     sign = 1
     prev = 1
@@ -106,23 +104,21 @@ def lower_weighted_matrix(n: int, m: int, l: int) -> Matrix:
         raise ValueError("need m >= 1")
     rows = []
     for i in range(1, n + 1):
+        top = math.factorial(n + m - i)
         row = []
         for j in range(1, n + 1):
-            top = Fraction(math.factorial(n + m - i))
-            if i == l:
-                entry = (
-                    top
-                    * reciprocal_factorial(m + i - j)
-                    * reciprocal_factorial(n + j - 2 * i)
-                )
-            else:
-                entry = (
-                    top
-                    * reciprocal_factorial(m + i - j)
-                    * reciprocal_factorial(n + j - 2 * i + 1)
-                    * (m + Fraction(n - j + 1, 2))
-                )
-            row.append(entry)
+            left, right = m + i - j, n + j - 2 * i
+            if i != l:
+                right += 1
+            if left < 0 or right < 0:
+                # 1/k! == 0 for k < 0: no path joins the two endpoints
+                row.append(Fraction(0))
+                continue
+            num, den = top, math.factorial(left) * math.factorial(right)
+            if i != l:
+                # half-integer weight m + (n-j+1)/2 of a path ending vertically
+                num, den = num * (2 * m + n - j + 1), 2 * den
+            row.append(Fraction(num, den))
         rows.append(row)
     return rows
 
@@ -149,19 +145,25 @@ def reduced_lower_matrix(m, n: int, l: int) -> Matrix:
     if not 1 <= l <= n:
         raise ValueError("marked row out of range")
     m = Fraction(m)
+    p, q = m.numerator, m.denominator
     rows = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
-            lead = shifted_factorial(m + i - j + 1, j - 1)
+            # (m+i-j+1)_{j-1} = lead / q**(j-1)
+            lead = _rising_product(p + (i - j + 1) * q, q, j - 1)
             if i == l:
-                entry = lead * shifted_factorial(n + j - 2 * i + 1, n - j + 1)
+                entry = Fraction(
+                    lead * _rising_product(n + j - 2 * i + 1, 1, n - j + 1),
+                    q ** (j - 1),
+                )
             else:
-                entry = (
+                # times (n+j-2i+2)_{n-j} and (n+2m-j+1)/2, with m = p/q
+                entry = Fraction(
                     lead
-                    * shifted_factorial(n + j - 2 * i + 2, n - j)
-                    * (n + 2 * m - j + 1)
-                    / 2
+                    * _rising_product(n + j - 2 * i + 2, 1, n - j)
+                    * ((n - j + 1) * q + 2 * p),
+                    2 * q**j,
                 )
             row.append(entry)
         rows.append(row)

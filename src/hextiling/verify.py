@@ -8,7 +8,9 @@ determinant symmetries) uses a fixed seed.
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List
@@ -296,6 +298,14 @@ def run_suite(name: str, **bounds) -> List[CaseResult]:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    accepted = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-    kwargs = {k: v for k, v in bounds.items() if k in accepted and v is not None}
+    accepted = inspect.signature(fn).parameters
+    kwargs = {}
+    for key, value in bounds.items():
+        if value is None:
+            continue
+        if key in accepted:
+            kwargs[key] = value
+        else:
+            print(f"warning: suite {name} takes no {key}; {key}={value} ignored",
+                  file=sys.stderr)
     return fn(**kwargs)

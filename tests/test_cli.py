@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,8 @@ from hextiling.cli import (
     rows_to_csv,
     rows_to_json,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -145,3 +150,32 @@ def test_sweep_json_rationals_are_strings(capsys):
     num, den = payload[0]["proportion_exact"].split("/")
     assert int(den) > 0
     assert abs(int(num) / int(den) - payload[0]["proportion_float"]) < 1e-12
+
+
+def test_deep_search_exits_2_without_traceback():
+    # The same input exhausts the default recursion limit after about 30 s;
+    # a lower limit reaches the same error in well under a second.
+    script = (
+        "import sys; sys.setrecursionlimit(200)\n"
+        "from hextiling.cli import main\n"
+        "raise SystemExit(main(['verify', '--suite', 'oracle-vs-theorems',"
+        " '--max-a', '1', '--max-m', '600', '--max-cells', '5000']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "--max-a 1, --max-m 600, --max-cells 5000" in lines[0]
+
+
+def test_verify_warns_about_ignored_bounds(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemma5", "--max-n", "3",
+                             "--max-m", "2", "--max-a", "3")
+    assert code == 0 and out.splitlines()[-1] == "lemma5: 9/9 checks passed"
+    assert err.splitlines() == ["warning: suite lemma5 takes no max_a; max_a=3 ignored"]
+    code, _, err = run_cli(capsys, "verify", "--suite", "lemma5", "--max-n", "3",
+                           "--max-m", "2")
+    assert code == 0 and err == ""

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hextiling.exact import Polynomial
 from hextiling.matrices import (
@@ -199,3 +200,16 @@ def test_extract_consistency_with_prefactor():
             for m in [F(1, 3), 7, F(-15, 2)]:
                 det = determinant(reduced_lower_matrix(m, n, l))
                 assert det == reduced_prefactor(m, n) * poly(m)
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(F(0)),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=8))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@given(_square_matrices())
+def test_determinant_matches_permutation_expansion_on_random_sizes(rows):
+    assert determinant(rows) == _cofactor_det(rows)
