@@ -48,6 +48,7 @@ from .matrices import (
     determinant,
     extract_reduced_polynomial,
     lower_weighted_matrix,
+    path_matrix,
     reduced_lower_matrix,
     reduced_prefactor,
     row_scale_product,

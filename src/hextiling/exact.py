@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class SingularParameterError(ValueError):
     """A lower hypergeometric parameter produced a zero factor mid-sum."""

@@ -25,23 +25,6 @@ from .exact import (
 from .hexagon import NormalizedParams
 from .matrices import reduced_prefactor, row_scale_product
 
-__all__ = [
-    "arcsine_limit",
-    "axis_sum",
-    "central_axis_closed_form",
-    "central_axis_sum",
-    "fixed_count_even",
-    "fixed_count_odd",
-    "hyp_chain_check",
-    "lower_weighted_closed_form",
-    "macmahon_count",
-    "proportion",
-    "proportion_balanced_form",
-    "proportion_series_form",
-    "reduced_poly_value",
-    "upper_count_closed_form",
-]
-
 
 def _as_integer(value: Fraction, what: str) -> int:
     if value.denominator != 1:

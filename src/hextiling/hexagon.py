@@ -110,8 +110,11 @@ class Region:
 class PathFamilySpec:
     """Endpoints of the nonintersecting lattice-path family tied to a region.
 
-    Paths take unit steps right / down.  ``half_weight_if_vertical_end[i]``
-    marks paths that count with weight 1/2 when their final step is vertical.
+    Points are (x, y) lattice points.  Paths take unit steps right, which
+    raise x by 1, or down, which lower y by 1, so a path from (sx, sy) to
+    (ex, ey) has ex - sx right and sy - ey down steps.
+    ``half_weight_if_vertical_end[i]`` marks paths to ``ends[i]`` that count
+    with weight 1/2 when their final step is vertical (down).
     """
 
     starts: tuple

@@ -1,11 +1,13 @@
 """Exact matrices and determinants for the lattice-path counting engine.
 
-The three matrix families below encode nonintersecting lattice-path counts
-(Lindstrom-Gessel-Viennot): a binomial matrix whose determinant counts
-tilings of the trimmed upper pentagon, a factorial matrix with half-integer
-weights whose determinant is the weighted count of the lower half-region,
-and the row-rescaled polynomial version of the latter whose entries are
-shifted factorials in a rational parameter m.
+:func:`path_matrix` turns a path family from :mod:`hextiling.hexagon` into
+its Lindstrom-Gessel-Viennot matrix of (weighted) path counts.  The two
+half-regions use it: the trimmed upper pentagon with plain counts, whose
+determinant is its tiling count, and the lower half-region with weight 1/2
+on paths ending vertically, whose determinant is its weighted count.  The
+row-rescaled version of the lower matrix has entries that are shifted
+factorials in a rational parameter m; it is built from its own formula,
+because lattice paths exist only for integer m.
 
 Determinants are computed by fraction-free Bareiss elimination over integers
 after clearing row denominators, with a deterministic pivot rule.
@@ -24,6 +26,7 @@ from .exact import (
     lagrange_interpolate,
     shifted_factorial,
 )
+from .hexagon import PathFamilySpec, marked_path_family, pentagon_path_family
 
 Matrix = List[List[Fraction]]
 
@@ -76,51 +79,44 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * mat[-1][-1], scale)
 
 
-def upper_count_matrix(n: int, m: int) -> List[List[int]]:
-    """Binomial path matrix for the trimmed upper pentagon, size n x n.
+def path_matrix(family: PathFamilySpec) -> Matrix:
+    """Lindstrom-Gessel-Viennot matrix of a path family.
 
-    Entry (i, j) counts the lattice paths from start j to end i of the
-    pentagon's path family; its determinant is the region's tiling count.
+    Entry (i, j) counts the right/down paths from start j to end i.  For an
+    end flagged half-weight, a path whose last step is vertical counts 1/2;
+    there are C(t-1, r) such paths among the C(t, r) with r right steps of t.
     """
+    rows = []
+    for (ex, ey), half in zip(family.ends, family.half_weight_if_vertical_end):
+        row = []
+        for sx, sy in family.starts:
+            right, down = ex - sx, sy - ey
+            if right < 0 or down < 0:
+                row.append(0)
+            elif half and down:
+                paths = math.comb(right + down, right)
+                vertical = math.comb(right + down - 1, right)
+                row.append(Fraction(2 * paths - vertical, 2))
+            else:
+                row.append(math.comb(right + down, right))
+        rows.append(row)
+    return rows
+
+
+def upper_count_matrix(n: int, m: int) -> Matrix:
+    """Path matrix of the trimmed upper pentagon, size n x n; its
+    determinant is the region's tiling count."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    return [
-        [binomial(n + m - i + 1, m + i - j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    return path_matrix(pentagon_path_family(n, m))
 
 
 def lower_weighted_matrix(n: int, m: int, l: int) -> Matrix:
-    """Weighted path matrix for the lower half-region, size n x n.
-
-    Row l belongs to the marked path ending one row higher; every other row
-    carries the half-integer weight for paths that end with a vertical step.
-    Factorial reciprocals of negative arguments are zero, matching the count
-    of impossible paths.
-    """
-    if not 1 <= l <= n:
-        raise ValueError("marked row out of range")
+    """Weighted path matrix of the lower half-region with marked position l,
+    size n x n; its determinant is the region's weighted count."""
     if m < 1:
         raise ValueError("need m >= 1")
-    rows = []
-    for i in range(1, n + 1):
-        top = math.factorial(n + m - i)
-        row = []
-        for j in range(1, n + 1):
-            left, right = m + i - j, n + j - 2 * i
-            if i != l:
-                right += 1
-            if left < 0 or right < 0:
-                # 1/k! == 0 for k < 0: no path joins the two endpoints
-                row.append(Fraction(0))
-                continue
-            num, den = top, math.factorial(left) * math.factorial(right)
-            if i != l:
-                # half-integer weight m + (n-j+1)/2 of a path ending vertically
-                num, den = num * (2 * m + n - j + 1), 2 * den
-            row.append(Fraction(num, den))
-        rows.append(row)
-    return rows
+    return path_matrix(marked_path_family(n, m, l))
 
 
 def row_scale_product(n: int, m: int) -> Fraction:

@@ -47,10 +47,6 @@ class Tiling:
 
     pairs: frozenset
 
-    def contains_pair(self, pair) -> bool:
-        a, b = pair
-        return ((a, b) if a <= b else (b, a)) in self.pairs
-
 
 def _prepare(region: Region, max_cells: int):
     cells = sorted(region.cells)

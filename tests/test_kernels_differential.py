@@ -1,5 +1,6 @@
 """Differential tests: each integer-first exact kernel against the
-term-by-term Fraction construction it replaced, kept here as the reference.
+term-by-term Fraction construction it replaced, and each path matrix
+against its entries typed out by hand, kept here as the references.
 
 The references build on nothing that was rewritten: only ``Fraction``,
 ``math``, ``binomial``, ``reciprocal_factorial`` and ``Polynomial``
@@ -20,7 +21,11 @@ from hextiling.exact import (
     shifted_factorial,
 )
 from hextiling.formulas import axis_sum
-from hextiling.matrices import lower_weighted_matrix, reduced_lower_matrix
+from hextiling.matrices import (
+    lower_weighted_matrix,
+    reduced_lower_matrix,
+    upper_count_matrix,
+)
 
 F = Fraction
 
@@ -49,6 +54,14 @@ def _reference_lagrange(points):
             denom *= xi - xj
         total = total + basis * (F(yi) / denom)
     return total
+
+
+def _reference_upper_count(n, m):
+    """The binomial entries typed out by hand."""
+    return [
+        [binomial(n + m - i + 1, m + i - j) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
 
 
 def _reference_lower_weighted(n, m, l):
@@ -120,6 +133,11 @@ def test_shifted_factorial_matches_reference(a, k):
                 unique_by=lambda pt: pt[0]))
 def test_lagrange_matches_reference(points):
     assert lagrange_interpolate(points) == _reference_lagrange(points)
+
+
+@given(st.integers(1, 8), st.integers(0, 12))
+def test_upper_count_matrix_matches_reference(n, m):
+    assert upper_count_matrix(n, m) == _reference_upper_count(n, m)
 
 
 @given(_n_and_l(6), st.integers(1, 12))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hextiling.exact import Polynomial
+from hextiling.hexagon import marked_path_family, pentagon_path_family
 from hextiling.matrices import (
     check_column_relation,
     determinant,
     extract_reduced_polynomial,
     lower_weighted_matrix,
+    path_matrix,
     reduced_lower_matrix,
     reduced_prefactor,
     row_scale_product,
@@ -70,6 +72,36 @@ def test_determinant_matches_permutation_expansion():
             for _ in range(4)
         ]
         assert determinant(rows) == _cofactor_det(rows)
+
+
+def _walk_weight(x, y, end, half, last_down=False):
+    """Weighted number of right/down paths from (x, y) to ``end``, walked
+    step by step: each path adds 1, or 1/2 if ``half`` and it ends down."""
+    if (x, y) == end:
+        return F(1, 2) if half and last_down else F(1)
+    total = F(0)
+    if x < end[0]:
+        total += _walk_weight(x + 1, y, end, half)
+    if y > end[1]:
+        total += _walk_weight(x, y - 1, end, half, last_down=True)
+    return total
+
+
+def _walked_matrix(family):
+    return [
+        [_walk_weight(sx, sy, end, half) for sx, sy in family.starts]
+        for end, half in zip(family.ends, family.half_weight_if_vertical_end)
+    ]
+
+
+def test_path_matrix_matches_walked_paths():
+    for n in range(0, 6):
+        for m in range(0, 5):
+            family = pentagon_path_family(n, m)
+            assert path_matrix(family) == _walked_matrix(family), (n, m)
+            for l in range(1, n + 1):
+                family = marked_path_family(n, m, l)
+                assert path_matrix(family) == _walked_matrix(family), (n, m, l)
 
 
 def test_upper_count_matrix_values():

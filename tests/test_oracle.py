@@ -17,10 +17,12 @@ from hextiling.hexagon import (
     box_region,
     build_region,
     full_hexagon_region,
+    hexagon_cells,
     normalize,
+    path_family,
     pentagon_region,
 )
-from hextiling.matrices import determinant, lower_weighted_matrix
+from hextiling.matrices import determinant, lower_weighted_matrix, path_matrix
 from hextiling.oracle import (
     RegionTooLargeError,
     axis_occupancy_tally,
@@ -128,6 +130,39 @@ def test_weighted_counts_match_determinants_odd():
             got = weighted_count(lower)
             assert got == determinant(
                 lower_weighted_matrix(params.n, params.m, l)), (a, m_side, l)
+
+
+def _params_up_to(max_cells):
+    """Every NormalizedParams, of both parities, whose full hexagon has at
+    most ``max_cells`` cells."""
+    out = []
+    for parity, n_min, m_min in [(Parity.EVEN, 1, 0), (Parity.ODD, 0, 1)]:
+        for n in range(n_min, max_cells):
+            fitting = []
+            for m in range(m_min, max_cells):
+                params = NormalizedParams(parity, n, m)
+                a, b = params.side_a, params.side_m
+                if len(hexagon_cells(a, b, a)) > max_cells:
+                    break
+                fitting.append(params)
+            if not fitting:
+                break
+            out.extend(fitting)
+    return out
+
+
+def test_region_to_paths_to_matrix_chain():
+    cases = _params_up_to(72)
+    assert {p.parity for p in cases} == {Parity.EVEN, Parity.ODD}
+    for params in cases:
+        upper = build_region(params, RegionKind.UPPER_TRIMMED)
+        # an empty family gives the empty matrix, whose determinant is 1
+        paths = path_matrix(path_family(params, RegionKind.UPPER_TRIMMED))
+        assert count_tilings(upper) == determinant(paths), params
+        for l in range(1, params.n + 1):
+            lower = build_region(params, RegionKind.LOWER_HALF, l)
+            paths = path_matrix(path_family(params, RegionKind.LOWER_HALF, l))
+            assert weighted_count(lower) == determinant(paths), (params, l)
 
 
 def test_weighted_count_without_weights_is_plain_count():
