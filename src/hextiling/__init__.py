@@ -15,7 +15,6 @@ from .exact import (
     double_factorial,
     hypergeometric_sum,
     lagrange_interpolate,
-    reciprocal_factorial,
     shifted_factorial,
 )
 from .hexagon import (

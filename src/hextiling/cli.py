@@ -218,16 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _region_bounds(args) -> str:
-    """The region-size bounds a request gave, in command-line spelling."""
-    given = [
-        f"--{key.replace('_', '-')} {getattr(args, key)}"
-        for key in ("max_a", "max_m", "max_cells")
-        if getattr(args, key, None) is not None
-    ]
-    return ", ".join(given) or "default bounds"
-
-
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """One parser per process for in-process callers of :func:`main`.
@@ -245,10 +235,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(f"error: region too large for the recursive tiling search "
-              f"({_region_bounds(args)})", file=sys.stderr)
         return 2
 
 

@@ -66,13 +66,6 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def reciprocal_factorial(n: int) -> Fraction:
-    """1/n!, with 1/n! == 0 for negative n (the impossible-path convention)."""
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, math.factorial(n))
-
-
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 

@@ -2,18 +2,23 @@
 
 A rhombus tiling of a triangular-grid region is a perfect matching of the
 region's dual graph (cells are vertices, edge-adjacent cells are joined).
-The enumerator below does a depth-first fill: take the lowest cell not yet
-covered, pair it with each uncovered neighbor in turn, recurse.  Because the
-chosen cell is always the minimal uncovered one, every matching is produced
-exactly once, in lexicographic order of its pairing choices.
+One search kernel serves every public counter: a depth-first fill that takes
+the lowest cell not yet covered and pairs it with each uncovered neighbor in
+turn.  Its choices live on an explicit stack, not in recursion, so the depth
+of a region is bounded only by the cell limit.  Because the chosen cell is
+always the minimal uncovered one, all its lower-indexed neighbors are already
+covered, so only higher-indexed neighbors are kept; and every matching is
+produced exactly once, in lexicographic order of its pairing choices.
 
-Everything is exact; weighted counts accumulate rationals rather than using
-doubling tricks.  Regions larger than the configurable cell limit are
-rejected outright instead of being truncated.
+Everything is exact; weighted counts tally the tilings by their number of
+weighted rhombi and sum exact rationals rather than using doubling tricks.
+Regions larger than the configurable cell limit are rejected outright
+instead of being truncated.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator
@@ -55,11 +60,52 @@ def _prepare(region: Region, max_cells: int):
             f"region has {len(cells)} cells, exceeding the limit of {max_cells}"
         )
     index = {c: i for i, c in enumerate(cells)}
-    neighbors = [
-        tuple(sorted(index[n] for n in cell_neighbors(c) if n in index))
-        for c in cells
+    later = [
+        tuple(sorted(index[n] for n in cell_neighbors(c) if index.get(n, -1) > i))
+        for i, c in enumerate(cells)
     ]
-    return cells, neighbors
+    return cells, later
+
+
+def _matchings(later) -> Iterator[list]:
+    """Yield the chosen ``(i, j)`` index pairs of every perfect matching.
+
+    ``later[i]`` lists the neighbors of cell i with a higher index, in
+    increasing order.  The search pairs the lowest unpaired cell ``lo`` with
+    each free cell of ``later[lo]`` in turn.  Every cell below ``lo`` is
+    already paired, so only the partners need marking.  The same list object
+    is yielded each time and changes as the search goes on, so callers read
+    it before asking for the next.
+    """
+    total = len(later)
+    if total % 2 == 1:
+        return
+    taken = bytearray(total)  # taken[j]: cell j is paired with a lower cell
+    pairs = []
+    resume = []  # resume[d]: next index into later[i] after pairs[d] = (i, j)
+    lo = k = 0
+    while True:
+        while lo < total and taken[lo]:
+            lo += 1
+        if lo == total:
+            yield pairs
+        else:
+            choices = later[lo]
+            while k < len(choices) and taken[choices[k]]:
+                k += 1
+            if k < len(choices):
+                j = choices[k]
+                taken[j] = 1
+                pairs.append((lo, j))
+                resume.append(k + 1)
+                lo += 1
+                k = 0
+                continue
+        if not pairs:
+            return
+        lo, j = pairs.pop()
+        taken[j] = 0
+        k = resume.pop()
 
 
 def enumerate_tilings(
@@ -70,60 +116,17 @@ def enumerate_tilings(
     A region with an odd number of cells yields nothing; the empty region
     yields the single empty tiling.
     """
-    cells, neighbors = _prepare(region, max_cells)
-    total = len(cells)
-    if total % 2 == 1:
-        return iter(())
-
-    def gen():
-        covered = bytearray(total)
-        pairs = []
-
-        def rec(lo: int):
-            while lo < total and covered[lo]:
-                lo += 1
-            if lo == total:
-                yield Tiling(frozenset((cells[i], cells[j]) for i, j in pairs))
-                return
-            covered[lo] = 1
-            for j in neighbors[lo]:
-                if not covered[j]:
-                    covered[j] = 1
-                    pairs.append((lo, j))
-                    yield from rec(lo + 1)
-                    pairs.pop()
-                    covered[j] = 0
-            covered[lo] = 0
-
-        yield from rec(0)
-
-    return gen()
+    cells, later = _prepare(region, max_cells)
+    return (
+        Tiling(frozenset((cells[i], cells[j]) for i, j in pairs))
+        for pairs in _matchings(later)
+    )
 
 
 def count_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
     """Number of tilings of ``region`` (same search as enumerate_tilings)."""
-    cells, neighbors = _prepare(region, max_cells)
-    total = len(cells)
-    if total % 2 == 1:
-        return 0
-    covered = bytearray(total)
-
-    def rec(lo: int) -> int:
-        while lo < total and covered[lo]:
-            lo += 1
-        if lo == total:
-            return 1
-        count = 0
-        covered[lo] = 1
-        for j in neighbors[lo]:
-            if not covered[j]:
-                covered[j] = 1
-                count += rec(lo + 1)
-                covered[j] = 0
-        covered[lo] = 0
-        return count
-
-    return rec(0)
+    _, later = _prepare(region, max_cells)
+    return sum(1 for _ in _matchings(later))
 
 
 def weighted_count(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> Fraction:
@@ -132,35 +135,14 @@ def weighted_count(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> Fract
 
     With no weighted pairs this is the plain count (as a Fraction).
     """
-    cells, neighbors = _prepare(region, max_cells)
-    total = len(cells)
-    if total % 2 == 1:
-        return Fraction(0)
+    cells, later = _prepare(region, max_cells)
     index = {c: i for i, c in enumerate(cells)}
     weighted = {
         (index[a], index[b]) for a, b in region.weighted_pairs
         if a in index and b in index
     }
-    covered = bytearray(total)
-    acc = Fraction(0)
-
-    def rec(lo: int, halvings: int):
-        nonlocal acc
-        while lo < total and covered[lo]:
-            lo += 1
-        if lo == total:
-            acc += Fraction(1, 2**halvings)
-            return
-        covered[lo] = 1
-        for j in neighbors[lo]:
-            if not covered[j]:
-                covered[j] = 1
-                rec(lo + 1, halvings + ((lo, j) in weighted))
-                covered[j] = 0
-        covered[lo] = 0
-
-    rec(0, 0)
-    return acc
+    tally = Counter(len(weighted.intersection(pairs)) for pairs in _matchings(later))
+    return sum((Fraction(c, 2**k) for k, c in tally.items()), Fraction(0))
 
 
 def count_with_fixed_rhombus(

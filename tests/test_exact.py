@@ -11,7 +11,6 @@ from hextiling.exact import (
     double_factorial,
     hypergeometric_sum,
     lagrange_interpolate,
-    reciprocal_factorial,
     shifted_factorial,
 )
 
@@ -66,12 +65,6 @@ def test_double_factorial():
         double_factorial(4)
     with pytest.raises(ValueError):
         double_factorial(-3)
-
-
-def test_reciprocal_factorial():
-    assert reciprocal_factorial(-2) == 0
-    assert reciprocal_factorial(0) == 1
-    assert reciprocal_factorial(4) == F(1, 24)
 
 
 def test_fraction_arithmetic_is_exact():

@@ -1,30 +1,47 @@
 """Differential tests: each integer-first exact kernel against the
-term-by-term Fraction construction it replaced, and each path matrix
-against its entries typed out by hand, kept here as the references.
+term-by-term Fraction construction it replaced, each path matrix against
+its entries typed out by hand, and the oracle's iterative search against
+the three recursive searches it replaced, kept here as the references.
 
 The references build on nothing that was rewritten: only ``Fraction``,
-``math``, ``binomial``, ``reciprocal_factorial`` and ``Polynomial``
-arithmetic.  (The determinant is checked against the permutation expansion
+``math``, ``binomial``, ``Polynomial`` arithmetic and the oracle's cell
+geometry.  (The determinant is checked against the permutation expansion
 in ``test_matrices.py``.)
 """
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hextiling.exact import (
     Polynomial,
     binomial,
     lagrange_interpolate,
-    reciprocal_factorial,
     shifted_factorial,
 )
 from hextiling.formulas import axis_sum
+from hextiling.hexagon import (
+    NormalizedParams,
+    Parity,
+    Region,
+    RegionKind,
+    box_region,
+    build_region,
+    cell_neighbors,
+)
 from hextiling.matrices import (
     lower_weighted_matrix,
     reduced_lower_matrix,
     upper_count_matrix,
+)
+from hextiling.oracle import (
+    DEFAULT_CELL_LIMIT,
+    RegionTooLargeError,
+    Tiling,
+    count_tilings,
+    enumerate_tilings,
+    weighted_count,
 )
 
 F = Fraction
@@ -62,6 +79,13 @@ def _reference_upper_count(n, m):
         [binomial(n + m - i + 1, m + i - j) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
+
+
+def reciprocal_factorial(n: int) -> Fraction:
+    """1/n!, with 1/n! == 0 for negative n (the impossible-path convention)."""
+    if n < 0:
+        return Fraction(0)
+    return Fraction(1, math.factorial(n))
 
 
 def _reference_lower_weighted(n, m, l):
@@ -114,6 +138,121 @@ def _reference_axis_sum(n, m, l):
     return total
 
 
+def _prepare(region: Region, max_cells: int):
+    cells = sorted(region.cells)
+    if len(cells) > max_cells:
+        raise RegionTooLargeError(
+            f"region has {len(cells)} cells, exceeding the limit of {max_cells}"
+        )
+    index = {c: i for i, c in enumerate(cells)}
+    neighbors = [
+        tuple(sorted(index[n] for n in cell_neighbors(c) if n in index))
+        for c in cells
+    ]
+    return cells, neighbors
+
+
+def _reference_enumerate_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT):
+    """Yield every tiling of ``region`` exactly once, in canonical order.
+
+    A region with an odd number of cells yields nothing; the empty region
+    yields the single empty tiling.
+    """
+    cells, neighbors = _prepare(region, max_cells)
+    total = len(cells)
+    if total % 2 == 1:
+        return iter(())
+
+    def gen():
+        covered = bytearray(total)
+        pairs = []
+
+        def rec(lo: int):
+            while lo < total and covered[lo]:
+                lo += 1
+            if lo == total:
+                yield Tiling(frozenset((cells[i], cells[j]) for i, j in pairs))
+                return
+            covered[lo] = 1
+            for j in neighbors[lo]:
+                if not covered[j]:
+                    covered[j] = 1
+                    pairs.append((lo, j))
+                    yield from rec(lo + 1)
+                    pairs.pop()
+                    covered[j] = 0
+            covered[lo] = 0
+
+        yield from rec(0)
+
+    return gen()
+
+
+def _reference_count_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
+    """Number of tilings of ``region`` (same search as enumerate_tilings)."""
+    cells, neighbors = _prepare(region, max_cells)
+    total = len(cells)
+    if total % 2 == 1:
+        return 0
+    covered = bytearray(total)
+
+    def rec(lo: int) -> int:
+        while lo < total and covered[lo]:
+            lo += 1
+        if lo == total:
+            return 1
+        count = 0
+        covered[lo] = 1
+        for j in neighbors[lo]:
+            if not covered[j]:
+                covered[j] = 1
+                count += rec(lo + 1)
+                covered[j] = 0
+        covered[lo] = 0
+        return count
+
+    return rec(0)
+
+
+def _reference_weighted_count(
+    region: Region, max_cells: int = DEFAULT_CELL_LIMIT
+) -> Fraction:
+    """Weighted tiling count: each tiling contributes (1/2)^k where k is the
+    number of its rhombi drawn from ``region.weighted_pairs``.
+
+    With no weighted pairs this is the plain count (as a Fraction).
+    """
+    cells, neighbors = _prepare(region, max_cells)
+    total = len(cells)
+    if total % 2 == 1:
+        return Fraction(0)
+    index = {c: i for i, c in enumerate(cells)}
+    weighted = {
+        (index[a], index[b]) for a, b in region.weighted_pairs
+        if a in index and b in index
+    }
+    covered = bytearray(total)
+    acc = Fraction(0)
+
+    def rec(lo: int, halvings: int):
+        nonlocal acc
+        while lo < total and covered[lo]:
+            lo += 1
+        if lo == total:
+            acc += Fraction(1, 2**halvings)
+            return
+        covered[lo] = 1
+        for j in neighbors[lo]:
+            if not covered[j]:
+                covered[j] = 1
+                rec(lo + 1, halvings + ((lo, j) in weighted))
+                covered[j] = 0
+        covered[lo] = 0
+
+    rec(0, 0)
+    return acc
+
+
 _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
@@ -121,6 +260,22 @@ _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 def _n_and_l(draw, max_n):
     n = draw(st.integers(1, max_n))
     return n, draw(st.integers(1, n))
+
+
+@st.composite
+def _punctured_regions(draw):
+    """A box with sides up to 3 or a weighted lower half, minus a random
+    subset of its cells, so odd, disconnected and dead-end regions occur."""
+    if draw(st.booleans()):
+        region = box_region(*draw(st.tuples(*[st.integers(1, 3)] * 3)))
+    else:
+        n = draw(st.integers(1, 4))
+        parity, m = draw(st.sampled_from(Parity)), draw(st.integers(1, 2))
+        region = build_region(NormalizedParams(parity, n, m), RegionKind.LOWER_HALF,
+                              draw(st.integers(1, n)))
+    deleted = draw(st.sets(st.sampled_from(sorted(region.cells))))
+    return Region(region.kind, region.params, region.axis,
+                  region.cells - deleted, region.weighted_pairs)
 
 
 @given(st.one_of(_rationals, st.integers(-12, 12)), st.integers(0, 12))
@@ -156,3 +311,13 @@ def test_reduced_lower_matrix_matches_reference(nl, m):
 def test_axis_sum_matches_reference(nl, m):
     n, l = nl
     assert axis_sum(n, m, l) == _reference_axis_sum(n, m, l)
+
+
+# A dead end, where every higher neighbor of the lowest uncovered cell is
+# already covered, is rare in these regions; 300 draws reach one reliably.
+@settings(max_examples=300)
+@given(_punctured_regions())
+def test_oracle_search_matches_recursive_reference(region):
+    assert count_tilings(region) == _reference_count_tilings(region)
+    assert weighted_count(region) == _reference_weighted_count(region)
+    assert list(enumerate_tilings(region)) == list(_reference_enumerate_tilings(region))

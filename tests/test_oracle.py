@@ -96,6 +96,18 @@ def test_cell_limit_enforced():
         count_tilings(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
 
 
+def test_search_deeper_than_recursion_limit():
+    # 2802 cells: every tiling is 1401 pairs deep, past the default
+    # recursion limit of 1000 frames.
+    region = box_region(1, 1, 700)
+    assert len(region.cells) == 2802
+    expected = macmahon_count(1, 1, 700)
+    assert expected == 701
+    assert count_tilings(region, max_cells=5000) == expected
+    assert weighted_count(region, max_cells=5000) == expected
+    assert sum(1 for _ in enumerate_tilings(region, max_cells=5000)) == expected
+
+
 def test_pentagon_counts_match_determinants():
     for n in range(0, 5):
         for m in range(0, 4):
