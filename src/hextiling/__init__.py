@@ -80,7 +80,6 @@ from .oracle import (
     count_with_fixed_rhombus,
     enumerate_tilings,
     factorization_check,
-    tiling_to_text,
     weighted_count,
 )
 

@@ -8,7 +8,15 @@ turn.  Its choices live on an explicit stack, not in recursion, so the depth
 of a region is bounded only by the cell limit.  Because the chosen cell is
 always the minimal uncovered one, all its lower-indexed neighbors are already
 covered, so only higher-indexed neighbors are kept; and every matching is
-produced exactly once, in lexicographic order of its pairing choices.
+produced exactly once, in lexicographic order of its pairing choices.  Each
+candidate pairing is built once per region as an ``(i, j)`` index tuple, and
+the stack holds those prebuilt tuples, so the search allocates no tuple per
+node; tilings map them to prebuilt cell pairs.
+
+Fixed-rhombus counts come in two shapes: ``count_with_fixed_rhombus`` filters
+one enumeration per axis position, and ``axis_occupancy_tally`` counts every
+axis position in a single enumeration of the hexagon, which is what the
+``oracle-vs-theorems`` suite uses.
 
 Everything is exact; weighted counts tally the tilings by their number of
 weighted rhombi and sum exact rationals rather than using doubling tricks.
@@ -61,7 +69,8 @@ def _prepare(region: Region, max_cells: int):
         )
     index = {c: i for i, c in enumerate(cells)}
     later = [
-        tuple(sorted(index[n] for n in cell_neighbors(c) if index.get(n, -1) > i))
+        tuple((i, j) for j in sorted(
+            index[n] for n in cell_neighbors(c) if index.get(n, -1) > i))
         for i, c in enumerate(cells)
     ]
     return cells, later
@@ -70,9 +79,10 @@ def _prepare(region: Region, max_cells: int):
 def _matchings(later) -> Iterator[list]:
     """Yield the chosen ``(i, j)`` index pairs of every perfect matching.
 
-    ``later[i]`` lists the neighbors of cell i with a higher index, in
-    increasing order.  The search pairs the lowest unpaired cell ``lo`` with
-    each free cell of ``later[lo]`` in turn.  Every cell below ``lo`` is
+    ``later[i]`` holds the pair ``(i, j)`` for every neighbor j of cell i
+    with a higher index, in increasing order of j.  The search pairs the
+    lowest unpaired cell ``lo`` with each free partner in ``later[lo]`` in
+    turn, pushing the prebuilt pair itself.  Every cell below ``lo`` is
     already paired, so only the partners need marking.  The same list object
     is yielded each time and changes as the search goes on, so callers read
     it before asking for the next.
@@ -91,12 +101,12 @@ def _matchings(later) -> Iterator[list]:
             yield pairs
         else:
             choices = later[lo]
-            while k < len(choices) and taken[choices[k]]:
+            while k < len(choices) and taken[choices[k][1]]:
                 k += 1
             if k < len(choices):
-                j = choices[k]
-                taken[j] = 1
-                pairs.append((lo, j))
+                pair = choices[k]
+                taken[pair[1]] = 1
+                pairs.append(pair)
                 resume.append(k + 1)
                 lo += 1
                 k = 0
@@ -117,10 +127,10 @@ def enumerate_tilings(
     yields the single empty tiling.
     """
     cells, later = _prepare(region, max_cells)
-    return (
-        Tiling(frozenset((cells[i], cells[j]) for i, j in pairs))
-        for pairs in _matchings(later)
-    )
+    cell_pair = {
+        pair: (cells[pair[0]], cells[pair[1]]) for choices in later for pair in choices
+    }.__getitem__
+    return (Tiling(frozenset(map(cell_pair, pairs))) for pairs in _matchings(later))
 
 
 def count_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
@@ -202,13 +212,3 @@ def factorization_check(
         * weighted_count(lower, max_cells)
     )
     return Fraction(fixed) == rhs
-
-
-def tiling_to_text(tiling: Tiling) -> str:
-    """One rhombus per line: the two cells separated by ' | '."""
-    lines = []
-    for a, b in sorted(tiling.pairs):
-        lines.append(
-            f"{a.row2} {a.col} {a.orient} | {b.row2} {b.col} {b.orient}"
-        )
-    return "\n".join(lines)

@@ -73,8 +73,7 @@ def _fixed_grid(parities, max_a, max_m, max_cells) -> List[CaseResult]:
             params = normalize(spec)
             if params.parity not in parities or params.n == 0:
                 continue
-            for l in range(1, axis_positions(params) + 1):
-                got = oracle.count_with_fixed_rhombus(spec, l, max_cells)
+            for l, got in oracle.axis_occupancy_tally(spec, max_cells).items():
                 if params.parity is Parity.EVEN:
                     want = formulas.fixed_count_even(params.n, params.m, l)
                 else:

@@ -81,6 +81,35 @@ def test_verify_suite_passes(capsys):
     assert lines[-1] == "lemma5: 20/20 checks passed"
 
 
+def test_oracle_vs_theorems_output_matches_per_position_counts(capsys):
+    # The suite counts all axis positions of a hexagon in one enumeration;
+    # its output must equal the lines built from one filtered enumeration per
+    # position, checked against the closed forms.
+    from hextiling import formulas, oracle, verify
+    from hextiling.hexagon import HexagonSpec, Parity, axis_positions, normalize
+
+    expected = [f"{r.status} {r.name} ({r.detail})" for r in verify.check_totals(3, 4, 3)]
+    for a in range(1, 4):
+        for m_side in range(1, 5):
+            spec = HexagonSpec(a, m_side)
+            params = normalize(spec)
+            if params.n == 0:
+                continue
+            closed_form = (formulas.fixed_count_even if params.parity is Parity.EVEN
+                           else formulas.fixed_count_odd)
+            for l in range(1, axis_positions(params) + 1):
+                got = oracle.count_with_fixed_rhombus(spec, l)
+                want = closed_form(params.n, params.m, l)
+                status = "PASS" if got == want else "FAIL"
+                expected.append(f"{status} hexagon({a},{m_side}) fixed l={l} "
+                                f"(oracle {got} vs formula {want})")
+    expected.append(f"oracle-vs-theorems: {len(expected)}/{len(expected)} checks passed")
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle-vs-theorems",
+                             "--max-a", "3", "--max-m", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == expected
+
+
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     from hextiling import verify
 

@@ -30,7 +30,6 @@ from hextiling.oracle import (
     count_with_fixed_rhombus,
     enumerate_tilings,
     factorization_check,
-    tiling_to_text,
     weighted_count,
 )
 
@@ -213,19 +212,24 @@ def test_count_with_fixed_rhombus_matches_formulas():
 
 
 def test_occupancy_tally_coherence():
+    # the default oracle-vs-theorems grid, both parities
     for a in range(1, 4):
-        for m_side in (2, 4):
+        for m_side in range(1, 5):
             spec = HexagonSpec(a, m_side)
             params = normalize(spec)
+            if params.n == 0:
+                continue
             tally = axis_occupancy_tally(spec)
+            assert list(tally) == list(range(1, axis_positions(params) + 1))
             for l, occupancy in tally.items():
-                assert occupancy == count_with_fixed_rhombus(spec, l)
-            total = sum(tally.values())
+                assert occupancy == count_with_fixed_rhombus(spec, l), (a, m_side, l)
+            fixed_count = (fixed_count_even if params.parity is Parity.EVEN
+                           else fixed_count_odd)
             by_formula = sum(
-                fixed_count_even(params.n, params.m, l)
+                fixed_count(params.n, params.m, l)
                 for l in range(1, params.n + 1)
             )
-            assert total == by_formula
+            assert sum(tally.values()) == by_formula, (a, m_side)
 
 
 def test_factorization_examples():
@@ -243,11 +247,3 @@ def test_factorization_full_grid():
                 continue
             for l in range(1, axis_positions(normalize(spec)) + 1):
                 assert factorization_check(spec, l), (a, m_side, l)
-
-
-def test_tiling_text_emission():
-    tiling = next(iter(enumerate_tilings(full_hexagon_region(HexagonSpec(1, 1)))))
-    text = tiling_to_text(tiling)
-    lines = text.splitlines()
-    assert len(lines) == 3
-    assert all(" | " in line for line in lines)
