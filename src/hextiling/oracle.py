@@ -1,32 +1,36 @@
-"""Brute-force ground truth: exhaustive enumeration of rhombus tilings.
+"""Brute-force ground truth: rhombus tilings as perfect matchings.
 
 A rhombus tiling of a triangular-grid region is a perfect matching of the
 region's dual graph (cells are vertices, edge-adjacent cells are joined).
-One search kernel serves every public counter: a depth-first fill that takes
-the lowest cell not yet covered and pairs it with each uncovered neighbor in
-turn.  Its choices live on an explicit stack, not in recursion, so the depth
-of a region is bounded only by the cell limit.  Because the chosen cell is
-always the minimal uncovered one, all its lower-indexed neighbors are already
-covered, so only higher-indexed neighbors are kept; and every matching is
-produced exactly once, in lexicographic order of its pairing choices.  Each
-candidate pairing is built once per region as an ``(i, j)`` index tuple, and
-the stack holds those prebuilt tuples, so the search allocates no tuple per
-node; tilings map them to prebuilt cell pairs.
+Cells are sorted once per region, and each cell keeps only its
+higher-indexed neighbors, each as a prebuilt ``(i, j)`` index tuple.
+
+Two kernels share that preparation.  Counts come from a frontier dynamic
+program (``_frontier_count``): it scans the cells in order and keeps, for
+each set of cells at or above the scan cell that are already paired with a
+lower cell, the summed weight of the partial matchings that reach it, so
+tilings are counted without being visited one by one.  Enumeration comes
+from a depth-first fill (``_matchings``) that takes the lowest cell not yet
+covered and pairs it with each uncovered neighbor in turn; its choices live
+on an explicit stack, not in recursion, so the depth of a region is bounded
+only by the cell limit, and every matching is produced exactly once, in
+lexicographic order of its pairing choices.  The stack holds the prebuilt
+index tuples, and tilings map them to prebuilt cell pairs.
 
 Fixed-rhombus counts come in two shapes: ``count_with_fixed_rhombus`` filters
 one enumeration per axis position, and ``axis_occupancy_tally`` counts every
-axis position in a single enumeration of the hexagon, which is what the
-``oracle-vs-theorems`` suite uses.
+axis position as the hexagon minus that rhombus's two cells, on the frontier
+kernel, which is what the ``oracle-vs-theorems`` suite uses.  The
+factorization check therefore compares a filtered enumeration with kernel
+counts of the two halves.
 
-Everything is exact; weighted counts tally the tilings by their number of
-weighted rhombi and sum exact rationals rather than using doubling tricks.
-Regions larger than the configurable cell limit are rejected outright
-instead of being truncated.
+Everything is exact; weighted counts run the kernel on integer pair weights
+and divide once at the end.  Regions larger than the configurable cell limit
+are rejected outright instead of being truncated.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator
@@ -73,7 +77,7 @@ def _prepare(region: Region, max_cells: int):
             index[n] for n in cell_neighbors(c) if index.get(n, -1) > i))
         for i, c in enumerate(cells)
     ]
-    return cells, later
+    return cells, index, later
 
 
 def _matchings(later) -> Iterator[list]:
@@ -126,33 +130,70 @@ def enumerate_tilings(
     A region with an odd number of cells yields nothing; the empty region
     yields the single empty tiling.
     """
-    cells, later = _prepare(region, max_cells)
+    cells, _, later = _prepare(region, max_cells)
     cell_pair = {
         pair: (cells[pair[0]], cells[pair[1]]) for choices in later for pair in choices
     }.__getitem__
     return (Tiling(frozenset(map(cell_pair, pairs))) for pairs in _matchings(later))
 
 
+def _frontier_count(later, weight=None, removed=()) -> int:
+    """Weighted number of perfect matchings, by a frontier dynamic program.
+
+    Cells are scanned in index order.  A state is a bitmask, relative to the
+    scan cell ``lo``, of the cells at or above ``lo`` already paired with a
+    lower cell; ``states`` maps each mask to the summed weight of the partial
+    matchings that reach it.  At ``lo`` a paired cell shifts out, and a free
+    cell pairs with each free partner in ``later[lo]``, multiplying by
+    ``weight[pair]`` (default 1) when ``weight`` is given.  Cells in
+    ``removed`` start out paired, so they are left out of the region.  Every
+    search node of ``_matchings`` that reaches the same frontier is one state
+    here, so the kernel never visits more states than the search visits nodes.
+    """
+    states = {sum(1 << r for r in removed): 1}
+    for lo, choices in enumerate(later):
+        moves = [
+            (1 << (pair[1] - lo), 1 if weight is None else weight[pair])
+            for pair in choices
+        ]
+        nxt = {}
+        for mask, ways in states.items():
+            if mask & 1:
+                key = mask >> 1
+                nxt[key] = nxt.get(key, 0) + ways
+                continue
+            for bit, w in moves:
+                if not mask & bit:
+                    key = (mask | bit) >> 1
+                    nxt[key] = nxt.get(key, 0) + ways * w
+        states = nxt
+    return states.get(0, 0)
+
+
 def count_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
-    """Number of tilings of ``region`` (same search as enumerate_tilings)."""
-    _, later = _prepare(region, max_cells)
-    return sum(1 for _ in _matchings(later))
+    """Number of tilings of ``region``, from the frontier kernel."""
+    _, _, later = _prepare(region, max_cells)
+    return _frontier_count(later)
 
 
 def weighted_count(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> Fraction:
     """Weighted tiling count: each tiling contributes (1/2)^k where k is the
     number of its rhombi drawn from ``region.weighted_pairs``.
 
-    With no weighted pairs this is the plain count (as a Fraction).
+    With no weighted pairs this is the plain count (as a Fraction).  The
+    kernel runs on integers: a weighted pair counts 1 and any other pair 2,
+    so every tiling of the ``cells // 2`` pairs contributes
+    2^(cells // 2 - k), and one division at the end gives the sum.
     """
-    cells, later = _prepare(region, max_cells)
-    index = {c: i for i, c in enumerate(cells)}
+    cells, index, later = _prepare(region, max_cells)
     weighted = {
         (index[a], index[b]) for a, b in region.weighted_pairs
         if a in index and b in index
     }
-    tally = Counter(len(weighted.intersection(pairs)) for pairs in _matchings(later))
-    return sum((Fraction(c, 2**k) for k, c in tally.items()), Fraction(0))
+    weight = {
+        pair: 1 if pair in weighted else 2 for choices in later for pair in choices
+    }
+    return Fraction(_frontier_count(later, weight), 2 ** (len(cells) // 2))
 
 
 def count_with_fixed_rhombus(
@@ -170,22 +211,18 @@ def count_with_fixed_rhombus(
 def axis_occupancy_tally(
     spec: HexagonSpec, max_cells: int = DEFAULT_CELL_LIMIT
 ) -> Dict[int, int]:
-    """Per-position tally of axis-rhombus occupancy over all tilings.
+    """Per-position count of the tilings that contain each axis rhombus.
 
-    One enumeration pass; each tiling is counted once for every axis rhombus
-    it contains, so values agree with count_with_fixed_rhombus position-wise.
+    The count at l is the frontier kernel's count of the hexagon with that
+    rhombus's two cells removed, so values agree with count_with_fixed_rhombus
+    position-wise.
     """
     params = normalize(spec)
-    targets = {
-        l: axis_pair(params, l) for l in range(1, axis_positions(params) + 1)
+    _, index, later = _prepare(build_region(params, RegionKind.FULL_HEXAGON), max_cells)
+    return {
+        l: _frontier_count(later, removed=[index[c] for c in axis_pair(params, l)])
+        for l in range(1, axis_positions(params) + 1)
     }
-    tally = {l: 0 for l in targets}
-    region = build_region(params, RegionKind.FULL_HEXAGON)
-    for tiling in enumerate_tilings(region, max_cells):
-        for l, pair in targets.items():
-            if pair in tiling.pairs:
-                tally[l] += 1
-    return tally
 
 
 def factorization_check(

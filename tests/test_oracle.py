@@ -78,6 +78,8 @@ def test_empty_region_has_one_empty_tiling():
     tilings = list(enumerate_tilings(pentagon_region(0, 3)))
     assert len(tilings) == 1
     assert tilings[0].pairs == frozenset()
+    assert count_tilings(pentagon_region(0, 3)) == 1
+    assert weighted_count(pentagon_region(0, 3)) == Fraction(1)
 
 
 def test_odd_cell_count_yields_nothing():
@@ -88,11 +90,16 @@ def test_odd_cell_count_yields_nothing():
                           frozenset(cells), frozenset())
     assert list(enumerate_tilings(broken)) == []
     assert count_tilings(broken) == 0
+    assert weighted_count(broken) == 0
 
 
 def test_cell_limit_enforced():
     with pytest.raises(RegionTooLargeError):
         count_tilings(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
+    with pytest.raises(RegionTooLargeError):
+        weighted_count(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
+    with pytest.raises(RegionTooLargeError):
+        axis_occupancy_tally(HexagonSpec(2, 2), max_cells=10)
 
 
 def test_search_deeper_than_recursion_limit():
@@ -105,6 +112,21 @@ def test_search_deeper_than_recursion_limit():
     assert count_tilings(region, max_cells=5000) == expected
     assert weighted_count(region, max_cells=5000) == expected
     assert sum(1 for _ in enumerate_tilings(region, max_cells=5000)) == expected
+
+
+def test_counters_reach_past_enumeration():
+    # hexagons far past the default cell limit, where walking every tiling
+    # would take minutes; one of each parity
+    for a, m_side, cells, fixed_count in [(6, 6, 216, fixed_count_even),
+                                          (5, 5, 150, fixed_count_odd)]:
+        spec = HexagonSpec(a, m_side)
+        params = normalize(spec)
+        region = full_hexagon_region(spec)
+        assert len(region.cells) == cells
+        assert count_tilings(region, max_cells=cells) == macmahon_count(a, a, m_side)
+        tally = axis_occupancy_tally(spec, max_cells=cells)
+        assert tally == {l: fixed_count(params.n, params.m, l)
+                         for l in range(1, params.n + 1)}, (a, m_side)
 
 
 def test_pentagon_counts_match_determinants():
