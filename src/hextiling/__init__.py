@@ -30,17 +30,13 @@ from .hexagon import (
     axis_rhombus_cells,
     box_region,
     build_region,
-    cells_from_text,
     full_hexagon_region,
     hexagon_cells,
-    hexagon_of,
     marked_path_family,
     normalize,
     path_family,
     pentagon_path_family,
     pentagon_region,
-    region_from_cells,
-    region_to_text,
 )
 from .matrices import (
     check_column_relation,

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import formulas, verify
 from .hexagon import HexagonSpec, Parity, axis_positions, normalize
@@ -81,29 +81,6 @@ def rows_to_json(rows: Sequence[SweepRow]) -> str:
         for r in rows
     ]
     return json.dumps(payload, indent=2)
-
-
-def _row_from_record(rec: dict) -> SweepRow:
-    num, den = rec["proportion_exact"].split("/")
-    return SweepRow(
-        int(rec["N"]), int(rec["m"]), int(rec["l"]),
-        Fraction(int(num), int(den)),
-        float(rec["proportion_float"]),
-        float(rec["arcsine_value"]),
-        float(rec["abs_error"]),
-    )
-
-
-def rows_from_json(text: str) -> List[SweepRow]:
-    return [_row_from_record(rec) for rec in json.loads(text)]
-
-
-def rows_from_csv(text: str) -> List[SweepRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SWEEP_HEADER:
-        raise ValueError("missing or malformed sweep CSV header")
-    keys = SWEEP_HEADER.split(",")
-    return [_row_from_record(dict(zip(keys, ln.split(",")))) for ln in lines[1:]]
 
 
 def _cmd_count(args) -> int:

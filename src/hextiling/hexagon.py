@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 
 class Cell(NamedTuple):
@@ -181,11 +181,6 @@ def normalize(spec: HexagonSpec) -> NormalizedParams:
     return NormalizedParams(Parity.ODD, spec.side_a - 1, (spec.side_m + 1) // 2)
 
 
-def hexagon_of(params: NormalizedParams) -> HexagonSpec:
-    """Literal hexagon represented by normalized parameters."""
-    return HexagonSpec(params.side_a, params.side_m)
-
-
 def axis_positions(params: NormalizedParams) -> int:
     """Number of admissible axis-rhombus positions (always n)."""
     if params.n == 0:
@@ -277,11 +272,6 @@ def box_region(a: int, b: int, c: int) -> Region:
     )
 
 
-def region_from_cells(cells: Iterable, kind: RegionKind = RegionKind.FULL_HEXAGON) -> Region:
-    """Wrap a bare cell set (e.g. parsed from text) for the enumerator."""
-    return Region(kind, None, None, frozenset(cells), frozenset())
-
-
 def pentagon_region(n: int, m: int) -> Region:
     """Standalone trimmed upper pentagon with n path slots and width offset m.
 
@@ -339,23 +329,3 @@ def path_family(
         _validate_axis(params, axis)
         return marked_path_family(params.n, params.m, axis)
     raise ValueError("no lattice-path translation for this region kind")
-
-
-def region_to_text(region: Region) -> str:
-    """One cell per line: ``row2 col orient`` (rows doubled, see module doc)."""
-    lines = [f"{c.row2} {c.col} {c.orient}" for c in sorted(region.cells)]
-    return "\n".join(lines)
-
-
-def cells_from_text(text: str) -> frozenset:
-    """Parse the plain-text cell list emitted by :func:`region_to_text`."""
-    cells = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        r2, col, orient = line.split()
-        if orient not in ("left", "right"):
-            raise ValueError(f"bad orientation {orient!r}")
-        cells.append(Cell(int(r2), int(col), orient))
-    return frozenset(cells)

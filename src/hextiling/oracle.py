@@ -3,7 +3,8 @@
 A rhombus tiling of a triangular-grid region is a perfect matching of the
 region's dual graph (cells are vertices, edge-adjacent cells are joined).
 Cells are sorted once per region, and each cell keeps only its
-higher-indexed neighbors, each as a prebuilt ``(i, j)`` index tuple.
+higher-indexed neighbors, read off its coordinates, each as a prebuilt
+``(i, j)`` index tuple.
 
 Two kernels share that preparation.  Counts come from a frontier dynamic
 program (``_frontier_count``): it scans the cells in order and keeps, for
@@ -15,7 +16,11 @@ covered and pairs it with each uncovered neighbor in turn; its choices live
 on an explicit stack, not in recursion, so the depth of a region is bounded
 only by the cell limit, and every matching is produced exactly once, in
 lexicographic order of its pairing choices.  The stack holds the prebuilt
-index tuples, and tilings map them to prebuilt cell pairs.
+index tuples, and tilings map them to prebuilt cell pairs.  The fill runs
+in two halves split at the middle cell: each fill of the lower half is
+joined with the completions of the upper half, which are searched once per
+set of upper cells the lower fill already paired and kept for the rest of
+that enumeration, so the order stays the search order.
 
 Fixed-rhombus counts come in two shapes: ``count_with_fixed_rhombus`` filters
 one enumeration per axis position, and ``axis_occupancy_tally`` counts every
@@ -43,7 +48,6 @@ from .hexagon import (
     axis_pair,
     axis_positions,
     build_region,
-    cell_neighbors,
     normalize,
 )
 
@@ -66,42 +70,54 @@ class Tiling:
 
 
 def _prepare(region: Region, max_cells: int):
+    """Sort the cells and list each cell's higher-indexed neighbors.
+
+    In the sorted ``(row2, col, orient)`` order the only higher neighbor of a
+    right cell ``(r2, s)`` is ``(r2 + 1, s, "left")``, and those of a left
+    cell are ``(r2, s + 1, "right")`` and then ``(r2 + 1, s, "right")``
+    (``hexagon.cell_neighbors`` lists all three neighbors).  Plain tuples
+    hash and compare equal to ``Cell``, so they look up the index directly.
+    """
     cells = sorted(region.cells)
     if len(cells) > max_cells:
         raise RegionTooLargeError(
             f"region has {len(cells)} cells, exceeding the limit of {max_cells}"
         )
     index = {c: i for i, c in enumerate(cells)}
-    later = [
-        tuple((i, j) for j in sorted(
-            index[n] for n in cell_neighbors(c) if index.get(n, -1) > i))
-        for i, c in enumerate(cells)
-    ]
+    later = []
+    for i, (r2, s, orient) in enumerate(cells):
+        if orient == "right":
+            higher = ((r2 + 1, s, "left"),)
+        else:
+            higher = ((r2, s + 1, "right"), (r2 + 1, s, "right"))
+        later.append(tuple((i, index[n]) for n in higher if n in index))
     return cells, index, later
 
 
-def _matchings(later) -> Iterator[list]:
-    """Yield the chosen ``(i, j)`` index pairs of every perfect matching.
+def _matchings(later, start: int, stop: int, taken: bytearray) -> Iterator[list]:
+    """Yield the chosen ``(i, j)`` index pairs of every way to pair the cells
+    from ``start`` up to ``stop``.
 
     ``later[i]`` holds the pair ``(i, j)`` for every neighbor j of cell i
-    with a higher index, in increasing order of j.  The search pairs the
-    lowest unpaired cell ``lo`` with each free partner in ``later[lo]`` in
-    turn, pushing the prebuilt pair itself.  Every cell below ``lo`` is
-    already paired, so only the partners need marking.  The same list object
-    is yielded each time and changes as the search goes on, so callers read
-    it before asking for the next.
+    with a higher index, in increasing order of j.  ``taken[j]`` is set when
+    cell j is paired with a lower cell; the caller owns it, and every cell
+    below ``start`` must already be paired.  The search pairs the lowest
+    unpaired cell ``lo`` with each free partner in ``later[lo]`` in turn,
+    pushing the prebuilt pair itself, and yields whenever every cell below
+    ``stop`` is paired; partners at or above ``stop`` stay marked in
+    ``taken`` while the yield lasts, and every mark is cleared again when
+    the search ends.  Every cell below ``lo`` is already paired, so only the
+    partners need marking.  The same list object is yielded each time and
+    changes as the search goes on, so callers read it (and ``taken``) before
+    asking for the next.
     """
-    total = len(later)
-    if total % 2 == 1:
-        return
-    taken = bytearray(total)  # taken[j]: cell j is paired with a lower cell
     pairs = []
     resume = []  # resume[d]: next index into later[i] after pairs[d] = (i, j)
-    lo = k = 0
+    lo, k = start, 0
     while True:
-        while lo < total and taken[lo]:
+        while lo < stop and taken[lo]:
             lo += 1
-        if lo == total:
+        if lo == stop:
             yield pairs
         else:
             choices = later[lo]
@@ -131,10 +147,41 @@ def enumerate_tilings(
     yields the single empty tiling.
     """
     cells, _, later = _prepare(region, max_cells)
+    return _joined_tilings(cells, later)
+
+
+def _joined_tilings(cells, later) -> Iterator[Tiling]:
+    """Every tiling, as a fill of the cells below the middle cell ``cut``
+    joined with each completion of the cells from ``cut`` up.
+
+    Which completions a lower fill has depends only on which cells at or
+    above ``cut`` it already paired, so the upper half is searched once per
+    such frontier and its completions are kept, as frozensets of cell pairs,
+    for every later fill that reaches the same frontier.  Lower fills come
+    in search order and completions in search order after each, which is
+    the order of the search over all cells.
+    """
+    total = len(later)
+    if total % 2 == 1:
+        return
+    cut = total // 2
     cell_pair = {
         pair: (cells[pair[0]], cells[pair[1]]) for choices in later for pair in choices
     }.__getitem__
-    return (Tiling(frozenset(map(cell_pair, pairs))) for pairs in _matchings(later))
+    taken = bytearray(total)
+    tails = {}  # frontier bytes(taken[cut:]) -> completions of the upper half
+    for pairs in _matchings(later, 0, cut, taken):
+        frontier = bytes(taken[cut:])
+        completions = tails.get(frontier)
+        if completions is None:
+            completions = tails[frontier] = [
+                frozenset(map(cell_pair, upper))
+                for upper in _matchings(later, cut, total, taken)
+            ]
+        if completions:
+            head = frozenset(map(cell_pair, pairs))
+            for tail in completions:
+                yield Tiling(head | tail)
 
 
 def _frontier_count(later, weight=None, removed=()) -> int:

@@ -10,13 +10,33 @@ from hextiling.cli import (
     SWEEP_HEADER,
     SweepRow,
     main,
-    rows_from_csv,
-    rows_from_json,
     rows_to_csv,
     rows_to_json,
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _row_from_record(rec):
+    num, den = rec["proportion_exact"].split("/")
+    return SweepRow(
+        int(rec["N"]), int(rec["m"]), int(rec["l"]),
+        Fraction(int(num), int(den)),
+        float(rec["proportion_float"]),
+        float(rec["arcsine_value"]),
+        float(rec["abs_error"]),
+    )
+
+
+def rows_from_json(text):
+    return [_row_from_record(rec) for rec in json.loads(text)]
+
+
+def rows_from_csv(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    assert lines and lines[0] == SWEEP_HEADER
+    keys = SWEEP_HEADER.split(",")
+    return [_row_from_record(dict(zip(keys, ln.split(",")))) for ln in lines[1:]]
 
 
 def run_cli(capsys, *argv):

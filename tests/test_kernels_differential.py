@@ -1,7 +1,8 @@
 """Differential tests: each integer-first exact kernel against the
 term-by-term Fraction construction it replaced, each path matrix against
-its entries typed out by hand, and the oracle's iterative search against
-the three recursive searches it replaced, kept here as the references.
+its entries typed out by hand, the oracle's iterative search against
+the three recursive searches it replaced, kept here as the references, and
+the oracle's neighbor lists against ``hexagon.cell_neighbors``.
 
 The references build on nothing that was rewritten: only ``Fraction``,
 ``math``, ``binomial``, ``Polynomial`` arithmetic and the oracle's cell
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from hextiling import oracle
 from hextiling.exact import (
     Polynomial,
     binomial,
@@ -22,6 +24,7 @@ from hextiling.exact import (
 )
 from hextiling.formulas import axis_sum
 from hextiling.hexagon import (
+    HexagonSpec,
     NormalizedParams,
     Parity,
     Region,
@@ -29,6 +32,7 @@ from hextiling.hexagon import (
     box_region,
     build_region,
     cell_neighbors,
+    full_hexagon_region,
 )
 from hextiling.matrices import (
     lower_weighted_matrix,
@@ -321,3 +325,45 @@ def test_oracle_search_matches_recursive_reference(region):
     assert count_tilings(region) == _reference_count_tilings(region)
     assert weighted_count(region) == _reference_weighted_count(region)
     assert list(enumerate_tilings(region)) == list(_reference_enumerate_tilings(region))
+
+
+def _lower_halves():
+    return [build_region(NormalizedParams(parity, 3, 2), RegionKind.LOWER_HALF, 2)
+            for parity in Parity]
+
+
+def test_enumeration_matches_recursive_reference_past_the_draws():
+    # larger than the punctured draws, so many lower-half fills share an
+    # upper-half frontier; the order must still be the search order
+    for region in [full_hexagon_region(HexagonSpec(3, 4)),
+                   full_hexagon_region(HexagonSpec(2, 5)), *_lower_halves()]:
+        got = list(enumerate_tilings(region))
+        assert got == list(_reference_enumerate_tilings(region))
+        assert len(got) == count_tilings(region)
+
+
+def _assert_later_matches_cell_neighbors(region):
+    cells, index, later = oracle._prepare(region, DEFAULT_CELL_LIMIT)
+    ref_cells, neighbors = _prepare(region, DEFAULT_CELL_LIMIT)
+    assert cells == ref_cells
+    assert index == {c: i for i, c in enumerate(cells)}
+    assert later == [tuple((i, j) for j in near if j > i)
+                     for i, near in enumerate(neighbors)]
+
+
+def test_later_matches_cell_neighbors():
+    regions = [full_hexagon_region(HexagonSpec(a, m))
+               for a in range(1, 4) for m in range(1, 5)]
+    regions += [box_region(a, b, c) for a, b, c in [(1, 2, 3), (3, 1, 2), (2, 3, 1)]]
+    for parity, n, m in [(Parity.EVEN, 3, 2), (Parity.ODD, 2, 2), (Parity.ODD, 0, 1)]:
+        params = NormalizedParams(parity, n, m)
+        regions += [build_region(params, kind)
+                    for kind in (RegionKind.UPPER_HALF, RegionKind.UPPER_TRIMMED)]
+    regions += _lower_halves()
+    for region in regions:
+        _assert_later_matches_cell_neighbors(region)
+
+
+@given(_punctured_regions())
+def test_later_matches_cell_neighbors_on_punctured_regions(region):
+    _assert_later_matches_cell_neighbors(region)

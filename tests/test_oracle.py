@@ -100,6 +100,11 @@ def test_cell_limit_enforced():
         weighted_count(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
     with pytest.raises(RegionTooLargeError):
         axis_occupancy_tally(HexagonSpec(2, 2), max_cells=10)
+    # raised at the call, before the first tiling is asked for
+    with pytest.raises(RegionTooLargeError):
+        enumerate_tilings(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
+    with pytest.raises(RegionTooLargeError):
+        count_with_fixed_rhombus(HexagonSpec(2, 2), 1, max_cells=10)
 
 
 def test_search_deeper_than_recursion_limit():
