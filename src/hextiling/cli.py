@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,6 +143,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for name, value in (("a", args.a), ("b", args.b)):
+        if not math.isfinite(value):
+            raise ValueError(f"need a finite {name}, got {value}")
+    for n in args.n:
+        if n < 1:
+            raise ValueError(f"need N >= 1, got N = {n}")
     if not 0.0 < args.b < 1.0:
         raise ValueError("need 0 < b < 1")
     if args.a < 0.0:

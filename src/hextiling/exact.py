@@ -5,6 +5,12 @@ arbitrary-precision integer and rational scalars.  Everything below is a
 pure function of immutable values (thread-safe by construction), and no
 floating point appears anywhere: callers that want a float convert at the
 very end with ``float()``.
+
+The kernels are integer-first: ``shifted_factorial``,
+``Polynomial.compose_affine``, ``lagrange_interpolate`` and
+``hypergeometric_sum`` carry integer numerators over one common
+denominator and build each ``Fraction`` once, at the end, instead of
+normalising a ``Fraction`` (one gcd) at every arithmetic step.
 """
 
 from __future__ import annotations
@@ -138,15 +144,35 @@ class Polynomial:
     __rmul__ = __mul__
 
     def compose_affine(self, shift, slope) -> "Polynomial":
-        """p(shift + slope*x), evaluated by Horner over polynomials."""
-        lin = Polynomial([shift, slope])
-        out = Polynomial()
-        for c in reversed(self.coeffs):
-            out = out * lin + Polynomial([c])
-        return out
+        """p(shift + slope*x), by Horner over integer coefficient lists.
+
+        With the coefficients written as a_k / D over one denominator D and
+        shift = u/w, slope = v/w over one denominator w, the Horner steps
+        build sum_k a_k (u + v x)^k w^(deg-k) in integers; each coefficient
+        is divided by D w^deg once, at the end.
+        """
+        if self.is_zero:
+            return Polynomial()
+        nums, den = _over_common_denominator(self.coeffs)
+        (u, v), w = _over_common_denominator((Fraction(shift), Fraction(slope)))
+        out = [nums[-1]]
+        w_power = 1
+        for a in reversed(nums[:-1]):
+            w_power *= w
+            out = [u * c + v * b for c, b in zip(out + [0], [0] + out)]
+            out[0] += a * w_power
+        den *= w_power
+        return Polynomial(Fraction(c, den) for c in out)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
+
+
+def _over_common_denominator(values: Sequence) -> tuple:
+    """Integer numerators of ``values`` (ints or Fractions) over their least
+    common denominator, and that denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def lagrange_interpolate(points: Sequence[tuple]) -> Polynomial:
@@ -154,32 +180,42 @@ def lagrange_interpolate(points: Sequence[tuple]) -> Polynomial:
 
     Returns the unique polynomial of degree < len(points) passing through all
     of them; raises ValueError on duplicate abscissae.
+
+    The abscissae are written x = t/d over one denominator d, and the
+    polynomial Q(t) = P(t/d) is built in integers: the node polynomial
+    prod_j (t - t_j), its synthetic quotient by each (t - t_i) and the
+    weights prod_{j != i} (t_i - t_j) are all integral.  The y_i / weight_i
+    are put over one common denominator D, and coefficient k of P, q_k d^k,
+    is divided by D once.
     """
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
+    ts, d = _over_common_denominator([Fraction(x) for x, _ in points])
+    if len(set(ts)) != len(ts):
         raise ValueError("interpolation abscissae must be distinct")
-    # node polynomial prod_j (x - x_j), lowest degree first
-    node = [Fraction(1)]
-    for xj in xs:
-        node = [-xj * node[0]] + [
-            node[k - 1] - xj * node[k] for k in range(1, len(node))
-        ] + [Fraction(1)]
-    total = [Fraction(0)] * len(xs)
-    for xi, (_, yi) in zip(xs, points):
-        # synthetic division: basis = node / (x - x_i), highest degree first
-        basis = [Fraction(0)] * len(xs)
-        carry = Fraction(0)
-        for k in range(len(xs), 0, -1):
-            carry = node[k] + xi * carry
-            basis[k - 1] = carry
-        denom = Fraction(1)
-        for xj in xs:
-            if xj != xi:
-                denom *= xi - xj
-        weight = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            total[k] += weight * c
-    return Polynomial(total)
+    size = len(ts)
+    # node polynomial prod_j (t - t_j), lowest degree first
+    node = [1]
+    for tj in ts:
+        node = [-tj * node[0]] + [
+            node[k - 1] - tj * node[k] for k in range(1, len(node))
+        ] + [1]
+    ys = [Fraction(y) for _, y in points]
+    weights = []
+    for ti, yi in zip(ts, ys):
+        w = yi.denominator
+        for tj in ts:
+            if tj != ti:
+                w *= ti - tj
+        weights.append(w)
+    den = math.lcm(*weights)
+    total = [0] * size
+    for ti, yi, w in zip(ts, ys, weights):
+        scale = yi.numerator * (den // w)
+        # synthetic division: node / (t - t_i), highest degree first
+        carry = 0
+        for k in range(size, 0, -1):
+            carry = node[k] + ti * carry
+            total[k - 1] += scale * carry
+    return Polynomial(Fraction(c * d**k, den) for k, c in enumerate(total))
 
 
 def hypergeometric_sum(
@@ -203,21 +239,32 @@ def hypergeometric_sum(
     nums = [Fraction(a) for a in numerator_params]
     dens = [Fraction(b) for b in denominator_params]
     z = Fraction(argument)
-    total = Fraction(0)
-    term = Fraction(1)
-    for e in range(term_count):
-        if e:
-            den_step = Fraction(e)
-            for b in dens:
-                factor = b + e - 1
-                if factor == 0:
-                    raise SingularParameterError(
-                        f"denominator parameter {b} vanishes at step {e}"
-                    )
-                den_step *= factor
-            num_step = z
-            for a in nums:
-                num_step *= a + e - 1
-            term = term * num_step / den_step
-        total += term
-    return total
+    if not term_count:
+        return Fraction(0)
+    # Term ratio t_e / t_(e-1) = z prod_i (a_i + e-1) / (e prod_j (b_j + e-1)),
+    # with each a_i + e-1 = (p + (e-1) q) / q; the parameter denominators are
+    # multiplied into one constant ratio top / bottom.
+    top, bottom = z.numerator, z.denominator
+    for b in dens:
+        top *= b.denominator
+    for a in nums:
+        bottom *= a.denominator
+    ratios = []
+    for e in range(1, term_count):
+        den_step = bottom * e
+        for b in dens:
+            factor = b.numerator + (e - 1) * b.denominator
+            if factor == 0:
+                raise SingularParameterError(
+                    f"denominator parameter {b} vanishes at step {e}"
+                )
+            den_step *= factor
+        num_step = top
+        for a in nums:
+            num_step *= a.numerator + (e - 1) * a.denominator
+        ratios.append((num_step, den_step))
+    # nested Horner: 1 + r_1 (1 + r_2 (1 + ... (1 + r_(T-1))))
+    total, den = 1, 1
+    for num_step, den_step in reversed(ratios):
+        total, den = den * den_step + num_step * total, den * den_step
+    return Fraction(total, den)

@@ -9,8 +9,12 @@ row-rescaled version of the lower matrix has entries that are shifted
 factorials in a rational parameter m; it is built from its own formula,
 because lattice paths exist only for integer m.
 
-Determinants are computed by fraction-free Bareiss elimination over integers
-after clearing row denominators, with a deterministic pivot rule.
+Entries are built integer-first: each is one ``Fraction`` of integer
+products, and the reduced lower matrix carries its rising products from one
+entry of a row to the next instead of rebuilding them.  Determinants are
+computed by fraction-free Bareiss elimination over integers after clearing
+row denominators, read straight off each ``int`` or ``Fraction`` entry, with
+a deterministic pivot rule.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import List, Sequence
 
 from .exact import (
     Polynomial,
-    _rising_product,
+    _over_common_denominator,
     binomial,
     lagrange_interpolate,
     shifted_factorial,
@@ -34,11 +38,12 @@ Matrix = List[List[Fraction]]
 def determinant(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination.
 
-    Each row is scaled to integers first (the scale product is divided back
-    out at the end), then the Bareiss recurrence runs with exact integer
-    divisions.  Zero pivots are repaired by swapping with the first row below
-    that has a nonzero entry in the pivot column, flipping the tracked sign;
-    if none exists the determinant is zero.
+    Entries must be ints or Fractions.  Each row is scaled to integers
+    first, from the numerator and denominator of each entry (the scale
+    product is divided back out at the end), then the Bareiss recurrence
+    runs with exact integer divisions.  Zero pivots are repaired by swapping
+    with the first row below that has a nonzero entry in the pivot column,
+    flipping the tracked sign; if none exists the determinant is zero.
     """
     n = len(rows)
     for row in rows:
@@ -50,10 +55,9 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
     scale = 1
     mat: List[List[int]] = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in fracs))
+        nums, den = _over_common_denominator(row)
         scale *= den
-        mat.append([x.numerator * (den // x.denominator) for x in fracs])
+        mat.append(nums)
 
     sign = 1
     prev = 1
@@ -144,24 +148,27 @@ def reduced_lower_matrix(m, n: int, l: int) -> Matrix:
     p, q = m.numerator, m.denominator
     rows = []
     for i in range(1, n + 1):
+        # tails[j-1] = (n+j-2i+2)_{n-j}, the next one times its lowest factor
+        tails = [0] * n
+        tail = 1
+        for j in range(n, 0, -1):
+            tails[j - 1] = tail
+            tail *= n + j - 2 * i + 1
         row = []
+        # lead = q**(j-1) (m+i-j+1)_{j-1} = prod_{s=i-j+1}^{i-1} (p + s q)
+        lead, q_power = 1, 1
         for j in range(1, n + 1):
-            # (m+i-j+1)_{j-1} = lead / q**(j-1)
-            lead = _rising_product(p + (i - j + 1) * q, q, j - 1)
             if i == l:
-                entry = Fraction(
-                    lead * _rising_product(n + j - 2 * i + 1, 1, n - j + 1),
-                    q ** (j - 1),
-                )
+                # times n+j-2i+1, making (n+j-2i+1)_{n-j+1}
+                entry = Fraction(lead * tails[j - 1] * (n + j - 2 * i + 1), q_power)
             else:
-                # times (n+j-2i+2)_{n-j} and (n+2m-j+1)/2, with m = p/q
+                # times (n+2m-j+1)/2, with m = p/q
                 entry = Fraction(
-                    lead
-                    * _rising_product(n + j - 2 * i + 2, 1, n - j)
-                    * ((n - j + 1) * q + 2 * p),
-                    2 * q**j,
+                    lead * tails[j - 1] * ((n - j + 1) * q + 2 * p), 2 * q_power * q
                 )
             row.append(entry)
+            lead *= p + (i - j) * q
+            q_power *= q
         rows.append(row)
     return rows
 

@@ -184,6 +184,19 @@ def test_sweep_rejects_bad_ratios(capsys):
     assert code == 2 and "0 < b < 1" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--a", "0.5", "--b", "0.5", "--n", "0"], "need N >= 1, got N = 0"),
+    (["--a", "0.5", "--b", "0.5", "--n", "4", "-3"], "need N >= 1, got N = -3"),
+    (["--a", "nan", "--b", "0.5", "--n", "4"], "need a finite a, got nan"),
+    (["--a", "inf", "--b", "0.5", "--n", "4"], "need a finite a, got inf"),
+    (["--a", "0.5", "--b", "nan", "--n", "4"], "need a finite b, got nan"),
+    (["--a", "0.5", "--b", "inf", "--n", "4"], "need a finite b, got inf"),
+])
+def test_sweep_rejects_bad_inputs_up_front(capsys, argv, message):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_roundtrip_csv_and_json():
     rows = [SweepRow.compute(n, 0.5, 0.25) for n in (6, 12, 24)]
     assert rows_from_csv(rows_to_csv(rows)) == rows

@@ -1,6 +1,6 @@
-"""Differential tests: each integer-first exact kernel against the
-term-by-term Fraction construction it replaced, each path matrix against
-its entries typed out by hand, the oracle's iterative search against
+"""Differential tests: each integer-first exact kernel against a
+term-by-term Fraction construction of the same value, each path matrix
+against its entries typed out by hand, the oracle's iterative search against
 the three recursive searches it replaced, kept here as the references, and
 the oracle's neighbor lists against ``hexagon.cell_neighbors``.
 
@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 from hextiling import oracle
 from hextiling.exact import (
     Polynomial,
+    SingularParameterError,
     binomial,
+    hypergeometric_sum,
     lagrange_interpolate,
     shifted_factorial,
 )
@@ -75,6 +77,46 @@ def _reference_lagrange(points):
             denom *= xi - xj
         total = total + basis * (F(yi) / denom)
     return total
+
+
+def _reference_compose_affine(poly, shift, slope):
+    """Horner over polynomials: one Polynomial product and sum per coefficient."""
+    lin = Polynomial([shift, slope])
+    out = Polynomial()
+    for c in reversed(poly.coeffs):
+        out = out * lin + Polynomial([c])
+    return out
+
+
+def _reference_hypergeometric_sum(nums, dens, z, term_count):
+    """Every term built from scratch as a chain of Fraction products, after
+    the same scan for the first vanishing denominator factor: step e in
+    order, and within a step the parameters in order."""
+    nums, dens = [F(a) for a in nums], [F(b) for b in dens]
+    for e in range(1, term_count):
+        for b in dens:
+            if b + e - 1 == 0:
+                raise SingularParameterError(
+                    f"denominator parameter {b} vanishes at step {e}")
+    sf = _reference_shifted_factorial
+    total = F(0)
+    for e in range(term_count):
+        term = F(z) ** e / math.factorial(e)
+        for a in nums:
+            term *= sf(a, e)
+        for b in dens:
+            term /= sf(b, e)
+        total += term
+    return total
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of the
+    SingularParameterError it raised."""
+    try:
+        return fn(*args)
+    except SingularParameterError as exc:
+        return type(exc), str(exc)
 
 
 def _reference_upper_count(n, m):
@@ -292,6 +334,44 @@ def test_shifted_factorial_matches_reference(a, k):
                 unique_by=lambda pt: pt[0]))
 def test_lagrange_matches_reference(points):
     assert lagrange_interpolate(points) == _reference_lagrange(points)
+
+
+# every abscissa non-integral, so the points are rescaled by x = t/d, d > 1
+_non_integers = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(
+    lambda x: x.denominator > 1)
+
+
+@given(st.lists(st.tuples(_non_integers, _rationals), min_size=1, max_size=8,
+                unique_by=lambda pt: pt[0]))
+def test_lagrange_matches_reference_on_non_integer_abscissae(points):
+    assert lagrange_interpolate(points) == _reference_lagrange(points)
+
+
+@given(st.lists(_rationals, max_size=8), _rationals, _rationals)
+def test_compose_affine_matches_reference(coeffs, shift, slope):
+    poly = Polynomial(coeffs)
+    assert poly.compose_affine(shift, slope) == _reference_compose_affine(poly, shift, slope)
+
+
+@given(st.lists(_rationals, max_size=4), st.lists(_rationals, max_size=3),
+       _rationals, st.integers(0, 10))
+def test_hypergeometric_sum_matches_reference(nums, dens, z, term_count):
+    # a nonpositive integer among dens makes some draws singular; both sides
+    # must then raise the same error at the same step
+    assert (_outcome(hypergeometric_sum, nums, dens, z, term_count)
+            == _outcome(_reference_hypergeometric_sum, nums, dens, z, term_count))
+
+
+@given(st.lists(_rationals, max_size=4), st.lists(_rationals, max_size=3),
+       st.integers(0, 6), st.data())
+def test_hypergeometric_sum_singular_step_matches_reference(nums, dens, k, data):
+    # the lower parameter -k vanishes at step k+1, inside the range
+    dens.insert(data.draw(st.integers(0, len(dens))), F(-k))
+    term_count = data.draw(st.integers(k + 2, 10))
+    kind, message = _outcome(hypergeometric_sum, nums, dens, 1, term_count)
+    assert kind is SingularParameterError
+    assert (kind, message) == _outcome(_reference_hypergeometric_sum,
+                                       nums, dens, 1, term_count)
 
 
 @given(st.integers(1, 8), st.integers(0, 12))
