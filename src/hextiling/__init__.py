@@ -4,8 +4,9 @@ The package counts tilings of hexagons with sides (a, m, a, a, m, a) and all
 angles 120 degrees: totals, counts constrained to contain a fixed rhombus on
 the symmetry axis, and the proportion between the two.  Every route to a
 number is implemented at least twice -- closed forms, determinants of
-lattice-path matrices, and a brute-force tiling enumerator -- and the test
-suite cross-checks them against each other exactly.
+lattice-path matrices, and a brute-force oracle that counts perfect matchings
+with a frontier dynamic program and enumerates them by search -- and the
+test suite cross-checks them against each other exactly.
 """
 
 from .exact import (
@@ -25,7 +26,6 @@ from .hexagon import (
     PathFamilySpec,
     Region,
     RegionKind,
-    axis_pair,
     axis_positions,
     axis_rhombus_cells,
     box_region,
@@ -55,6 +55,7 @@ from .formulas import (
     central_axis_closed_form,
     central_axis_sum,
     central_sum_recurrence_residue,
+    fixed_count,
     fixed_count_even,
     fixed_count_odd,
     hyp_chain_check,
@@ -70,7 +71,6 @@ from .formulas import (
 from .oracle import (
     DEFAULT_CELL_LIMIT,
     RegionTooLargeError,
-    Tiling,
     axis_occupancy_tally,
     count_tilings,
     count_with_fixed_rhombus,

@@ -2,7 +2,8 @@
 
 Commands are deterministic (identical inputs give byte-identical output) and
 print results to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or domain error.
+1 verification failure, 2 usage or domain error (a ``verify`` run whose
+bounds leave no checks counts as one).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import formulas, verify
-from .hexagon import HexagonSpec, Parity, axis_positions, normalize
+from .hexagon import HexagonSpec, axis_positions, normalize
 
 
 @dataclass
@@ -105,10 +106,7 @@ def _cmd_fixed(args) -> int:
     if not 1 <= args.l <= positions:
         raise ValueError(f"l must lie in 1..{positions}, got {args.l}")
     total = formulas.macmahon_count(side_a, side_a, side_m)
-    if params.parity is Parity.EVEN:
-        fixed = formulas.fixed_count_even(params.n, params.m, args.l)
-    else:
-        fixed = formulas.fixed_count_odd(params.n, params.m, args.l)
+    fixed = formulas.fixed_count(params, args.l)
     print(f"total {total}")
     print(f"fixed {fixed}")
     print(f"proportion {Fraction(fixed, total)}")
@@ -123,6 +121,8 @@ def _cmd_verify(args) -> int:
         max_a=args.max_a,
         max_cells=args.max_cells,
     )
+    if not results:
+        raise ValueError(f"suite {args.suite} ran no checks at these bounds")
     failures = 0
     for res in results:
         line = f"{res.status} {res.name}"

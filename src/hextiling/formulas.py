@@ -22,7 +22,7 @@ from .exact import (
     hypergeometric_sum,
     shifted_factorial,
 )
-from .hexagon import NormalizedParams
+from .hexagon import NormalizedParams, Parity
 from .matrices import reduced_prefactor, row_scale_product
 
 
@@ -90,16 +90,22 @@ def proportion(params: NormalizedParams, l: int) -> Fraction:
     return proportion_nm(params.n, params.m, l)
 
 
+def fixed_count(params: NormalizedParams, l: int) -> int:
+    """Tilings of the hexagon with sides (params.side_a, params.side_m) that
+    contain the l-th axis rhombus: the proportion times MacMahon's total."""
+    a = params.side_a
+    count = proportion(params, l) * macmahon_count(a, a, params.side_m)
+    return _as_integer(count, "fixed count")
+
+
 def fixed_count_even(n: int, m: int, l: int) -> int:
     """Tilings of the hexagon with sides (n, 2m) containing axis rhombus l."""
-    count = proportion_nm(n, m, l) * macmahon_count(n, n, 2 * m)
-    return _as_integer(count, "even fixed count")
+    return fixed_count(NormalizedParams(Parity.EVEN, n, m), l)
 
 
 def fixed_count_odd(n: int, m: int, l: int) -> int:
     """Tilings of the hexagon with sides (n+1, 2m-1) containing axis rhombus l."""
-    count = proportion_nm(n, m, l) * macmahon_count(n + 1, n + 1, 2 * m - 1)
-    return _as_integer(count, "odd fixed count")
+    return fixed_count(NormalizedParams(Parity.ODD, n, m), l)
 
 
 def upper_count_closed_form(n: int, m: int) -> Fraction:

@@ -19,7 +19,12 @@ A cell is addressed as ``Cell(row2, col, orient)``:
 For the symmetric hexagons treated here (a == c == side_a, b == side_m) the
 horizontal symmetry axis sits at ``row2 == side_m``.  The rhombi bisected by
 the axis are exactly the adjacent left/right cell pairs with
-``row2 == side_m``; position ``l`` counts them left to right.  All values are
+``row2 == side_m``; position ``l`` counts them left to right.
+
+The split by the parity of side_m is made once, in ``normalize``; other
+modules read the literal sides back off ``NormalizedParams.side_a`` /
+``side_m`` instead of branching on the parity again.  A ``Region`` is a bare
+cell set, plus the weight-1/2 axis pairs of a lower half.  All values are
 immutable and all functions are pure.
 """
 
@@ -93,17 +98,14 @@ class NormalizedParams:
 
 @dataclass(frozen=True)
 class Region:
-    """A concrete cell set together with its provenance.
+    """A concrete cell set.
 
     ``weighted_pairs`` lists the axis-rhombus cell pairs that count with
     weight 1/2 in weighted enumeration; it is nonempty only for lower halves.
     """
 
-    kind: RegionKind
-    params: Optional[NormalizedParams]
-    axis: Optional[int]
     cells: frozenset
-    weighted_pairs: frozenset
+    weighted_pairs: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -197,19 +199,15 @@ def _validate_axis(params: NormalizedParams, l: int) -> None:
 def axis_rhombus_cells(params: NormalizedParams, l: int) -> tuple:
     """The two cells forming the l-th axis rhombus, left cell first.
 
-    This single definition is shared by the counting formulas and by the
-    brute-force oracle, so the two can never disagree on indexing.
+    The left cell lies one strip left of the right one, so the pair is sorted
+    in ``(row2, col, orient)`` order, which is how enumerated tilings store
+    their pairs.  This single definition is shared by the counting formulas
+    and by the brute-force oracle, so the two can never disagree on indexing.
     """
     _validate_axis(params, l)
     m_side = params.side_m
     col = 2 * l - 1 if m_side % 2 == 0 else 2 * l
     return (Cell(m_side, col - 1, "left"), Cell(m_side, col, "right"))
-
-
-def axis_pair(params: NormalizedParams, l: int) -> tuple:
-    """Axis rhombus as a normalized (sorted) cell pair, as stored in tilings."""
-    a, b = axis_rhombus_cells(params, l)
-    return (a, b) if a <= b else (b, a)
 
 
 def build_region(
@@ -219,7 +217,7 @@ def build_region(
 ) -> Region:
     """Construct the cell set for one of the four region kinds.
 
-    * FULL_HEXAGON: every cell; an optional ``axis`` only marks a rhombus.
+    * FULL_HEXAGON: every cell.
     * UPPER_HALF:   all cells strictly above the symmetry axis.
     * UPPER_TRIMMED: the upper half with its two forced vertical end strips
       removed (even parity).  For odd parity the upper half has no forced
@@ -227,49 +225,46 @@ def build_region(
     * LOWER_HALF:   all cells strictly below the axis, plus every cell ON the
       axis except the two forming the marked rhombus ``axis``.  The remaining
       axis rhombi become the weight-1/2 pairs.
+
+    Only LOWER_HALF takes (and requires) the ``axis`` mark.
     """
+    if axis is not None and kind is not RegionKind.LOWER_HALF:
+        raise ValueError("only lower regions take an axis mark")
     a, m_side = params.side_a, params.side_m
     cells = hexagon_cells(a, m_side, a)
 
     if kind is RegionKind.FULL_HEXAGON:
-        if axis is not None:
-            _validate_axis(params, axis)
-        return Region(kind, params, axis, cells, frozenset())
+        return Region(cells)
 
     if kind in (RegionKind.UPPER_HALF, RegionKind.UPPER_TRIMMED):
-        if axis is not None:
-            raise ValueError("upper regions take no axis mark")
         upper = {c for c in cells if c.row2 > m_side}
         if kind is RegionKind.UPPER_TRIMMED and params.parity is Parity.EVEN:
             upper = {c for c in upper if c.col not in (0, 2 * a - 1)}
-        return Region(kind, params, None, frozenset(upper), frozenset())
+        return Region(frozenset(upper))
 
     if kind is RegionKind.LOWER_HALF:
         if axis is None:
             raise ValueError("lower regions require the marked axis position")
-        _validate_axis(params, axis)
         removed = set(axis_rhombus_cells(params, axis))
         keep = {c for c in cells if c.row2 < m_side}
         keep.update(c for c in cells if c.row2 == m_side and c not in removed)
         pairs = frozenset(
-            axis_pair(params, k)
+            axis_rhombus_cells(params, k)
             for k in range(1, axis_positions(params) + 1)
             if k != axis
         )
-        return Region(kind, params, axis, frozenset(keep), pairs)
+        return Region(frozenset(keep), pairs)
 
     raise ValueError(f"unknown region kind: {kind!r}")
 
 
-def full_hexagon_region(spec: HexagonSpec, axis: Optional[int] = None) -> Region:
-    return build_region(normalize(spec), RegionKind.FULL_HEXAGON, axis)
+def full_hexagon_region(spec: HexagonSpec) -> Region:
+    return build_region(normalize(spec), RegionKind.FULL_HEXAGON)
 
 
 def box_region(a: int, b: int, c: int) -> Region:
     """Full hexagon for an arbitrary a x b x c box (no symmetry assumed)."""
-    return Region(
-        RegionKind.FULL_HEXAGON, None, None, hexagon_cells(a, b, c), frozenset()
-    )
+    return Region(hexagon_cells(a, b, c))
 
 
 def pentagon_region(n: int, m: int) -> Region:

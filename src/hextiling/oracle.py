@@ -22,6 +22,8 @@ joined with the completions of the upper half, which are searched once per
 set of upper cells the lower fill already paired and kept for the rest of
 that enumeration, so the order stays the search order.
 
+Tilings are yielded as frozensets of cell pairs, each pair sorted, so the
+pair ``hexagon.axis_rhombus_cells`` returns is tested by membership.
 Fixed-rhombus counts come in two shapes: ``count_with_fixed_rhombus`` filters
 one enumeration per axis position, and ``axis_occupancy_tally`` counts every
 axis position as the hexagon minus that rhombus's two cells, on the frontier
@@ -36,17 +38,15 @@ are rejected outright instead of being truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator
 
 from .hexagon import (
     HexagonSpec,
-    Parity,
     Region,
     RegionKind,
-    axis_pair,
     axis_positions,
+    axis_rhombus_cells,
     build_region,
     normalize,
 )
@@ -56,17 +56,6 @@ DEFAULT_CELL_LIMIT = 120
 
 class RegionTooLargeError(ValueError):
     """Raised when a region exceeds the enumeration cell limit."""
-
-
-@dataclass(frozen=True)
-class Tiling:
-    """A perfect pairing of a region's cells into unit rhombi.
-
-    ``pairs`` holds 2-tuples of cells, each sorted internally, covering every
-    cell of the region exactly once.
-    """
-
-    pairs: frozenset
 
 
 def _prepare(region: Region, max_cells: int):
@@ -140,8 +129,11 @@ def _matchings(later, start: int, stop: int, taken: bytearray) -> Iterator[list]
 
 def enumerate_tilings(
     region: Region, max_cells: int = DEFAULT_CELL_LIMIT
-) -> Iterator[Tiling]:
+) -> Iterator[frozenset]:
     """Yield every tiling of ``region`` exactly once, in canonical order.
+
+    A tiling is the frozenset of its rhombi, each a sorted 2-tuple of cells,
+    covering every cell of the region exactly once.
 
     A region with an odd number of cells yields nothing; the empty region
     yields the single empty tiling.
@@ -150,7 +142,7 @@ def enumerate_tilings(
     return _joined_tilings(cells, later)
 
 
-def _joined_tilings(cells, later) -> Iterator[Tiling]:
+def _joined_tilings(cells, later) -> Iterator[frozenset]:
     """Every tiling, as a fill of the cells below the middle cell ``cut``
     joined with each completion of the cells from ``cut`` up.
 
@@ -181,7 +173,7 @@ def _joined_tilings(cells, later) -> Iterator[Tiling]:
         if completions:
             head = frozenset(map(cell_pair, pairs))
             for tail in completions:
-                yield Tiling(head | tail)
+                yield head | tail
 
 
 def _frontier_count(later, weight=None, removed=()) -> int:
@@ -248,11 +240,9 @@ def count_with_fixed_rhombus(
 ) -> int:
     """Tilings of the full hexagon whose pairing contains the l-th axis rhombus."""
     params = normalize(spec)
-    target = axis_pair(params, l)
-    region = build_region(params, RegionKind.FULL_HEXAGON, l)
-    return sum(
-        1 for t in enumerate_tilings(region, max_cells) if target in t.pairs
-    )
+    target = axis_rhombus_cells(params, l)
+    region = build_region(params, RegionKind.FULL_HEXAGON)
+    return sum(1 for t in enumerate_tilings(region, max_cells) if target in t)
 
 
 def axis_occupancy_tally(
@@ -267,7 +257,9 @@ def axis_occupancy_tally(
     params = normalize(spec)
     _, index, later = _prepare(build_region(params, RegionKind.FULL_HEXAGON), max_cells)
     return {
-        l: _frontier_count(later, removed=[index[c] for c in axis_pair(params, l)])
+        l: _frontier_count(
+            later, removed=[index[c] for c in axis_rhombus_cells(params, l)]
+        )
         for l in range(1, axis_positions(params) + 1)
     }
 
@@ -279,16 +271,12 @@ def factorization_check(
 
     The count of tilings containing axis rhombus l must equal
     2^(side_a - 1) times the tiling count of the (trimmed) upper half times
-    the weighted count of the lower half with position l removed.
+    the weighted count of the lower half with position l removed.  (For odd
+    parity the trimmed upper half is the whole upper half.)
     """
     params = normalize(spec)
     fixed = count_with_fixed_rhombus(spec, l, max_cells)
-    upper_kind = (
-        RegionKind.UPPER_TRIMMED
-        if params.parity is Parity.EVEN
-        else RegionKind.UPPER_HALF
-    )
-    upper = build_region(params, upper_kind)
+    upper = build_region(params, RegionKind.UPPER_TRIMMED)
     lower = build_region(params, RegionKind.LOWER_HALF, l)
     rhs = (
         Fraction(2) ** (spec.side_a - 1)

@@ -27,6 +27,7 @@ from .hexagon import (
 )
 
 _SYMMETRY_SEED = 271828
+_SYMMETRY_SAMPLES = 10  # rational sample points of m per (n, l)
 
 
 @dataclass
@@ -74,10 +75,7 @@ def _fixed_grid(parities, max_a, max_m, max_cells) -> List[CaseResult]:
             if params.parity not in parities or params.n == 0:
                 continue
             for l, got in oracle.axis_occupancy_tally(spec, max_cells).items():
-                if params.parity is Parity.EVEN:
-                    want = formulas.fixed_count_even(params.n, params.m, l)
-                else:
-                    want = formulas.fixed_count_odd(params.n, params.m, l)
+                want = formulas.fixed_count(params, l)
                 _case(out, f"hexagon({a},{m_side}) fixed l={l}",
                       got == want, f"oracle {got} vs formula {want}")
     return out
@@ -138,7 +136,7 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-48, 48), rng.choice([1, 2, 3, 5, 7, 11]))
 
 
-def check_symmetries(max_n: int = 6, samples: int = 10) -> List[CaseResult]:
+def check_symmetries(max_n: int = 6) -> List[CaseResult]:
     """Reduced-determinant symmetries in l and in m, at random rational m."""
     rng = random.Random(_SYMMETRY_SEED)
     out: List[CaseResult] = []
@@ -147,7 +145,7 @@ def check_symmetries(max_n: int = 6, samples: int = 10) -> List[CaseResult]:
             ok_l = True
             ok_m = True
             sign = -1 if (n * (n + 1) // 2 - 1) % 2 else 1
-            for _ in range(samples):
+            for _ in range(_SYMMETRY_SAMPLES):
                 m = _random_rational(rng)
                 det = matrices.determinant(matrices.reduced_lower_matrix(m, n, l))
                 mirror = matrices.determinant(

@@ -85,7 +85,7 @@ def test_criterion_07_factorization_identity():
 
 
 def test_criterion_08_reduced_matrix_structure():
-    results = verify.check_symmetries(max_n=6, samples=10)
+    results = verify.check_symmetries(max_n=6)
     results += verify.check_column_relations(max_n=8)
     results += verify.check_reduced_polynomials(max_n=6)
     _report("8 (symmetries, column relations, polynomial structure)", results)

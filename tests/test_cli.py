@@ -102,11 +102,11 @@ def test_verify_suite_passes(capsys):
 
 
 def test_oracle_vs_theorems_output_matches_per_position_counts(capsys):
-    # The suite counts all axis positions of a hexagon in one enumeration;
-    # its output must equal the lines built from one filtered enumeration per
-    # position, checked against the closed forms.
+    # The suite counts every axis position of a hexagon on the frontier
+    # kernel; its output must equal the lines built from one filtered
+    # enumeration per position, checked against the closed forms.
     from hextiling import formulas, oracle, verify
-    from hextiling.hexagon import HexagonSpec, Parity, axis_positions, normalize
+    from hextiling.hexagon import HexagonSpec, axis_positions, normalize
 
     expected = [f"{r.status} {r.name} ({r.detail})" for r in verify.check_totals(3, 4, 3)]
     for a in range(1, 4):
@@ -115,11 +115,9 @@ def test_oracle_vs_theorems_output_matches_per_position_counts(capsys):
             params = normalize(spec)
             if params.n == 0:
                 continue
-            closed_form = (formulas.fixed_count_even if params.parity is Parity.EVEN
-                           else formulas.fixed_count_odd)
             for l in range(1, axis_positions(params) + 1):
                 got = oracle.count_with_fixed_rhombus(spec, l)
-                want = closed_form(params.n, params.m, l)
+                want = formulas.fixed_count(params, l)
                 status = "PASS" if got == want else "FAIL"
                 expected.append(f"{status} hexagon({a},{m_side}) fixed l={l} "
                                 f"(oracle {got} vs formula {want})")
@@ -128,6 +126,19 @@ def test_oracle_vs_theorems_output_matches_per_position_counts(capsys):
                              "--max-a", "3", "--max-m", "4")
     assert (code, err) == (0, "")
     assert out.splitlines() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "lemma5", "--max-n", "0"],
+    ["--suite", "factorization", "--max-a", "-1"],
+    ["--suite", "factorization", "--max-a", "1", "--max-m", "1"],
+    ["--suite", "oracle-vs-theorems", "--max-a", "0"],
+    ["--suite", "column-relation", "--max-n", "3"],
+])
+def test_verify_without_checks_is_an_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    message = f"error: suite {argv[1]} ran no checks at these bounds\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
@@ -229,6 +240,25 @@ def test_deep_search_passes_under_low_recursion_limit():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "oracle-vs-theorems: 181/181 checks passed"
+
+
+def test_module_entry_point_runs_the_readme_commands():
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "hextiling", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout.splitlines(), proc.stderr
+
+    assert run("count", "--sides", "2", "2") == (0, ["20"], "")
+    assert run("fixed", "--sides", "2", "2", "--l", "1") == (
+        0, ["total 20", "fixed 8", "proportion 2/5"], "")
+    code, lines, err = run("verify", "--suite", "lemma5", "--max-n", "2", "--max-m", "2")
+    assert (code, lines[-1], err) == (0, "lemma5: 6/6 checks passed", "")
+    code, lines, err = run("sweep", "--a", "0.5", "--b", "0.5", "--n", "10")
+    assert (code, lines[0], len(lines), err) == (0, SWEEP_HEADER, 2, "")
+    # the exit code of main reaches the shell
+    assert run("fixed", "--sides", "1", "1", "--l", "1")[0] == 2
 
 
 def test_verify_warns_about_ignored_bounds(capsys):

@@ -10,6 +10,7 @@ from hextiling.formulas import (
     central_axis_closed_form,
     central_axis_sum,
     central_sum_recurrence_residue,
+    fixed_count,
     fixed_count_even,
     fixed_count_odd,
     hyp_chain_check,
@@ -73,6 +74,21 @@ def test_fixed_count_odd_values():
     assert fixed_count_odd(2, 2, 1) == 252
     assert fixed_count_odd(2, 2, 2) == 252
     assert macmahon_count(3, 3, 3) == 980
+
+
+def test_fixed_count_matches_both_parities_on_the_default_grid():
+    # the oracle-vs-theorems grid, with the literal sides written out here
+    for a in range(1, 4):
+        for m_side in range(1, 5):
+            params = normalize(HexagonSpec(a, m_side))
+            n, m = params.n, params.m
+            for l in range(1, n + 1):
+                got = fixed_count(params, l)
+                by_parity = fixed_count_odd if m_side % 2 else fixed_count_even
+                assert got == by_parity(n, m, l), (a, m_side, l)
+                assert got == proportion_nm(n, m, l) * macmahon_count(a, a, m_side)
+    with pytest.raises(ValueError):
+        fixed_count_even(0, 1, 1)
 
 
 def test_proportion_values():

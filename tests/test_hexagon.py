@@ -64,13 +64,15 @@ def test_axis_positions_match_brute_force():
     spec = HexagonSpec(3, 2)
     params = normalize(spec)
     pairs = {
-        tuple(sorted(axis_rhombus_cells(params, l)))
+        axis_rhombus_cells(params, l)
         for l in range(1, axis_positions(params) + 1)
     }
+    # sorted already, as tilings store their pairs
+    assert all(pair == tuple(sorted(pair)) for pair in pairs)
     seen = set()
     for tiling in enumerate_tilings(full_hexagon_region(spec)):
-        seen.update(p for p in tiling.pairs if p in pairs)
-    assert len(seen) == 3 == axis_positions(params)
+        seen.update(p for p in tiling if p in pairs)
+    assert seen == pairs and len(seen) == 3 == axis_positions(params)
 
 
 def test_axis_positions_biject_under_reflection():
@@ -142,6 +144,13 @@ def test_trimmed_is_upper_minus_end_strips():
             strips = {c for c in upper.cells if c.col in (0, 2 * n - 1)}
             assert trimmed.cells == upper.cells - strips
             assert len(strips) == 4 * m
+    # odd parity has no forced strips: trimming is the identity
+    for n in range(0, 5):
+        for m in range(1, 4):
+            params = NormalizedParams(Parity.ODD, n, m)
+            upper = build_region(params, RegionKind.UPPER_HALF)
+            trimmed = build_region(params, RegionKind.UPPER_TRIMMED)
+            assert trimmed.cells == upper.cells
 
 
 def test_every_region_has_even_cell_count():
@@ -172,6 +181,8 @@ def test_build_region_axis_validation():
         build_region(params, RegionKind.LOWER_HALF, 4)
     with pytest.raises(ValueError):
         build_region(params, RegionKind.UPPER_HALF, 1)
+    with pytest.raises(ValueError):
+        build_region(params, RegionKind.FULL_HEXAGON, 1)
 
 
 def test_pentagon_paths():

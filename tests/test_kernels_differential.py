@@ -44,7 +44,6 @@ from hextiling.matrices import (
 from hextiling.oracle import (
     DEFAULT_CELL_LIMIT,
     RegionTooLargeError,
-    Tiling,
     count_tilings,
     enumerate_tilings,
     weighted_count,
@@ -217,7 +216,7 @@ def _reference_enumerate_tilings(region: Region, max_cells: int = DEFAULT_CELL_L
             while lo < total and covered[lo]:
                 lo += 1
             if lo == total:
-                yield Tiling(frozenset((cells[i], cells[j]) for i, j in pairs))
+                yield frozenset((cells[i], cells[j]) for i, j in pairs)
                 return
             covered[lo] = 1
             for j in neighbors[lo]:
@@ -320,8 +319,7 @@ def _punctured_regions(draw):
         region = build_region(NormalizedParams(parity, n, m), RegionKind.LOWER_HALF,
                               draw(st.integers(1, n)))
     deleted = draw(st.sets(st.sampled_from(sorted(region.cells))))
-    return Region(region.kind, region.params, region.axis,
-                  region.cells - deleted, region.weighted_pairs)
+    return Region(region.cells - deleted, region.weighted_pairs)
 
 
 @given(st.one_of(_rationals, st.integers(-12, 12)), st.integers(0, 12))
