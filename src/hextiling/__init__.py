@@ -41,9 +41,10 @@ from .hexagon import (
 from .matrices import (
     check_column_relation,
     determinant,
-    extract_reduced_polynomial,
+    extract_reduced_polynomials,
     lower_weighted_matrix,
     path_matrix,
+    reduced_determinant,
     reduced_lower_matrix,
     reduced_prefactor,
     row_scale_product,

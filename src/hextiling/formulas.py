@@ -9,6 +9,10 @@ proportion, and the arcsine limit (the one floating-point function here).
 
 Counts that must be integers are computed over rationals and asserted
 integral, so any transcription error in a formula surfaces immediately.
+The closed forms of the reduced determinant (the weighted lower count, its
+constant and the special values) are integer-first: integer products of
+factorials and rising products (the special values gather their powers of
+2 in one exponent), and one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 from fractions import Fraction
 
 from .exact import (
+    _rising_product,
     binomial,
     double_factorial,
     hypergeometric_sum,
@@ -124,13 +129,13 @@ def upper_count_closed_form(n: int, m: int) -> Fraction:
 
 def _reduced_poly_closed_constant(n: int) -> Fraction:
     """2^((n-1)(n-2)/2) prod_j (2j-1)! / (n! prod_i (2i)_{2n-4i+1})."""
-    out = Fraction(2) ** ((n - 1) * (n - 2) // 2)
+    num = 2 ** ((n - 1) * (n - 2) // 2)
     for j in range(1, n + 1):
-        out *= math.factorial(2 * j - 1)
-    out /= math.factorial(n)
+        num *= math.factorial(2 * j - 1)
+    den = math.factorial(n)
     for i in range(1, n // 2 + 1):
-        out /= shifted_factorial(2 * i, 2 * n - 4 * i + 1)
-    return out
+        den *= _rising_product(2 * i, 1, 2 * n - 4 * i + 1)
+    return Fraction(num, den)
 
 
 def lower_weighted_closed_form(n: int, m: int, l: int) -> Fraction:
@@ -139,11 +144,12 @@ def lower_weighted_closed_form(n: int, m: int, l: int) -> Fraction:
     Row-scale product times the forced prefactor times the polynomial part,
     the latter written as a constant times (m)_{n+1} times the axis sum.
     """
-    value = row_scale_product(n, m) * reduced_prefactor(m, n)
-    value *= _reduced_poly_closed_constant(n)
-    value *= shifted_factorial(m, n + 1)
-    value *= axis_sum(n, m, l)
-    return value
+    num, den = _rising_product(m, 1, n + 1), 1
+    for factor in (row_scale_product(n, m), reduced_prefactor(m, n),
+                   _reduced_poly_closed_constant(n), axis_sum(n, m, l)):
+        num *= factor.numerator
+        den *= factor.denominator
+    return Fraction(num, den)
 
 
 def reduced_poly_value(m_val: int, n: int, l: int) -> Fraction:
@@ -165,22 +171,29 @@ def reduced_poly_value(m_val: int, n: int, l: int) -> Fraction:
         return Fraction(0)
 
     sign = -1 if (mu * n + (mu * mu - mu) // 2) % 2 else 1
-    value = sign * Fraction(2) ** ((mu * mu + mu) // 2 - n + 1)
-    value *= shifted_factorial(mu, mu)
+    # the powers of 2, from the prefactor and the half-integer bases, are
+    # gathered in one exponent
+    twos = (mu * mu + mu) // 2 - n + 1
+    num = sign * _rising_product(mu, 1, mu)
     for j in range(1, n - mu + 1):
-        value *= math.factorial(2 * j - 1)
+        num *= math.factorial(2 * j - 1)
     for k in range(1, mu + 1):
-        value *= Fraction(math.factorial(k - 1)) ** 2
-        value *= math.factorial(n + k - 2 * mu - 1)
-        value *= shifted_factorial(Fraction(mu - k + 1, 2), k - 1)
-        value *= shifted_factorial(k - n, n - mu)
+        num *= math.factorial(k - 1) ** 2 * math.factorial(n + k - 2 * mu - 1)
+        # ((mu-k+1)/2)_{k-1} = (mu-k+1)(mu-k+3)... / 2^(k-1)
+        num *= _rising_product(mu - k + 1, 2, k - 1) * _rising_product(k - n, 1, n - mu)
+        twos -= k - 1
+    den = 1
     for i in range(1, mu + 1):
-        value /= math.factorial(n - mu - i) * math.factorial(mu - i)
+        den *= math.factorial(n - mu - i) * math.factorial(mu - i)
     for i in range(mu + 1, n // 2 + 1):
-        value /= shifted_factorial(i - mu, n - 2 * i + 1)
+        den *= _rising_product(i - mu, 1, n - 2 * i + 1)
     for i in range(1, n // 2 + 1):
-        value /= shifted_factorial(i - mu + Fraction(1, 2), n - 2 * i)
-    return value
+        # (i-mu+1/2)_{n-2i} = (2i-2mu+1)(2i-2mu+3)... / 2^(n-2i)
+        den *= _rising_product(2 * i - 2 * mu + 1, 2, n - 2 * i)
+        twos += n - 2 * i
+    if twos >= 0:
+        return Fraction(num * 2**twos, den)
+    return Fraction(num, den * 2**-twos)
 
 
 def central_axis_sum(n: int) -> Fraction:

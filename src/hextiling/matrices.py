@@ -9,12 +9,16 @@ row-rescaled version of the lower matrix has entries that are shifted
 factorials in a rational parameter m; it is built from its own formula,
 because lattice paths exist only for integer m.
 
-Entries are built integer-first: each is one ``Fraction`` of integer
-products, and the reduced lower matrix carries its rising products from one
-entry of a row to the next instead of rebuilding them.  Determinants are
-computed by fraction-free Bareiss elimination over integers after clearing
-row denominators, read straight off each ``int`` or ``Fraction`` entry, with
-a deterministic pivot rule.
+Everything is built integer-first, with one ``Fraction`` per value at the
+end.  The reduced lower matrix at a sample point m is built once as integer
+rows, each over one row denominator, carrying its rising products from one
+entry of a row to the next; both versions of every row (unmarked and
+marked) come out of the same pass, so the determinants for all marked rows
+l share them, and polynomial extraction builds them once per sample point
+for every l.  The Fraction matrix and :func:`reduced_determinant` are read
+off those rows.  Determinants are computed by fraction-free Bareiss
+elimination over integers after clearing row denominators, read straight
+off each ``int`` or ``Fraction`` entry, with a deterministic pivot rule.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import List, Sequence
 from .exact import (
     Polynomial,
     _over_common_denominator,
+    _rising_product,
     binomial,
     lagrange_interpolate,
     shifted_factorial,
@@ -126,13 +131,56 @@ def lower_weighted_matrix(n: int, m: int, l: int) -> Matrix:
 def row_scale_product(n: int, m: int) -> Fraction:
     """Product of the factors pulled out of each row to pass from the
     weighted path matrix to its shifted-factorial version."""
-    out = Fraction(1)
+    num, den = 1, 1
     for i in range(1, n + 1):
-        out *= Fraction(
-            math.factorial(n + m - i),
-            math.factorial(m + i - 1) * math.factorial(2 * n - 2 * i + 1),
-        )
-    return out
+        num *= math.factorial(n + m - i)
+        den *= math.factorial(m + i - 1) * math.factorial(2 * n - 2 * i + 1)
+    return Fraction(num, den)
+
+
+def _reduced_rows(m, n: int) -> tuple:
+    """Integer rows of the reduced lower matrix at m, in both versions.
+
+    Returns ``(plain, marked, plain_den, marked_den)``: row i of the matrix
+    is ``plain[i-1]`` over ``plain_den`` = 2 q^n when i is not the marked
+    row, and ``marked[i-1]`` over ``marked_den`` = q^(n-1) when it is, for
+    m = p/q.  Entry j of row i is (m+i-j+1)_{j-1} times
+    (n+j-2i+2)_{n-j} (n+2m-j+1)/2 (plain) or (n+j-2i+1)_{n-j+1} (marked).
+    """
+    m = Fraction(m)
+    p, q = m.numerator, m.denominator
+    q_powers = [1]
+    for _ in range(n):
+        q_powers.append(q_powers[-1] * q)
+    plain, marked = [], []
+    for i in range(1, n + 1):
+        # tails[j] = (n+j-2i+2)_{n-j}, the next one times its lowest factor
+        tails = [0] * (n + 1)
+        tail = 1
+        for j in range(n, -1, -1):
+            tails[j] = tail
+            tail *= n + j - 2 * i + 1
+        plain_row, marked_row = [], []
+        # lead = q**(j-1) (m+i-j+1)_{j-1} = prod_{s=i-j+1}^{i-1} (p + s q)
+        lead = 1
+        for j in range(1, n + 1):
+            scaled = lead * q_powers[n - j]
+            # (n+2m-j+1)/2 = ((n-j+1) q + 2p) / (2q)
+            plain_row.append(scaled * tails[j] * ((n - j + 1) * q + 2 * p))
+            # tails[j-1] = (n+j-2i+1)_{n-j+1}
+            marked_row.append(scaled * tails[j - 1])
+            lead *= p + (i - j) * q
+        plain.append(plain_row)
+        marked.append(marked_row)
+    return plain, marked, 2 * q_powers[n], q_powers[n - 1]
+
+
+def _marked_determinant(reduced: tuple, l: int) -> Fraction:
+    """Determinant of the reduced lower matrix with marked row l, from the
+    integer rows of :func:`_reduced_rows`."""
+    plain, marked, plain_den, marked_den = reduced
+    rows = plain[: l - 1] + [marked[l - 1]] + plain[l:]
+    return determinant(rows) / (plain_den ** (len(rows) - 1) * marked_den)
 
 
 def reduced_lower_matrix(m, n: int, l: int) -> Matrix:
@@ -144,43 +192,34 @@ def reduced_lower_matrix(m, n: int, l: int) -> Matrix:
     """
     if not 1 <= l <= n:
         raise ValueError("marked row out of range")
-    m = Fraction(m)
-    p, q = m.numerator, m.denominator
-    rows = []
-    for i in range(1, n + 1):
-        # tails[j-1] = (n+j-2i+2)_{n-j}, the next one times its lowest factor
-        tails = [0] * n
-        tail = 1
-        for j in range(n, 0, -1):
-            tails[j - 1] = tail
-            tail *= n + j - 2 * i + 1
-        row = []
-        # lead = q**(j-1) (m+i-j+1)_{j-1} = prod_{s=i-j+1}^{i-1} (p + s q)
-        lead, q_power = 1, 1
-        for j in range(1, n + 1):
-            if i == l:
-                # times n+j-2i+1, making (n+j-2i+1)_{n-j+1}
-                entry = Fraction(lead * tails[j - 1] * (n + j - 2 * i + 1), q_power)
-            else:
-                # times (n+2m-j+1)/2, with m = p/q
-                entry = Fraction(
-                    lead * tails[j - 1] * ((n - j + 1) * q + 2 * p), 2 * q_power * q
-                )
-            row.append(entry)
-            lead *= p + (i - j) * q
-            q_power *= q
-        rows.append(row)
-    return rows
+    plain, marked, plain_den, marked_den = _reduced_rows(m, n)
+    return [
+        [Fraction(x, marked_den) for x in marked[i]] if i == l - 1
+        else [Fraction(x, plain_den) for x in plain[i]]
+        for i in range(n)
+    ]
+
+
+def reduced_determinant(m, n: int, l: int) -> Fraction:
+    """Determinant of :func:`reduced_lower_matrix`, taken on its integer
+    rows with one division by the product of the row denominators."""
+    if not 1 <= l <= n:
+        raise ValueError("marked row out of range")
+    return _marked_determinant(_reduced_rows(m, n), l)
 
 
 def reduced_prefactor(m, n: int) -> Fraction:
-    """The forced shifted-factorial divisor of the reduced determinant."""
+    """The forced shifted-factorial divisor of the reduced determinant,
+    prod_i (m+i)_{n-2i+1} (m+i+1/2)_{n-2i}."""
     m = Fraction(m)
-    out = Fraction(1)
+    p, q = m.numerator, m.denominator
+    num, den = 1, 1
     for i in range(1, n // 2 + 1):
-        out *= shifted_factorial(m + i, n - 2 * i + 1)
-        out *= shifted_factorial(m + i + Fraction(1, 2), n - 2 * i)
-    return out
+        # m + i = (p + i q)/q and m + i + 1/2 = (2p + (2i+1) q)/(2q)
+        num *= _rising_product(p + i * q, q, n - 2 * i + 1)
+        num *= _rising_product(2 * p + (2 * i + 1) * q, 2 * q, n - 2 * i)
+        den *= q ** (n - 2 * i + 1) * (2 * q) ** (n - 2 * i)
+    return Fraction(num, den)
 
 
 def _column(mat: Matrix, j: int) -> List[Fraction]:
@@ -220,22 +259,19 @@ def check_column_relation(n: int, l: int, e: int, k: int) -> bool:
     return all(combo[r] == coeff * base[r] for r in range(n))
 
 
-def extract_reduced_polynomial(n: int, l: int) -> Polynomial:
-    """Interpolate the polynomial part of the reduced determinant.
+def extract_reduced_polynomials(n: int) -> List[Polynomial]:
+    """Interpolate the polynomial part of the reduced determinant, for each
+    marked row l = 1..n in turn.
 
-    Samples the determinant at n positive integer values of m where the
-    forced prefactor is nonzero, divides it out pointwise, and Lagrange
-    interpolates; the result has degree at most n - 1.
+    Samples the determinant at m = 1..n+2, where the forced prefactor has
+    no roots, divides it out pointwise, and Lagrange interpolates.  The
+    polynomial part has degree at most n - 1, so the two spare samples let
+    a degree check on the result fail.  Each sample point builds its
+    prefactor and its integer rows once, for all n marked rows.
     """
-    if not 1 <= l <= n:
-        raise ValueError("marked row out of range")
-    points = []
-    m_val = 0
-    while len(points) < n:
-        m_val += 1
-        pref = reduced_prefactor(m_val, n)
-        if pref == 0:
-            continue
-        det = determinant(reduced_lower_matrix(m_val, n, l))
-        points.append((Fraction(m_val), det / pref))
-    return lagrange_interpolate(points)
+    samples = [(m, reduced_prefactor(m, n), _reduced_rows(m, n)) for m in range(1, n + 3)]
+    return [
+        lagrange_interpolate(
+            [(m, _marked_determinant(reduced, l) / pref) for m, pref, reduced in samples])
+        for l in range(1, n + 1)
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -134,6 +135,7 @@ def test_oracle_vs_theorems_output_matches_per_position_counts(capsys):
     ["--suite", "factorization", "--max-a", "1", "--max-m", "1"],
     ["--suite", "oracle-vs-theorems", "--max-a", "0"],
     ["--suite", "column-relation", "--max-n", "3"],
+    ["--suite", "corollary", "--max-n", "0"],
 ])
 def test_verify_without_checks_is_an_error(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -269,3 +271,43 @@ def test_verify_warns_about_ignored_bounds(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "lemma5", "--max-n", "3",
                            "--max-m", "2")
     assert code == 0 and err == ""
+
+
+def test_oracle_vs_theorems_warns_about_its_box_cap(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle-vs-theorems",
+                             "--max-a", "4", "--max-m", "1")
+    assert code == 0
+    assert "box(3,3,3) total" in out and "box(4," not in out
+    assert "hexagon(4,1) total" in out
+    assert err.splitlines() == ["warning: suite oracle-vs-theorems checks boxes only "
+                                "up to 3x3x3; max_a=4 bounds the hexagons only"]
+    code, _, err = run_cli(capsys, "verify", "--suite", "oracle-vs-theorems",
+                           "--max-a", "3", "--max-m", "1")
+    assert code == 0 and err == ""
+
+
+# SHA-256 of json.dumps([rc, stdout, stderr]) of ``hextiling verify --suite``
+# with these bounds.  A rewrite of the LGV kernels or the closed forms that
+# keeps every value exact leaves every byte of this output as it is.
+_GOLDEN_VERIFY = [
+    (["p-polynomial", "--max-n", "6"],
+     "f0f4f80210757d4c8dd95b6faef04fceab5953eaa86a1b949bbe81408db171fd"),
+    (["symmetries", "--max-n", "4"],
+     "0a27c65880f1b6cfeed3a6a3b996c708b56a2de2a4cf5d8e2e77eae38260c2c3"),
+    (["lemma6", "--max-n", "6", "--max-m", "4"],
+     "97ed08dd8ec3027e809110eaa874cfd92c0bcc1cf61bf51586f32d3e4d76c6a5"),
+    (["column-relation", "--max-n", "8"],
+     "2414991355bf9590ef3f2c5e38380f11ed05ac8a93606607a5dcfbe8b033ca54"),
+    (["hyp-chain", "--max-n", "6", "--max-m", "4"],
+     "1b615001e359ef1d8ade5427ae03ef0795168e5f16b8f5f206594345a3cf85b9"),
+    (["corollary", "--max-n", "10"],
+     "66869c8c5b989f851a02d63fd3a63558fa9d020455b18cdb074f6fe566c0e439"),
+]
+
+
+@pytest.mark.parametrize("bounds, digest", _GOLDEN_VERIFY,
+                         ids=[bounds[0] for bounds, _ in _GOLDEN_VERIFY])
+def test_lgv_suite_output_matches_recorded_digest(capsys, bounds, digest):
+    code, out, err = run_cli(capsys, "verify", "--suite", *bounds)
+    got = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+    assert got == digest

@@ -26,7 +26,7 @@ from hextiling.formulas import (
 from hextiling.hexagon import HexagonSpec, normalize
 from hextiling.matrices import (
     determinant,
-    extract_reduced_polynomial,
+    extract_reduced_polynomials,
     lower_weighted_matrix,
     upper_count_matrix,
 )
@@ -150,8 +150,7 @@ def test_reduced_poly_value_base():
 
 def test_reduced_poly_value_matches_interpolation():
     for n in range(1, 7):
-        for l in range(1, n + 1):
-            poly = extract_reduced_polynomial(n, l)
+        for l, poly in enumerate(extract_reduced_polynomials(n), start=1):
             for m_val in range(-(n // 2), 1):
                 assert poly(m_val) == reduced_poly_value(m_val, n, l), (n, l, m_val)
 

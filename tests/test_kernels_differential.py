@@ -5,9 +5,12 @@ the three recursive searches it replaced, kept here as the references, and
 the oracle's neighbor lists against ``hexagon.cell_neighbors``.
 
 The references build on nothing that was rewritten: only ``Fraction``,
-``math``, ``binomial``, ``Polynomial`` arithmetic and the oracle's cell
-geometry.  (The determinant is checked against the permutation expansion
-in ``test_matrices.py``.)
+``math``, ``binomial``, ``Polynomial`` arithmetic, the public
+``determinant`` and the oracle's cell geometry.  (The determinant is checked
+against the permutation expansion in ``test_matrices.py``.)  The closed
+forms and the polynomial extraction of the reduced determinant are checked
+against the one-``Fraction``-per-factor versions they replaced, also kept
+here.
 """
 
 import math
@@ -24,7 +27,12 @@ from hextiling.exact import (
     lagrange_interpolate,
     shifted_factorial,
 )
-from hextiling.formulas import axis_sum
+from hextiling.formulas import (
+    _reduced_poly_closed_constant,
+    axis_sum,
+    lower_weighted_closed_form,
+    reduced_poly_value,
+)
 from hextiling.hexagon import (
     HexagonSpec,
     NormalizedParams,
@@ -37,8 +45,13 @@ from hextiling.hexagon import (
     full_hexagon_region,
 )
 from hextiling.matrices import (
+    determinant,
+    extract_reduced_polynomials,
     lower_weighted_matrix,
+    reduced_determinant,
     reduced_lower_matrix,
+    reduced_prefactor,
+    row_scale_product,
     upper_count_matrix,
 )
 from hextiling.oracle import (
@@ -181,6 +194,80 @@ def _reference_axis_sum(n, m, l):
         term /= sf(F(1, 2) - n, e)
         total += term
     return total
+
+
+def _reference_reduced_prefactor(m, n):
+    """One Fraction product per shifted factorial."""
+    sf = _reference_shifted_factorial
+    m = F(m)
+    out = F(1)
+    for i in range(1, n // 2 + 1):
+        out *= sf(m + i, n - 2 * i + 1)
+        out *= sf(m + i + F(1, 2), n - 2 * i)
+    return out
+
+
+def _reference_row_scale_product(n, m):
+    out = F(1)
+    for i in range(1, n + 1):
+        out *= F(math.factorial(n + m - i),
+                 math.factorial(m + i - 1) * math.factorial(2 * n - 2 * i + 1))
+    return out
+
+
+def _reference_closed_constant(n):
+    out = F(2) ** ((n - 1) * (n - 2) // 2)
+    for j in range(1, n + 1):
+        out *= math.factorial(2 * j - 1)
+    out /= math.factorial(n)
+    for i in range(1, n // 2 + 1):
+        out /= _reference_shifted_factorial(2 * i, 2 * n - 4 * i + 1)
+    return out
+
+
+def _reference_lower_weighted_closed_form(n, m, l):
+    value = _reference_row_scale_product(n, m) * _reference_reduced_prefactor(m, n)
+    value *= _reference_closed_constant(n)
+    value *= _reference_shifted_factorial(m, n + 1)
+    value *= _reference_axis_sum(n, m, l)
+    return value
+
+
+def _reference_reduced_poly_value(m_val, n, l):
+    """Every factor of the special-value product as its own Fraction."""
+    sf = _reference_shifted_factorial
+    lr = max(l, n + 1 - l)
+    mu = -m_val
+    if mu >= n + 1 - lr:
+        return F(0)
+    sign = -1 if (mu * n + (mu * mu - mu) // 2) % 2 else 1
+    value = sign * F(2) ** ((mu * mu + mu) // 2 - n + 1)
+    value *= sf(mu, mu)
+    for j in range(1, n - mu + 1):
+        value *= math.factorial(2 * j - 1)
+    for k in range(1, mu + 1):
+        value *= F(math.factorial(k - 1)) ** 2
+        value *= math.factorial(n + k - 2 * mu - 1)
+        value *= sf(F(mu - k + 1, 2), k - 1)
+        value *= sf(k - n, n - mu)
+    for i in range(1, mu + 1):
+        value /= math.factorial(n - mu - i) * math.factorial(mu - i)
+    for i in range(mu + 1, n // 2 + 1):
+        value /= sf(i - mu, n - 2 * i + 1)
+    for i in range(1, n // 2 + 1):
+        value /= sf(i - mu + F(1, 2), n - 2 * i)
+    return value
+
+
+def _reference_extract_reduced_polynomial(n, l):
+    """One marked row l at a time: the Fraction matrix typed out by hand at
+    m = 1..n, its determinant over the reference prefactor, interpolated
+    by the reference Lagrange construction."""
+    points = []
+    for m in range(1, n + 1):
+        det = determinant(_reference_reduced_lower(m, n, l))
+        points.append((F(m), det / _reference_reduced_prefactor(m, n)))
+    return _reference_lagrange(points)
 
 
 def _prepare(region: Region, max_cells: int):
@@ -387,6 +474,67 @@ def test_lower_weighted_matrix_matches_reference(nl, m):
 def test_reduced_lower_matrix_matches_reference(nl, m):
     n, l = nl
     assert reduced_lower_matrix(m, n, l) == _reference_reduced_lower(m, n, l)
+
+
+# rational m, and the roots of the prefactor: the integers -1..-floor(n/2)
+# and the half-integers -i-1/2 down to -(n-1)/2
+_reduced_m = st.one_of(
+    _rationals,
+    st.integers(-8, 1),
+    st.integers(-8, 1).map(lambda k: F(2 * k - 1, 2)),
+)
+
+
+@given(_n_and_l(7), _reduced_m)
+def test_reduced_determinant_and_prefactor_match_reference(nl, m):
+    n, l = nl
+    det = reduced_determinant(m, n, l)
+    assert det == determinant(reduced_lower_matrix(m, n, l))
+    assert det == determinant(_reference_reduced_lower(m, n, l))
+    assert reduced_prefactor(m, n) == _reference_reduced_prefactor(m, n)
+
+
+def test_prefactor_roots_give_zero_determinants():
+    for n in range(2, 8):
+        roots = [F(-i - t) for i in range(1, n // 2 + 1) for t in range(n - 2 * i + 1)]
+        roots += [F(-2 * i - 2 * t - 1, 2)
+                  for i in range(1, n // 2 + 1) for t in range(n - 2 * i)]
+        for m in roots:
+            assert reduced_prefactor(m, n) == 0 == _reference_reduced_prefactor(m, n)
+            for l in range(1, n + 1):
+                assert reduced_determinant(m, n, l) == 0
+
+
+def test_extract_reduced_polynomials_match_per_row_reference():
+    for n in range(1, 8):
+        polys = extract_reduced_polynomials(n)
+        assert polys == [_reference_extract_reduced_polynomial(n, l)
+                         for l in range(1, n + 1)]
+
+
+def test_reduced_poly_value_matches_reference_on_its_whole_domain():
+    for n in range(1, 10):
+        for l in range(1, n + 1):
+            for m_val in range(-(n // 2), 1):
+                assert (reduced_poly_value(m_val, n, l)
+                        == _reference_reduced_poly_value(m_val, n, l)), (n, l, m_val)
+
+
+def test_closed_constant_matches_reference():
+    for n in range(1, 16):
+        assert _reduced_poly_closed_constant(n) == _reference_closed_constant(n)
+
+
+@given(st.integers(1, 12), st.integers(1, 12))
+def test_row_scale_product_matches_reference(n, m):
+    assert row_scale_product(n, m) == _reference_row_scale_product(n, m)
+
+
+@given(_n_and_l(10), st.integers(1, 10))
+def test_lower_weighted_closed_form_matches_reference(nl, m):
+    n, l = nl
+    assert (lower_weighted_closed_form(n, m, l)
+            == _reference_lower_weighted_closed_form(n, m, l))
 
 
 @given(_n_and_l(40), st.integers(1, 40))

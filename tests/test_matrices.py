@@ -10,9 +10,10 @@ from hextiling.hexagon import marked_path_family, pentagon_path_family
 from hextiling.matrices import (
     check_column_relation,
     determinant,
-    extract_reduced_polynomial,
+    extract_reduced_polynomials,
     lower_weighted_matrix,
     path_matrix,
+    reduced_determinant,
     reduced_lower_matrix,
     reduced_prefactor,
     row_scale_product,
@@ -130,6 +131,15 @@ def test_lower_weighted_matrix_validation():
 def test_reduced_matrix_base_case():
     assert reduced_lower_matrix(F(7, 3), 1, 1) == [[1]]
     assert determinant(reduced_lower_matrix(F(7, 3), 1, 1)) == 1
+    assert reduced_determinant(F(7, 3), 1, 1) == 1
+
+
+def test_reduced_determinant_validation():
+    for l in (0, 4):
+        with pytest.raises(ValueError):
+            reduced_determinant(F(1, 2), 3, l)
+        with pytest.raises(ValueError):
+            reduced_lower_matrix(F(1, 2), 3, l)
 
 
 def test_reduced_times_row_scale_equals_weighted():
@@ -203,13 +213,34 @@ def test_reduced_determinant_degree_bound():
 
 
 def test_extract_reduced_polynomial_base():
-    assert extract_reduced_polynomial(1, 1) == Polynomial([1])
+    assert extract_reduced_polynomials(1) == [Polynomial([1])]
 
 
 def test_extract_reduced_polynomial_degrees():
+    # the extraction interpolates through n + 2 samples, so a quotient of
+    # degree n or n + 1 would show up here instead of being cut to n - 1
     for n in range(1, 8):
-        for l in range(1, n + 1):
-            assert extract_reduced_polynomial(n, l).degree() <= n - 1
+        polys = extract_reduced_polynomials(n)
+        assert len(polys) == n
+        for poly in polys:
+            assert poly.degree() <= n - 1
+
+
+def test_poly_degree_check_sees_a_quotient_of_higher_degree(monkeypatch):
+    # dividing the prefactor by m^2 lifts every quotient to degree n + 1;
+    # the two spare samples let the extraction, and so the p-polynomial
+    # degree check, see it instead of cutting it to degree n - 1
+    from hextiling import matrices, verify
+
+    prefactor = matrices.reduced_prefactor
+    monkeypatch.setattr(matrices, "reduced_prefactor",
+                        lambda m, n: prefactor(m, n) / F(m) ** 2)
+    checks = [r for r in verify.check_reduced_polynomials(max_n=5)
+              if r.name.startswith("poly degree")]
+    assert [(r.name, r.ok, r.detail) for r in checks] == [
+        (f"poly degree n={n} l={l}", False, f"degree {n + 1}")
+        for n in range(1, 6) for l in range(1, n + 1)
+    ]
 
 
 def test_reduced_polynomial_reflection_carries_parity_sign():
@@ -217,8 +248,7 @@ def test_reduced_polynomial_reflection_carries_parity_sign():
     # forced by the determinant symmetry in m combined with the behaviour of
     # the forced prefactor under m -> -n-m.
     for n in range(1, 7):
-        for l in range(1, n + 1):
-            poly = extract_reduced_polynomial(n, l)
+        for l, poly in enumerate(extract_reduced_polynomials(n), start=1):
             reflected = poly.compose_affine(-n, -1)
             expected = poly if n % 2 else F(-1) * poly
             assert reflected == expected, (n, l)
@@ -227,8 +257,7 @@ def test_reduced_polynomial_reflection_carries_parity_sign():
 def test_extract_consistency_with_prefactor():
     # prefactor * polynomial reproduces the determinant at fresh points
     for n in range(1, 6):
-        for l in range(1, n + 1):
-            poly = extract_reduced_polynomial(n, l)
+        for l, poly in enumerate(extract_reduced_polynomials(n), start=1):
             for m in [F(1, 3), 7, F(-15, 2)]:
                 det = determinant(reduced_lower_matrix(m, n, l))
                 assert det == reduced_prefactor(m, n) * poly(m)
