@@ -21,7 +21,6 @@ from .exact import (
 from .hexagon import (
     Cell,
     HexagonSpec,
-    NormalizedParams,
     Parity,
     PathFamilySpec,
     Region,
@@ -33,7 +32,6 @@ from .hexagon import (
     full_hexagon_region,
     hexagon_cells,
     marked_path_family,
-    normalize,
     path_family,
     pentagon_path_family,
     pentagon_region,

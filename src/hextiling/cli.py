@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import formulas, verify
-from .hexagon import HexagonSpec, axis_positions, normalize
+from .hexagon import HexagonSpec, axis_positions
 
 
 @dataclass
@@ -85,9 +85,16 @@ def rows_to_json(rows: Sequence[SweepRow]) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _hexagon(side_a: int, side_m: int) -> HexagonSpec:
+    """The hexagon of ``--sides``, checked A first as HexagonSpec does; the
+    commands take no degenerate M = 0."""
+    if side_a >= 1 > side_m:
+        raise ValueError("side_m must be a positive integer")
+    return HexagonSpec(side_a, side_m)
+
+
 def _cmd_count(args) -> int:
-    side_a, side_m = args.sides
-    spec = HexagonSpec(side_a, side_m)
+    spec = _hexagon(*args.sides)
     print(formulas.macmahon_count(spec.side_a, spec.side_a, spec.side_m))
     return 0
 
@@ -96,17 +103,14 @@ def _cmd_fixed(args) -> int:
     side_a, side_m = args.sides
     if side_m == 0:
         raise ValueError("fixed-rhombus counts are undefined for M=0")
-    spec = HexagonSpec(side_a, side_m)
-    params = normalize(spec)
-    if params.n == 0:
-        raise ValueError(
-            f"hexagon ({side_a},{side_m}) has no rhombus on its symmetry axis"
-        )
-    positions = axis_positions(params)
+    spec = _hexagon(side_a, side_m)
+    if spec.n == 0:
+        raise ValueError(f"hexagon ({side_a},{side_m}) has no rhombus on its symmetry axis")
+    positions = axis_positions(spec)
     if not 1 <= args.l <= positions:
         raise ValueError(f"l must lie in 1..{positions}, got {args.l}")
     total = formulas.macmahon_count(side_a, side_a, side_m)
-    fixed = formulas.fixed_count(params, args.l)
+    fixed = formulas.fixed_count(spec, args.l)
     print(f"total {total}")
     print(f"fixed {fixed}")
     print(f"proportion {Fraction(fixed, total)}")
@@ -149,6 +153,8 @@ def _cmd_sweep(args) -> int:
     for n in args.n:
         if n < 1:
             raise ValueError(f"need N >= 1, got N = {n}")
+        if not math.isfinite(args.a * n):
+            raise ValueError(f"a*N overflows for a = {args.a}, N = {n}")
     if not 0.0 < args.b < 1.0:
         raise ValueError("need 0 < b < 1")
     if args.a < 0.0:

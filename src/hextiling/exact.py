@@ -48,8 +48,11 @@ def binomial(n: int, k: int) -> int:
     """Binomial coefficient, total in n via the falling product n(n-1)...(n-k+1)/k!.
 
     Returns 0 for k < 0 and for 0 <= n < k; negative n follows the polynomial
-    definition, so Pascal's recurrence holds on the whole integer grid.
+    definition, so Pascal's recurrence holds on the whole integer grid.  For
+    n >= 0 the product runs over the shorter of k and n - k.
     """
+    if n >= 0 and 2 * k > n:
+        k = n - k
     if k < 0:
         return 0
     num = 1

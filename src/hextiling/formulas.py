@@ -27,7 +27,7 @@ from .exact import (
     hypergeometric_sum,
     shifted_factorial,
 )
-from .hexagon import NormalizedParams, Parity
+from .hexagon import HexagonSpec
 from .matrices import reduced_prefactor, row_scale_product
 
 
@@ -86,31 +86,31 @@ def proportion_nm(n: int, m: int, l: int) -> Fraction:
     return _count_prefactor(n, m) * axis_sum(n, m, l)
 
 
-def proportion(params: NormalizedParams, l: int) -> Fraction:
+def proportion(spec: HexagonSpec, l: int) -> Fraction:
     """Proportion of all tilings that contain the l-th axis rhombus.
 
     Depends only on (n, m), so it is literally the same number for the even
     hexagon (n, 2m) and the odd hexagon (n+1, 2m-1).
     """
-    return proportion_nm(params.n, params.m, l)
+    return proportion_nm(spec.n, spec.m, l)
 
 
-def fixed_count(params: NormalizedParams, l: int) -> int:
-    """Tilings of the hexagon with sides (params.side_a, params.side_m) that
+def fixed_count(spec: HexagonSpec, l: int) -> int:
+    """Tilings of the hexagon with sides (spec.side_a, spec.side_m) that
     contain the l-th axis rhombus: the proportion times MacMahon's total."""
-    a = params.side_a
-    count = proportion(params, l) * macmahon_count(a, a, params.side_m)
+    a = spec.side_a
+    count = proportion(spec, l) * macmahon_count(a, a, spec.side_m)
     return _as_integer(count, "fixed count")
 
 
 def fixed_count_even(n: int, m: int, l: int) -> int:
     """Tilings of the hexagon with sides (n, 2m) containing axis rhombus l."""
-    return fixed_count(NormalizedParams(Parity.EVEN, n, m), l)
+    return fixed_count(HexagonSpec(n, 2 * m), l)
 
 
 def fixed_count_odd(n: int, m: int, l: int) -> int:
     """Tilings of the hexagon with sides (n+1, 2m-1) containing axis rhombus l."""
-    return fixed_count(NormalizedParams(Parity.ODD, n, m), l)
+    return fixed_count(HexagonSpec(n + 1, 2 * m - 1), l)
 
 
 def upper_count_closed_form(n: int, m: int) -> Fraction:

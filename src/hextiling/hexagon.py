@@ -21,11 +21,11 @@ horizontal symmetry axis sits at ``row2 == side_m``.  The rhombi bisected by
 the axis are exactly the adjacent left/right cell pairs with
 ``row2 == side_m``; position ``l`` counts them left to right.
 
-The split by the parity of side_m is made once, in ``normalize``; other
-modules read the literal sides back off ``NormalizedParams.side_a`` /
-``side_m`` instead of branching on the parity again.  A ``Region`` is a bare
-cell set, plus the weight-1/2 axis pairs of a lower half.  All values are
-immutable and all functions are pure.
+A ``HexagonSpec`` is the one description of a hexagon: its literal sides,
+with the paper's parity-normalized (n, m) read off them as properties, so
+every function here takes the same value whether it needs the sides or
+(n, m).  A ``Region`` is a bare cell set, plus the weight-1/2 axis pairs of a
+lower half.  All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -55,7 +55,14 @@ class RegionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class HexagonSpec:
-    """Literal hexagon sides: four of length side_a, two of length side_m."""
+    """The hexagon with sides (side_a, side_m, side_a, side_a, side_m, side_a).
+
+    ``parity``, ``n`` and ``m`` split the sides by the parity of side_m: even
+    side_m = 2m keeps n = side_a, odd side_m = 2m-1 gives n = side_a - 1 (so
+    side_a == 1 with odd side_m has no axis rhombus).  Either way there are n
+    axis positions.  side_m == 0 is the degenerate hexagon, a parallelogram;
+    the pentagons of offset 0 are cut from it.
+    """
 
     side_a: int
     side_m: int
@@ -63,37 +70,20 @@ class HexagonSpec:
     def __post_init__(self):
         if self.side_a < 1:
             raise ValueError("side_a must be a positive integer")
-        if self.side_m < 1:
-            raise ValueError("side_m must be a positive integer")
-
-
-@dataclass(frozen=True)
-class NormalizedParams:
-    """Parity-normalized hexagon parameters (n, m).
-
-    EVEN represents the hexagon with sides (n, 2m); ODD the hexagon with
-    sides (n+1, 2m-1).  Both have n admissible axis-rhombus positions.
-    """
-
-    parity: Parity
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.parity is Parity.EVEN:
-            if self.n < 1 or self.m < 0:
-                raise ValueError("even parity needs n >= 1, m >= 0")
-        else:
-            if self.n < 0 or self.m < 1:
-                raise ValueError("odd parity needs n >= 0, m >= 1")
+        if self.side_m < 0:
+            raise ValueError("side_m must be a nonnegative integer")
 
     @property
-    def side_a(self) -> int:
-        return self.n if self.parity is Parity.EVEN else self.n + 1
+    def parity(self) -> Parity:
+        return Parity.ODD if self.side_m % 2 else Parity.EVEN
 
     @property
-    def side_m(self) -> int:
-        return 2 * self.m if self.parity is Parity.EVEN else 2 * self.m - 1
+    def n(self) -> int:
+        return self.side_a - self.side_m % 2
+
+    @property
+    def m(self) -> int:
+        return (self.side_m + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -172,31 +162,20 @@ def cell_neighbors(cell: Cell) -> tuple:
     )
 
 
-def normalize(spec: HexagonSpec) -> NormalizedParams:
-    """Split the literal sides by the parity of side_m.
-
-    Even side_m = 2m keeps n = side_a; odd side_m = 2m-1 gives n = side_a - 1
-    (so a hexagon with side_a == 1 and odd side_m has no axis rhombus at all).
-    """
-    if spec.side_m % 2 == 0:
-        return NormalizedParams(Parity.EVEN, spec.side_a, spec.side_m // 2)
-    return NormalizedParams(Parity.ODD, spec.side_a - 1, (spec.side_m + 1) // 2)
-
-
-def axis_positions(params: NormalizedParams) -> int:
+def axis_positions(spec: HexagonSpec) -> int:
     """Number of admissible axis-rhombus positions (always n)."""
-    if params.n == 0:
+    if spec.n == 0:
         raise ValueError("this hexagon has no rhombus on its symmetry axis")
-    return params.n
+    return spec.n
 
 
-def _validate_axis(params: NormalizedParams, l: int) -> None:
-    n = axis_positions(params)
+def _validate_axis(spec: HexagonSpec, l: int) -> None:
+    n = axis_positions(spec)
     if not 1 <= l <= n:
         raise ValueError(f"axis position must satisfy 1 <= l <= {n}, got {l}")
 
 
-def axis_rhombus_cells(params: NormalizedParams, l: int) -> tuple:
+def axis_rhombus_cells(spec: HexagonSpec, l: int) -> tuple:
     """The two cells forming the l-th axis rhombus, left cell first.
 
     The left cell lies one strip left of the right one, so the pair is sorted
@@ -204,14 +183,14 @@ def axis_rhombus_cells(params: NormalizedParams, l: int) -> tuple:
     their pairs.  This single definition is shared by the counting formulas
     and by the brute-force oracle, so the two can never disagree on indexing.
     """
-    _validate_axis(params, l)
-    m_side = params.side_m
+    _validate_axis(spec, l)
+    m_side = spec.side_m
     col = 2 * l - 1 if m_side % 2 == 0 else 2 * l
     return (Cell(m_side, col - 1, "left"), Cell(m_side, col, "right"))
 
 
 def build_region(
-    params: NormalizedParams,
+    spec: HexagonSpec,
     kind: RegionKind,
     axis: Optional[int] = None,
 ) -> Region:
@@ -230,7 +209,7 @@ def build_region(
     """
     if axis is not None and kind is not RegionKind.LOWER_HALF:
         raise ValueError("only lower regions take an axis mark")
-    a, m_side = params.side_a, params.side_m
+    a, m_side = spec.side_a, spec.side_m
     cells = hexagon_cells(a, m_side, a)
 
     if kind is RegionKind.FULL_HEXAGON:
@@ -238,19 +217,19 @@ def build_region(
 
     if kind in (RegionKind.UPPER_HALF, RegionKind.UPPER_TRIMMED):
         upper = {c for c in cells if c.row2 > m_side}
-        if kind is RegionKind.UPPER_TRIMMED and params.parity is Parity.EVEN:
+        if kind is RegionKind.UPPER_TRIMMED and spec.parity is Parity.EVEN:
             upper = {c for c in upper if c.col not in (0, 2 * a - 1)}
         return Region(frozenset(upper))
 
     if kind is RegionKind.LOWER_HALF:
         if axis is None:
             raise ValueError("lower regions require the marked axis position")
-        removed = set(axis_rhombus_cells(params, axis))
+        removed = set(axis_rhombus_cells(spec, axis))
         keep = {c for c in cells if c.row2 < m_side}
         keep.update(c for c in cells if c.row2 == m_side and c not in removed)
         pairs = frozenset(
-            axis_rhombus_cells(params, k)
-            for k in range(1, axis_positions(params) + 1)
+            axis_rhombus_cells(spec, k)
+            for k in range(1, axis_positions(spec) + 1)
             if k != axis
         )
         return Region(frozenset(keep), pairs)
@@ -259,7 +238,7 @@ def build_region(
 
 
 def full_hexagon_region(spec: HexagonSpec) -> Region:
-    return build_region(normalize(spec), RegionKind.FULL_HEXAGON)
+    return build_region(spec, RegionKind.FULL_HEXAGON)
 
 
 def box_region(a: int, b: int, c: int) -> Region:
@@ -275,9 +254,7 @@ def pentagon_region(n: int, m: int) -> Region:
     """
     if n < 0 or m < 0:
         raise ValueError("pentagon parameters must be nonnegative")
-    return build_region(
-        NormalizedParams(Parity.EVEN, n + 1, m), RegionKind.UPPER_TRIMMED
-    )
+    return build_region(HexagonSpec(n + 1, 2 * m), RegionKind.UPPER_TRIMMED)
 
 
 def pentagon_path_family(n: int, m: int) -> PathFamilySpec:
@@ -306,21 +283,21 @@ def marked_path_family(n: int, m: int, l: int) -> PathFamilySpec:
 
 
 def path_family(
-    params: NormalizedParams,
+    spec: HexagonSpec,
     kind: RegionKind,
     axis: Optional[int] = None,
 ) -> PathFamilySpec:
-    """Lattice-path translation of a region built from ``params``.
+    """Lattice-path translation of a region built from ``spec``.
 
     Only the trimmed upper pentagon and the lower half admit one.
     """
     if kind is RegionKind.UPPER_TRIMMED:
-        if params.parity is Parity.EVEN:
-            return pentagon_path_family(params.n - 1, params.m)
-        return pentagon_path_family(params.n + 1, params.m - 1)
+        if spec.parity is Parity.EVEN:
+            return pentagon_path_family(spec.n - 1, spec.m)
+        return pentagon_path_family(spec.n + 1, spec.m - 1)
     if kind is RegionKind.LOWER_HALF:
         if axis is None:
             raise ValueError("lower paths require the marked axis position")
-        _validate_axis(params, axis)
-        return marked_path_family(params.n, params.m, axis)
+        _validate_axis(spec, axis)
+        return marked_path_family(spec.n, spec.m, axis)
     raise ValueError("no lattice-path translation for this region kind")

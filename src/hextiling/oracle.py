@@ -48,7 +48,6 @@ from .hexagon import (
     axis_positions,
     axis_rhombus_cells,
     build_region,
-    normalize,
 )
 
 DEFAULT_CELL_LIMIT = 120
@@ -239,9 +238,8 @@ def count_with_fixed_rhombus(
     spec: HexagonSpec, l: int, max_cells: int = DEFAULT_CELL_LIMIT
 ) -> int:
     """Tilings of the full hexagon whose pairing contains the l-th axis rhombus."""
-    params = normalize(spec)
-    target = axis_rhombus_cells(params, l)
-    region = build_region(params, RegionKind.FULL_HEXAGON)
+    target = axis_rhombus_cells(spec, l)
+    region = build_region(spec, RegionKind.FULL_HEXAGON)
     return sum(1 for t in enumerate_tilings(region, max_cells) if target in t)
 
 
@@ -254,13 +252,12 @@ def axis_occupancy_tally(
     rhombus's two cells removed, so values agree with count_with_fixed_rhombus
     position-wise.
     """
-    params = normalize(spec)
-    _, index, later = _prepare(build_region(params, RegionKind.FULL_HEXAGON), max_cells)
+    _, index, later = _prepare(build_region(spec, RegionKind.FULL_HEXAGON), max_cells)
     return {
         l: _frontier_count(
-            later, removed=[index[c] for c in axis_rhombus_cells(params, l)]
+            later, removed=[index[c] for c in axis_rhombus_cells(spec, l)]
         )
-        for l in range(1, axis_positions(params) + 1)
+        for l in range(1, axis_positions(spec) + 1)
     }
 
 
@@ -274,10 +271,9 @@ def factorization_check(
     the weighted count of the lower half with position l removed.  (For odd
     parity the trimmed upper half is the whole upper half.)
     """
-    params = normalize(spec)
     fixed = count_with_fixed_rhombus(spec, l, max_cells)
-    upper = build_region(params, RegionKind.UPPER_TRIMMED)
-    lower = build_region(params, RegionKind.LOWER_HALF, l)
+    upper = build_region(spec, RegionKind.UPPER_TRIMMED)
+    lower = build_region(spec, RegionKind.LOWER_HALF, l)
     rhs = (
         Fraction(2) ** (spec.side_a - 1)
         * count_tilings(upper, max_cells)

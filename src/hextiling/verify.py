@@ -23,7 +23,6 @@ from .hexagon import (
     axis_positions,
     box_region,
     full_hexagon_region,
-    normalize,
 )
 
 _SYMMETRY_SEED = 271828
@@ -72,11 +71,10 @@ def _fixed_grid(parities, max_a, max_m, max_cells) -> List[CaseResult]:
     for a in range(1, max_a + 1):
         for m_side in range(1, max_m + 1):
             spec = HexagonSpec(a, m_side)
-            params = normalize(spec)
-            if params.parity not in parities or params.n == 0:
+            if spec.parity not in parities or spec.n == 0:
                 continue
             for l, got in oracle.axis_occupancy_tally(spec, max_cells).items():
-                want = formulas.fixed_count(params, l)
+                want = formulas.fixed_count(spec, l)
                 _case(out, f"hexagon({a},{m_side}) fixed l={l}",
                       got == want, f"oracle {got} vs formula {want}")
     return out
@@ -101,10 +99,9 @@ def check_factorization(max_a: int = 3, max_m: int = 4,
     for a in range(1, max_a + 1):
         for m_side in range(1, max_m + 1):
             spec = HexagonSpec(a, m_side)
-            params = normalize(spec)
-            if params.n == 0:
+            if spec.n == 0:
                 continue
-            for l in range(1, axis_positions(params) + 1):
+            for l in range(1, axis_positions(spec) + 1):
                 ok = oracle.factorization_check(spec, l, max_cells)
                 _case(out, f"hexagon({a},{m_side}) factorization l={l}", ok)
     return out

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hextiling.cli import (
     rows_to_csv,
     rows_to_json,
 )
+from hextiling.formulas import axis_sum
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -107,18 +109,17 @@ def test_oracle_vs_theorems_output_matches_per_position_counts(capsys):
     # kernel; its output must equal the lines built from one filtered
     # enumeration per position, checked against the closed forms.
     from hextiling import formulas, oracle, verify
-    from hextiling.hexagon import HexagonSpec, axis_positions, normalize
+    from hextiling.hexagon import HexagonSpec, axis_positions
 
     expected = [f"{r.status} {r.name} ({r.detail})" for r in verify.check_totals(3, 4, 3)]
     for a in range(1, 4):
         for m_side in range(1, 5):
             spec = HexagonSpec(a, m_side)
-            params = normalize(spec)
-            if params.n == 0:
+            if spec.n == 0:
                 continue
-            for l in range(1, axis_positions(params) + 1):
+            for l in range(1, axis_positions(spec) + 1):
                 got = oracle.count_with_fixed_rhombus(spec, l)
-                want = formulas.fixed_count(params, l)
+                want = formulas.fixed_count(spec, l)
                 status = "PASS" if got == want else "FAIL"
                 expected.append(f"{status} hexagon({a},{m_side}) fixed l={l} "
                                 f"(oracle {got} vs formula {want})")
@@ -204,10 +205,26 @@ def test_sweep_rejects_bad_ratios(capsys):
     (["--a", "inf", "--b", "0.5", "--n", "4"], "need a finite a, got inf"),
     (["--a", "0.5", "--b", "nan", "--n", "4"], "need a finite b, got nan"),
     (["--a", "0.5", "--b", "inf", "--n", "4"], "need a finite b, got inf"),
+    (["--a", "1e308", "--b", "0.5", "--n", "5"], "a*N overflows for a = 1e+308, N = 5"),
 ])
 def test_sweep_rejects_bad_inputs_up_front(capsys, argv, message):
     code, out, err = run_cli(capsys, "sweep", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sweep_with_large_m_finishes_fast():
+    # m = a*N = 10^6: the binomials of the prefactor must take their short side
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "hextiling", "sweep", "--a", "100000",
+                           "--b", "0.5", "--n", "10"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    n, m, l, exact = proc.stdout.splitlines()[1].split(",")[:4]
+    assert (n, m, l) == ("10", "1000000", "5")
+    n, m, l = int(n), int(m), int(l)
+    prefactor = Fraction(m * math.comb(m + n, m) * math.comb(m + n - 1, m),
+                         math.comb(2 * m + 2 * n - 1, 2 * m))
+    assert Fraction(exact) == prefactor * axis_sum(n, m, l)
 
 
 def test_sweep_roundtrip_csv_and_json():
@@ -305,9 +322,48 @@ _GOLDEN_VERIFY = [
 ]
 
 
+# The same digests for the commands that describe a hexagon by its sides:
+# the oracle-backed suites, the queries, and the usage errors on the sides.
+_GOLDEN_COMMANDS = [
+    (["verify", "--suite", "oracle-vs-theorems", "--max-a", "3", "--max-m", "4"],
+     "2cde2c5564e7b5dd10b7835502481c30d87d866e7464bc8893609cafc4a6466a"),
+    (["verify", "--suite", "oracle-vs-theorems", "--max-a", "4", "--max-m", "2"],
+     "3ffea6b1966d45f4e2b317e41f5bc81595bc52e7e0ad99a249dc1b9e0e7c8f60"),
+    (["verify", "--suite", "factorization", "--max-a", "3", "--max-m", "4"],
+     "12bcab4c377173d6859e5c6c20efb805fdac34afe1d6d5254bf8caf84cf794b8"),
+    (["count", "--sides", "12", "9"],
+     "6c010f936f094e2004a0d31aafc37bafeec251165c218505801ba080a55426a5"),
+    (["fixed", "--sides", "24", "25", "--l", "7"],
+     "bfa54d8f929d147eebd97abd20b1935acf78ae5d6475eff9d37355e15cc63877"),
+    (["fixed", "--sides", "3", "4", "--l", "2"],
+     "f16d7b636d3b8201bac61a8db615b8ce4b9123d031a0a58a55d44e6b8dccc2c4"),
+    (["sweep", "--a", "0.5", "--b", "0.25", "--n", "4", "9", "16", "25"],
+     "c36ad29fb6d799b63fdf9dda4a720a599e7e6b1a60149aea3dbb0d678a22fd7c"),
+    (["sweep", "--a", "1.5", "--b", "0.75", "--n", "3", "10", "--format", "json"],
+     "f9119cf805ba76c53e4e9ce6210906eeb93697e7cf259f84b311422cd8c9b925"),
+    (["count", "--sides", "3", "0"],
+     "c34df141c0f903eeec3a3453bc018170012c38ff85d862c25fcc2338eb171bed"),
+    (["fixed", "--sides", "2", "0", "--l", "1"],
+     "cac92aacc61c554bc5a64efc77bc0dfc70419a06951fe27dab4565c15970c949"),
+    (["fixed", "--sides", "1", "1", "--l", "1"],
+     "ccc452565f4d561b334ed0ab5acfec04c708fd217eecf63c48130778ca8ca8c4"),
+    (["fixed", "--sides", "3", "4", "--l", "0"],
+     "5563b825ace8a6a5ae53adcc460cc7c3a50b04675d386f749a26fa3ff9656d39"),
+]
+
+
+def _output_digest(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("bounds, digest", _GOLDEN_VERIFY,
                          ids=[bounds[0] for bounds, _ in _GOLDEN_VERIFY])
 def test_lgv_suite_output_matches_recorded_digest(capsys, bounds, digest):
-    code, out, err = run_cli(capsys, "verify", "--suite", *bounds)
-    got = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
-    assert got == digest
+    assert _output_digest(capsys, "verify", "--suite", *bounds) == digest
+
+
+@pytest.mark.parametrize("argv, digest", _GOLDEN_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in _GOLDEN_COMMANDS])
+def test_command_output_matches_recorded_digest(capsys, argv, digest):
+    assert _output_digest(capsys, *argv) == digest

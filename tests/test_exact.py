@@ -51,9 +51,17 @@ def test_binomial_pascal_grid():
 
 
 def test_binomial_matches_math_comb():
-    for n in range(0, 25):
-        for k in range(0, n + 1):
-            assert binomial(n, k) == math.comb(n, k)
+    # the whole integer grid: k > n gives 0, negative n follows the polynomial
+    # (-1)^k C(k-n-1, k); the large rows need the short side, n - k
+    for n in [*range(-12, 40), 10**5 + 10, 10**6]:
+        for k in [*range(-3, 45), n - 3, n - 1, n, n + 1]:
+            if k < 0:
+                want = 0
+            elif n >= 0:
+                want = math.comb(n, k)
+            else:
+                want = (-1) ** k * math.comb(k - n - 1, k)
+            assert binomial(n, k) == want, (n, k)
 
 
 def test_double_factorial():

@@ -23,7 +23,7 @@ from hextiling.formulas import (
     reduced_poly_value,
     upper_count_closed_form,
 )
-from hextiling.hexagon import HexagonSpec, normalize
+from hextiling.hexagon import HexagonSpec
 from hextiling.matrices import (
     determinant,
     extract_reduced_polynomials,
@@ -80,10 +80,10 @@ def test_fixed_count_matches_both_parities_on_the_default_grid():
     # the oracle-vs-theorems grid, with the literal sides written out here
     for a in range(1, 4):
         for m_side in range(1, 5):
-            params = normalize(HexagonSpec(a, m_side))
-            n, m = params.n, params.m
+            spec = HexagonSpec(a, m_side)
+            n, m = spec.n, spec.m
             for l in range(1, n + 1):
-                got = fixed_count(params, l)
+                got = fixed_count(spec, l)
                 by_parity = fixed_count_odd if m_side % 2 else fixed_count_even
                 assert got == by_parity(n, m, l), (a, m_side, l)
                 assert got == proportion_nm(n, m, l) * macmahon_count(a, a, m_side)
@@ -99,8 +99,8 @@ def test_proportion_values():
 
 
 def test_proportion_same_for_both_parities():
-    even = proportion(normalize(HexagonSpec(3, 4)), 2)
-    odd = proportion(normalize(HexagonSpec(4, 3)), 2)
+    even = proportion(HexagonSpec(3, 4), 2)
+    odd = proportion(HexagonSpec(4, 3), 2)
     assert even == odd == F(1, 3)
 
 

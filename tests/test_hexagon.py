@@ -1,9 +1,13 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from hextiling import formulas
 from hextiling.hexagon import (
     Cell,
     HexagonSpec,
-    NormalizedParams,
     Parity,
     RegionKind,
     axis_positions,
@@ -12,7 +16,6 @@ from hextiling.hexagon import (
     full_hexagon_region,
     hexagon_cells,
     marked_path_family,
-    normalize,
     path_family,
     pentagon_path_family,
     pentagon_region,
@@ -27,82 +30,104 @@ def test_hexagon_cell_counts():
     assert hexagon_cells(0, 5, 0) == frozenset()
 
 
-def test_normalize():
-    assert normalize(HexagonSpec(3, 2)) == NormalizedParams(Parity.EVEN, 3, 1)
-    assert normalize(HexagonSpec(3, 3)) == NormalizedParams(Parity.ODD, 2, 2)
-    for n in range(1, 5):
-        assert normalize(HexagonSpec(2 * n - 1, 2 * n)) == NormalizedParams(
-            Parity.EVEN, 2 * n - 1, n
-        )
+def _parity_split(side_a, side_m):
+    """(parity, n, m) of the sides, written out as a separate conversion."""
+    if side_m % 2 == 0:
+        return Parity.EVEN, side_a, side_m // 2
+    return Parity.ODD, side_a - 1, (side_m + 1) // 2
 
 
-def test_normalize_roundtrip():
-    for a in range(1, 5):
-        for m in range(1, 6):
-            spec = HexagonSpec(a, m)
-            params = normalize(spec)
-            assert HexagonSpec(params.side_a, params.side_m) == spec
+@given(st.integers(1, 10**6), st.integers(0, 10**6))
+def test_spec_reads_off_the_parity_split(side_a, side_m):
+    spec = HexagonSpec(side_a, side_m)
+    assert (spec.parity, spec.n, spec.m) == _parity_split(side_a, side_m)
 
 
-def test_hexagon_spec_validation():
-    with pytest.raises(ValueError):
-        HexagonSpec(0, 2)
-    with pytest.raises(ValueError):
-        HexagonSpec(2, 0)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_fixed_count_hexagons_read_back_their_parameters(n, m):
+    # fixed_count_even counts on the hexagon (n, 2m), which needs n >= 1, and
+    # fixed_count_odd on (n+1, 2m-1), which needs m >= 1; both give back (n, m)
+    with mock.patch.object(formulas, "fixed_count", lambda spec, l: spec):
+        if n >= 1:
+            even = formulas.fixed_count_even(n, m, 1)
+            assert (even.parity, even.n, even.m) == (Parity.EVEN, n, m)
+        if m >= 1:
+            odd = formulas.fixed_count_odd(n, m, 1)
+            assert (odd.parity, odd.n, odd.m) == (Parity.ODD, n, m)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+@example(0, 0)
+@example(1, -1)
+@example(1, 0)
+def test_hexagon_spec_validation(side_a, side_m):
+    if side_a < 1 or side_m < 0:
+        with pytest.raises(ValueError):
+            HexagonSpec(side_a, side_m)
+    else:
+        assert HexagonSpec(side_a, side_m).side_m == side_m
+
+
+def test_degenerate_hexagon():
+    # side_m == 0: a parallelogram with n = side_a axis positions, m = 0
+    spec = HexagonSpec(2, 0)
+    assert (spec.parity, spec.n, spec.m) == (Parity.EVEN, 2, 0)
+    assert len(build_region(spec, RegionKind.FULL_HEXAGON).cells) == 8
+    trimmed = build_region(spec, RegionKind.UPPER_TRIMMED)
+    assert trimmed == pentagon_region(1, 0) and len(trimmed.cells) == 2
 
 
 def test_axis_positions():
-    assert axis_positions(NormalizedParams(Parity.EVEN, 3, 1)) == 3
-    assert axis_positions(NormalizedParams(Parity.EVEN, 1, 5)) == 1
-    assert axis_positions(NormalizedParams(Parity.ODD, 2, 2)) == 2
+    assert axis_positions(HexagonSpec(3, 2)) == 3
+    assert axis_positions(HexagonSpec(1, 10)) == 1
+    assert axis_positions(HexagonSpec(3, 3)) == 2
     with pytest.raises(ValueError):
-        axis_positions(NormalizedParams(Parity.ODD, 0, 1))
+        axis_positions(HexagonSpec(1, 1))
 
 
 def test_axis_positions_match_brute_force():
     # every axis rhombus that shows up in some tiling of hexagon (3,2)
     spec = HexagonSpec(3, 2)
-    params = normalize(spec)
     pairs = {
-        axis_rhombus_cells(params, l)
-        for l in range(1, axis_positions(params) + 1)
+        axis_rhombus_cells(spec, l)
+        for l in range(1, axis_positions(spec) + 1)
     }
     # sorted already, as tilings store their pairs
     assert all(pair == tuple(sorted(pair)) for pair in pairs)
     seen = set()
     for tiling in enumerate_tilings(full_hexagon_region(spec)):
         seen.update(p for p in tiling if p in pairs)
-    assert seen == pairs and len(seen) == 3 == axis_positions(params)
+    assert seen == pairs and len(seen) == 3 == axis_positions(spec)
 
 
 def test_axis_positions_biject_under_reflection():
     # mirroring the hexagon across its symmetry line in the other direction
     # (strip s -> 2A-1-s, orientation flipped) maps position l to N+1-l
     for a, m_side in [(3, 2), (3, 3), (2, 4), (4, 1)]:
-        params = normalize(HexagonSpec(a, m_side))
-        if params.n == 0:
+        spec = HexagonSpec(a, m_side)
+        if spec.n == 0:
             continue
-        strips = 2 * params.side_a
+        strips = 2 * spec.side_a
 
         def mirror(cell):
             flipped = "right" if cell.orient == "left" else "left"
             return Cell(cell.row2, strips - 1 - cell.col, flipped)
 
-        for l in range(1, axis_positions(params) + 1):
-            mirrored = {mirror(c) for c in axis_rhombus_cells(params, l)}
-            partner = set(axis_rhombus_cells(params, axis_positions(params) + 1 - l))
+        for l in range(1, axis_positions(spec) + 1):
+            mirrored = {mirror(c) for c in axis_rhombus_cells(spec, l)}
+            partner = set(axis_rhombus_cells(spec, axis_positions(spec) + 1 - l))
             assert mirrored == partner
 
 
 def test_axis_rhombus_cells_geometry():
-    params = NormalizedParams(Parity.EVEN, 3, 1)
-    left, right = axis_rhombus_cells(params, 1)
+    spec = HexagonSpec(3, 2)
+    left, right = axis_rhombus_cells(spec, 1)
     assert left == Cell(2, 0, "left")
     assert right == Cell(2, 1, "right")
     with pytest.raises(ValueError):
-        axis_rhombus_cells(params, 4)
+        axis_rhombus_cells(spec, 4)
 
-    odd = NormalizedParams(Parity.ODD, 2, 2)
+    odd = HexagonSpec(3, 3)
     left, right = axis_rhombus_cells(odd, 2)
     assert left.row2 == right.row2 == 3
     assert (left.col, right.col) == (3, 4)
@@ -110,11 +135,11 @@ def test_axis_rhombus_cells_geometry():
 
 def test_build_region_cell_counts():
     # hexagon (3,2), marked position 1: the classic cut
-    params = normalize(HexagonSpec(3, 2))
-    full = build_region(params, RegionKind.FULL_HEXAGON)
-    upper = build_region(params, RegionKind.UPPER_HALF)
-    trimmed = build_region(params, RegionKind.UPPER_TRIMMED)
-    lower = build_region(params, RegionKind.LOWER_HALF, 1)
+    spec = HexagonSpec(3, 2)
+    full = build_region(spec, RegionKind.FULL_HEXAGON)
+    upper = build_region(spec, RegionKind.UPPER_HALF)
+    trimmed = build_region(spec, RegionKind.UPPER_TRIMMED)
+    lower = build_region(spec, RegionKind.LOWER_HALF, 1)
     assert len(full.cells) == 42
     assert len(upper.cells) == 18
     assert len(trimmed.cells) == 14
@@ -125,64 +150,64 @@ def test_build_region_cell_counts():
 def test_upper_plus_lower_covers_hexagon_minus_rhombus():
     for n in range(1, 6):
         for m in range(1, 4):
-            params = NormalizedParams(Parity.EVEN, n, m)
-            full = build_region(params, RegionKind.FULL_HEXAGON)
-            upper = build_region(params, RegionKind.UPPER_HALF)
+            spec = HexagonSpec(n, 2 * m)
+            full = build_region(spec, RegionKind.FULL_HEXAGON)
+            upper = build_region(spec, RegionKind.UPPER_HALF)
             for l in range(1, n + 1):
-                lower = build_region(params, RegionKind.LOWER_HALF, l)
+                lower = build_region(spec, RegionKind.LOWER_HALF, l)
                 assert not upper.cells & lower.cells
                 missing = full.cells - upper.cells - lower.cells
-                assert missing == frozenset(axis_rhombus_cells(params, l))
+                assert missing == frozenset(axis_rhombus_cells(spec, l))
 
 
 def test_trimmed_is_upper_minus_end_strips():
     for n in range(1, 6):
         for m in range(1, 4):
-            params = NormalizedParams(Parity.EVEN, n, m)
-            upper = build_region(params, RegionKind.UPPER_HALF)
-            trimmed = build_region(params, RegionKind.UPPER_TRIMMED)
+            spec = HexagonSpec(n, 2 * m)
+            upper = build_region(spec, RegionKind.UPPER_HALF)
+            trimmed = build_region(spec, RegionKind.UPPER_TRIMMED)
             strips = {c for c in upper.cells if c.col in (0, 2 * n - 1)}
             assert trimmed.cells == upper.cells - strips
             assert len(strips) == 4 * m
     # odd parity has no forced strips: trimming is the identity
     for n in range(0, 5):
         for m in range(1, 4):
-            params = NormalizedParams(Parity.ODD, n, m)
-            upper = build_region(params, RegionKind.UPPER_HALF)
-            trimmed = build_region(params, RegionKind.UPPER_TRIMMED)
+            spec = HexagonSpec(n + 1, 2 * m - 1)
+            upper = build_region(spec, RegionKind.UPPER_HALF)
+            trimmed = build_region(spec, RegionKind.UPPER_TRIMMED)
             assert trimmed.cells == upper.cells
 
 
 def test_every_region_has_even_cell_count():
     for a in range(1, 4):
         for m_side in range(1, 5):
-            params = normalize(HexagonSpec(a, m_side))
+            spec = HexagonSpec(a, m_side)
             kinds = [RegionKind.FULL_HEXAGON, RegionKind.UPPER_HALF,
                      RegionKind.UPPER_TRIMMED]
             for kind in kinds:
-                assert len(build_region(params, kind).cells) % 2 == 0
-            if params.n:
-                for l in range(1, params.n + 1):
-                    lower = build_region(params, RegionKind.LOWER_HALF, l)
+                assert len(build_region(spec, kind).cells) % 2 == 0
+            if spec.n:
+                for l in range(1, spec.n + 1):
+                    lower = build_region(spec, RegionKind.LOWER_HALF, l)
                     assert len(lower.cells) % 2 == 0
 
 
 def test_empty_trimmed_region():
-    params = NormalizedParams(Parity.EVEN, 1, 1)
-    assert build_region(params, RegionKind.UPPER_TRIMMED).cells == frozenset()
+    spec = HexagonSpec(1, 2)
+    assert build_region(spec, RegionKind.UPPER_TRIMMED).cells == frozenset()
     assert pentagon_region(0, 1).cells == frozenset()
 
 
 def test_build_region_axis_validation():
-    params = normalize(HexagonSpec(3, 2))
+    spec = HexagonSpec(3, 2)
     with pytest.raises(ValueError):
-        build_region(params, RegionKind.LOWER_HALF)
+        build_region(spec, RegionKind.LOWER_HALF)
     with pytest.raises(ValueError):
-        build_region(params, RegionKind.LOWER_HALF, 4)
+        build_region(spec, RegionKind.LOWER_HALF, 4)
     with pytest.raises(ValueError):
-        build_region(params, RegionKind.UPPER_HALF, 1)
+        build_region(spec, RegionKind.UPPER_HALF, 1)
     with pytest.raises(ValueError):
-        build_region(params, RegionKind.FULL_HEXAGON, 1)
+        build_region(spec, RegionKind.FULL_HEXAGON, 1)
 
 
 def test_pentagon_paths():
@@ -203,10 +228,10 @@ def test_marked_paths():
 
 
 def test_path_family_from_params():
-    even = NormalizedParams(Parity.EVEN, 3, 1)
+    even = HexagonSpec(3, 2)
     assert path_family(even, RegionKind.UPPER_TRIMMED) == pentagon_path_family(2, 1)
     assert path_family(even, RegionKind.LOWER_HALF, 2) == marked_path_family(3, 1, 2)
-    odd = NormalizedParams(Parity.ODD, 2, 2)
+    odd = HexagonSpec(3, 3)
     assert path_family(odd, RegionKind.UPPER_TRIMMED) == pentagon_path_family(3, 1)
     assert path_family(odd, RegionKind.LOWER_HALF, 1) == marked_path_family(2, 2, 1)
     with pytest.raises(ValueError):

@@ -35,8 +35,6 @@ from hextiling.formulas import (
 )
 from hextiling.hexagon import (
     HexagonSpec,
-    NormalizedParams,
-    Parity,
     Region,
     RegionKind,
     box_region,
@@ -401,9 +399,8 @@ def _punctured_regions(draw):
     if draw(st.booleans()):
         region = box_region(*draw(st.tuples(*[st.integers(1, 3)] * 3)))
     else:
-        n = draw(st.integers(1, 4))
-        parity, m = draw(st.sampled_from(Parity)), draw(st.integers(1, 2))
-        region = build_region(NormalizedParams(parity, n, m), RegionKind.LOWER_HALF,
+        n, m_side = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        region = build_region(HexagonSpec(n + m_side % 2, m_side), RegionKind.LOWER_HALF,
                               draw(st.integers(1, n)))
     deleted = draw(st.sets(st.sampled_from(sorted(region.cells))))
     return Region(region.cells - deleted, region.weighted_pairs)
@@ -554,8 +551,8 @@ def test_oracle_search_matches_recursive_reference(region):
 
 
 def _lower_halves():
-    return [build_region(NormalizedParams(parity, 3, 2), RegionKind.LOWER_HALF, 2)
-            for parity in Parity]
+    return [build_region(HexagonSpec(a, m_side), RegionKind.LOWER_HALF, 2)
+            for a, m_side in [(3, 4), (4, 3)]]
 
 
 def test_enumeration_matches_recursive_reference_past_the_draws():
@@ -581,9 +578,8 @@ def test_later_matches_cell_neighbors():
     regions = [full_hexagon_region(HexagonSpec(a, m))
                for a in range(1, 4) for m in range(1, 5)]
     regions += [box_region(a, b, c) for a, b, c in [(1, 2, 3), (3, 1, 2), (2, 3, 1)]]
-    for parity, n, m in [(Parity.EVEN, 3, 2), (Parity.ODD, 2, 2), (Parity.ODD, 0, 1)]:
-        params = NormalizedParams(parity, n, m)
-        regions += [build_region(params, kind)
+    for a, m_side in [(3, 4), (3, 3), (1, 1)]:
+        regions += [build_region(HexagonSpec(a, m_side), kind)
                     for kind in (RegionKind.UPPER_HALF, RegionKind.UPPER_TRIMMED)]
     regions += _lower_halves()
     for region in regions:

@@ -9,7 +9,6 @@ from hextiling.formulas import (
 )
 from hextiling.hexagon import (
     HexagonSpec,
-    NormalizedParams,
     Parity,
     Region,
     RegionKind,
@@ -17,8 +16,6 @@ from hextiling.hexagon import (
     box_region,
     build_region,
     full_hexagon_region,
-    hexagon_cells,
-    normalize,
     path_family,
     pentagon_region,
 )
@@ -122,13 +119,12 @@ def test_counters_reach_past_enumeration():
     # would take minutes; one of each parity
     for a, m_side, cells in [(6, 6, 216), (5, 5, 150)]:
         spec = HexagonSpec(a, m_side)
-        params = normalize(spec)
         region = full_hexagon_region(spec)
         assert len(region.cells) == cells
         assert count_tilings(region, max_cells=cells) == macmahon_count(a, a, m_side)
         tally = axis_occupancy_tally(spec, max_cells=cells)
-        assert tally == {l: fixed_count(params, l)
-                         for l in range(1, params.n + 1)}, (a, m_side)
+        assert tally == {l: fixed_count(spec, l)
+                         for l in range(1, spec.n + 1)}, (a, m_side)
 
 
 def test_pentagon_counts_match_determinants():
@@ -146,9 +142,9 @@ def test_pentagon_unique_tiling_at_zero_offset():
 def test_weighted_counts_match_determinants_even():
     for n in range(1, 5):
         for m in range(1, 4):
-            params = NormalizedParams(Parity.EVEN, n, m)
+            spec = HexagonSpec(n, 2 * m)
             for l in range(1, n + 1):
-                lower = build_region(params, RegionKind.LOWER_HALF, l)
+                lower = build_region(spec, RegionKind.LOWER_HALF, l)
                 got = weighted_count(lower)
                 assert got == determinant(lower_weighted_matrix(n, m, l)), (n, m, l)
 
@@ -157,47 +153,35 @@ def test_weighted_counts_match_determinants_odd():
     # the odd hexagon's lower region carries two forced boundary strips, so
     # its weighted count coincides with the one-size-down marked matrix
     for a, m_side in [(2, 1), (2, 3), (3, 1), (3, 3)]:
-        params = normalize(HexagonSpec(a, m_side))
-        if params.n == 0:
+        spec = HexagonSpec(a, m_side)
+        if spec.n == 0:
             continue
-        for l in range(1, params.n + 1):
-            lower = build_region(params, RegionKind.LOWER_HALF, l)
+        for l in range(1, spec.n + 1):
+            lower = build_region(spec, RegionKind.LOWER_HALF, l)
             got = weighted_count(lower)
             assert got == determinant(
-                lower_weighted_matrix(params.n, params.m, l)), (a, m_side, l)
+                lower_weighted_matrix(spec.n, spec.m, l)), (a, m_side, l)
 
 
-def _params_up_to(max_cells):
-    """Every NormalizedParams, of both parities, whose full hexagon has at
-    most ``max_cells`` cells."""
-    out = []
-    for parity, n_min, m_min in [(Parity.EVEN, 1, 0), (Parity.ODD, 0, 1)]:
-        for n in range(n_min, max_cells):
-            fitting = []
-            for m in range(m_min, max_cells):
-                params = NormalizedParams(parity, n, m)
-                a, b = params.side_a, params.side_m
-                if len(hexagon_cells(a, b, a)) > max_cells:
-                    break
-                fitting.append(params)
-            if not fitting:
-                break
-            out.extend(fitting)
-    return out
+def _hexagons_up_to(max_cells):
+    """Every hexagon, side_m == 0 included, with at most ``max_cells`` cells
+    (hexagon (a, b) has 2a(a + 2b))."""
+    return [HexagonSpec(a, b) for a in range(1, max_cells) for b in range(max_cells)
+            if 2 * a * (a + 2 * b) <= max_cells]
 
 
 def test_region_to_paths_to_matrix_chain():
-    cases = _params_up_to(72)
-    assert {p.parity for p in cases} == {Parity.EVEN, Parity.ODD}
-    for params in cases:
-        upper = build_region(params, RegionKind.UPPER_TRIMMED)
+    cases = _hexagons_up_to(72)
+    assert {spec.parity for spec in cases} == {Parity.EVEN, Parity.ODD}
+    for spec in cases:
+        upper = build_region(spec, RegionKind.UPPER_TRIMMED)
         # an empty family gives the empty matrix, whose determinant is 1
-        paths = path_matrix(path_family(params, RegionKind.UPPER_TRIMMED))
-        assert count_tilings(upper) == determinant(paths), params
-        for l in range(1, params.n + 1):
-            lower = build_region(params, RegionKind.LOWER_HALF, l)
-            paths = path_matrix(path_family(params, RegionKind.LOWER_HALF, l))
-            assert weighted_count(lower) == determinant(paths), (params, l)
+        paths = path_matrix(path_family(spec, RegionKind.UPPER_TRIMMED))
+        assert count_tilings(upper) == determinant(paths), spec
+        for l in range(1, spec.n + 1):
+            lower = build_region(spec, RegionKind.LOWER_HALF, l)
+            paths = path_matrix(path_family(spec, RegionKind.LOWER_HALF, l))
+            assert weighted_count(lower) == determinant(paths), (spec, l)
 
 
 def test_weighted_count_without_weights_is_plain_count():
@@ -206,10 +190,9 @@ def test_weighted_count_without_weights_is_plain_count():
 
 
 def test_weighted_count_small_values():
-    params = NormalizedParams(Parity.EVEN, 3, 1)
-    lower = build_region(params, RegionKind.LOWER_HALF, 1)
+    lower = build_region(HexagonSpec(3, 2), RegionKind.LOWER_HALF, 1)
     assert weighted_count(lower) == F(15, 4)
-    single = NormalizedParams(Parity.EVEN, 1, 2)
+    single = HexagonSpec(1, 4)
     assert weighted_count(build_region(single, RegionKind.LOWER_HALF, 1)) == 1
 
 
@@ -223,12 +206,11 @@ def test_count_with_fixed_rhombus_matches_formulas():
     for a in range(1, 4):
         for m_side in range(1, 5):
             spec = HexagonSpec(a, m_side)
-            params = normalize(spec)
-            if params.n == 0:
+            if spec.n == 0:
                 continue
-            for l in range(1, axis_positions(params) + 1):
+            for l in range(1, axis_positions(spec) + 1):
                 got = count_with_fixed_rhombus(spec, l)
-                assert got == fixed_count(params, l), (a, m_side, l)
+                assert got == fixed_count(spec, l), (a, m_side, l)
 
 
 def test_occupancy_tally_coherence():
@@ -236,14 +218,13 @@ def test_occupancy_tally_coherence():
     for a in range(1, 4):
         for m_side in range(1, 5):
             spec = HexagonSpec(a, m_side)
-            params = normalize(spec)
-            if params.n == 0:
+            if spec.n == 0:
                 continue
             tally = axis_occupancy_tally(spec)
-            assert list(tally) == list(range(1, axis_positions(params) + 1))
+            assert list(tally) == list(range(1, axis_positions(spec) + 1))
             for l, occupancy in tally.items():
                 assert occupancy == count_with_fixed_rhombus(spec, l), (a, m_side, l)
-            by_formula = sum(fixed_count(params, l) for l in range(1, params.n + 1))
+            by_formula = sum(fixed_count(spec, l) for l in range(1, spec.n + 1))
             assert sum(tally.values()) == by_formula, (a, m_side)
 
 
@@ -258,7 +239,7 @@ def test_factorization_full_grid():
     for a in range(1, 4):
         for m_side in range(1, 5):
             spec = HexagonSpec(a, m_side)
-            if normalize(spec).n == 0:
+            if spec.n == 0:
                 continue
-            for l in range(1, axis_positions(normalize(spec)) + 1):
+            for l in range(1, axis_positions(spec) + 1):
                 assert factorization_check(spec, l), (a, m_side, l)
