@@ -83,7 +83,8 @@ def _count_prefactor(n: int, m: int) -> Fraction:
 
 def proportion_nm(n: int, m: int, l: int) -> Fraction:
     """Proportion of tilings containing axis rhombus l, from (n, m) directly."""
-    return _count_prefactor(n, m) * axis_sum(n, m, l)
+    # axis_sum first: it rejects a bad (n, m, l) before the prefactor sees it
+    return axis_sum(n, m, l) * _count_prefactor(n, m)
 
 
 def proportion(spec: HexagonSpec, l: int) -> Fraction:

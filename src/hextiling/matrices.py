@@ -13,12 +13,14 @@ Everything is built integer-first, with one ``Fraction`` per value at the
 end.  The reduced lower matrix at a sample point m is built once as integer
 rows, each over one row denominator, carrying its rising products from one
 entry of a row to the next; both versions of every row (unmarked and
-marked) come out of the same pass, so the determinants for all marked rows
-l share them, and polynomial extraction builds them once per sample point
-for every l.  The Fraction matrix and :func:`reduced_determinant` are read
-off those rows.  Determinants are computed by fraction-free Bareiss
-elimination over integers after clearing row denominators, read straight
-off each ``int`` or ``Fraction`` entry, with a deterministic pivot rule.
+marked) come out of the same pass.  :func:`reduced_determinants` is the one
+way to read its determinant: it returns the value for every marked row l
+from one build, and the polynomial extraction and the verification suites
+read only it.  The column relations are tested on the same integer rows;
+:func:`reduced_lower_matrix` is the ``Fraction`` view of them.
+Determinants are computed by fraction-free Bareiss elimination over
+integers after clearing row denominators, read straight off each ``int``
+or ``Fraction`` entry, with a deterministic pivot rule.
 """
 
 from __future__ import annotations
@@ -175,12 +177,10 @@ def _reduced_rows(m, n: int) -> tuple:
     return plain, marked, 2 * q_powers[n], q_powers[n - 1]
 
 
-def _marked_determinant(reduced: tuple, l: int) -> Fraction:
-    """Determinant of the reduced lower matrix with marked row l, from the
-    integer rows of :func:`_reduced_rows`."""
-    plain, marked, plain_den, marked_den = reduced
-    rows = plain[: l - 1] + [marked[l - 1]] + plain[l:]
-    return determinant(rows) / (plain_den ** (len(rows) - 1) * marked_den)
+def _reduced_degree_bound(n: int) -> int:
+    """Degree bound C(n+1, 2) - 1 in m of the reduced determinant: entry j
+    of a row has degree j in m, and j - 1 in the marked row."""
+    return n * (n + 1) // 2 - 1
 
 
 def reduced_lower_matrix(m, n: int, l: int) -> Matrix:
@@ -200,12 +200,15 @@ def reduced_lower_matrix(m, n: int, l: int) -> Matrix:
     ]
 
 
-def reduced_determinant(m, n: int, l: int) -> Fraction:
-    """Determinant of :func:`reduced_lower_matrix`, taken on its integer
-    rows with one division by the product of the row denominators."""
-    if not 1 <= l <= n:
-        raise ValueError("marked row out of range")
-    return _marked_determinant(_reduced_rows(m, n), l)
+def reduced_determinants(m, n: int) -> List[Fraction]:
+    """Determinant of :func:`reduced_lower_matrix` at m for each marked row
+    l = 1..n in turn, all from one build of the integer rows, each with one
+    division by the product of the row denominators."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    plain, marked, plain_den, marked_den = _reduced_rows(m, n)
+    den = plain_den ** (n - 1) * marked_den
+    return [determinant(plain[:l] + [marked[l]] + plain[l + 1:]) / den for l in range(n)]
 
 
 def reduced_prefactor(m, n: int) -> Fraction:
@@ -222,11 +225,6 @@ def reduced_prefactor(m, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _column(mat: Matrix, j: int) -> List[Fraction]:
-    """1-based column extraction."""
-    return [row[j - 1] for row in mat]
-
-
 def check_column_relation(n: int, l: int, e: int, k: int) -> bool:
     """Verify one vanishing linear combination of columns at m = -e - 1/2.
 
@@ -237,7 +235,9 @@ def check_column_relation(n: int, l: int, e: int, k: int) -> bool:
             = (n-e-l+1/2)_k / ((-4)^k (n-e-l+1)_k) * col(n-2e).
 
     The k relations for k = 1..e are linearly independent, which is what
-    forces (m+e+1/2)^e to divide the determinant.
+    forces (m+e+1/2)^e to divide the determinant.  It is tested on the
+    integer rows of :func:`_reduced_rows`: each row sits over one
+    denominator, so the relation holds on its numerators.
     """
     if not 1 <= e <= n // 2 - 1:
         raise ValueError("need 1 <= e <= floor(n/2) - 1")
@@ -245,18 +245,15 @@ def check_column_relation(n: int, l: int, e: int, k: int) -> bool:
         raise ValueError("need 1 <= k <= e")
     if not 1 <= l <= (n + 1) // 2:
         raise ValueError("need 1 <= l <= floor((n+1)/2)")
-    mat = reduced_lower_matrix(Fraction(-2 * e - 1, 2), n, l)
-    combo = [Fraction(0)] * n
-    for j in range(k + 1):
-        col = _column(mat, n - 2 * e + k + j)
-        w = binomial(k, j)
-        for r in range(n):
-            combo[r] += w * col[r]
+    plain, marked, _, _ = _reduced_rows(Fraction(-2 * e - 1, 2), n)
     coeff = shifted_factorial(n - e - l + Fraction(1, 2), k) / (
         Fraction(-4) ** k * shifted_factorial(n - e - l + 1, k)
     )
-    base = _column(mat, n - 2 * e)
-    return all(combo[r] == coeff * base[r] for r in range(n))
+    base = n - 2 * e - 1  # 0-based index of col(n-2e)
+    return all(
+        sum(binomial(k, j) * row[base + k + j] for j in range(k + 1)) == coeff * row[base]
+        for row in plain[: l - 1] + [marked[l - 1]] + plain[l:]
+    )
 
 
 def extract_reduced_polynomials(n: int) -> List[Polynomial]:
@@ -267,11 +264,10 @@ def extract_reduced_polynomials(n: int) -> List[Polynomial]:
     no roots, divides it out pointwise, and Lagrange interpolates.  The
     polynomial part has degree at most n - 1, so the two spare samples let
     a degree check on the result fail.  Each sample point builds its
-    prefactor and its integer rows once, for all n marked rows.
+    prefactor and its determinants once, for all n marked rows.
     """
-    samples = [(m, reduced_prefactor(m, n), _reduced_rows(m, n)) for m in range(1, n + 3)]
-    return [
-        lagrange_interpolate(
-            [(m, _marked_determinant(reduced, l) / pref) for m, pref, reduced in samples])
-        for l in range(1, n + 1)
-    ]
+    if n < 1:
+        raise ValueError("need n >= 1")
+    samples = [(m, reduced_prefactor(m, n), reduced_determinants(m, n)) for m in range(1, n + 3)]
+    return [lagrange_interpolate([(m, dets[l] / pref) for m, pref, dets in samples])
+            for l in range(n)]

@@ -319,6 +319,10 @@ _GOLDEN_VERIFY = [
      "1b615001e359ef1d8ade5427ae03ef0795168e5f16b8f5f206594345a3cf85b9"),
     (["corollary", "--max-n", "10"],
      "66869c8c5b989f851a02d63fd3a63558fa9d020455b18cdb074f6fe566c0e439"),
+    (["symmetries", "--max-n", "6"],
+     "d4c419efd75277d331d8331db92db97cff0b7d0a87a9d47ce38cb96cad990daa"),
+    (["column-relation", "--max-n", "10"],
+     "c2a96e06d5057f2822400139ba82bc8ee24fe877fef814e3ffa33311d40417a8"),
 ]
 
 
@@ -357,8 +361,15 @@ def _output_digest(capsys, *argv):
     return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("bounds, digest", _GOLDEN_VERIFY,
-                         ids=[bounds[0] for bounds, _ in _GOLDEN_VERIFY])
+def _golden_ids(cases):
+    """The suite name for its first bounds, the whole bounds after that."""
+    ids = []
+    for bounds, _ in cases:
+        ids.append(" ".join(bounds) if bounds[0] in ids else bounds[0])
+    return ids
+
+
+@pytest.mark.parametrize("bounds, digest", _GOLDEN_VERIFY, ids=_golden_ids(_GOLDEN_VERIFY))
 def test_lgv_suite_output_matches_recorded_digest(capsys, bounds, digest):
     assert _output_digest(capsys, "verify", "--suite", *bounds) == digest
 

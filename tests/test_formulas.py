@@ -61,6 +61,9 @@ def test_axis_sum_validation():
         axis_sum(2, 0, 1)
     with pytest.raises(ValueError):
         axis_sum(2, 1, 3)
+    # n = 0 has no axis position: the same error, not a division by zero
+    with pytest.raises(ValueError, match="need 1 <= l <= 0, got l = 1"):
+        proportion_nm(0, 1, 1)
 
 
 def test_fixed_count_even_values():

@@ -46,7 +46,7 @@ from hextiling.matrices import (
     determinant,
     extract_reduced_polynomials,
     lower_weighted_matrix,
-    reduced_determinant,
+    reduced_determinants,
     reduced_lower_matrix,
     reduced_prefactor,
     row_scale_product,
@@ -485,7 +485,7 @@ _reduced_m = st.one_of(
 @given(_n_and_l(7), _reduced_m)
 def test_reduced_determinant_and_prefactor_match_reference(nl, m):
     n, l = nl
-    det = reduced_determinant(m, n, l)
+    det = reduced_determinants(m, n)[l - 1]
     assert det == determinant(reduced_lower_matrix(m, n, l))
     assert det == determinant(_reference_reduced_lower(m, n, l))
     assert reduced_prefactor(m, n) == _reference_reduced_prefactor(m, n)
@@ -498,8 +498,7 @@ def test_prefactor_roots_give_zero_determinants():
                   for i in range(1, n // 2 + 1) for t in range(n - 2 * i)]
         for m in roots:
             assert reduced_prefactor(m, n) == 0 == _reference_reduced_prefactor(m, n)
-            for l in range(1, n + 1):
-                assert reduced_determinant(m, n, l) == 0
+            assert reduced_determinants(m, n) == [0] * n
 
 
 def test_extract_reduced_polynomials_match_per_row_reference():

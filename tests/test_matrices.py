@@ -13,7 +13,7 @@ from hextiling.matrices import (
     extract_reduced_polynomials,
     lower_weighted_matrix,
     path_matrix,
-    reduced_determinant,
+    reduced_determinants,
     reduced_lower_matrix,
     reduced_prefactor,
     row_scale_product,
@@ -131,15 +131,18 @@ def test_lower_weighted_matrix_validation():
 def test_reduced_matrix_base_case():
     assert reduced_lower_matrix(F(7, 3), 1, 1) == [[1]]
     assert determinant(reduced_lower_matrix(F(7, 3), 1, 1)) == 1
-    assert reduced_determinant(F(7, 3), 1, 1) == 1
+    assert reduced_determinants(F(7, 3), 1) == [1]
 
 
 def test_reduced_determinant_validation():
     for l in (0, 4):
         with pytest.raises(ValueError):
-            reduced_determinant(F(1, 2), 3, l)
-        with pytest.raises(ValueError):
             reduced_lower_matrix(F(1, 2), 3, l)
+    for n in (-2, -1, 0):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            reduced_determinants(F(1, 2), n)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            extract_reduced_polynomials(n)
 
 
 def test_reduced_times_row_scale_equals_weighted():
@@ -187,6 +190,19 @@ def test_column_relation_full_admissible_grid():
                     assert check_column_relation(n, l, e, k), (n, l, e, k)
 
 
+def test_column_relation_fails_off_its_point(monkeypatch):
+    # at m = -e + 1/2 instead of -e - 1/2 no admissible relation holds
+    from hextiling import matrices
+
+    rows = matrices._reduced_rows
+    monkeypatch.setattr(matrices, "_reduced_rows", lambda m, n: rows(m + 1, n))
+    for n in range(4, 9):
+        for e in range(1, n // 2):
+            for k in range(1, e + 1):
+                for l in range(1, (n + 1) // 2 + 1):
+                    assert not check_column_relation(n, l, e, k), (n, l, e, k)
+
+
 def test_column_relation_validation():
     with pytest.raises(ValueError):
         check_column_relation(4, 1, 2, 1)  # e too large
@@ -199,17 +215,35 @@ def test_column_relation_validation():
 def test_reduced_determinant_degree_bound():
     # as a polynomial in m the determinant has degree at most C(n+1,2) - 1:
     # every expansion term takes degree j from column j except degree j-1
-    # from the marked row
+    # from the marked row.  One spare point lets a higher degree show, and
+    # the bound is attained, so the symmetries suite needs all its points.
     from hextiling.exact import lagrange_interpolate
+    from hextiling.matrices import _reduced_degree_bound
 
-    for n in range(1, 5):
-        bound = n * (n + 1) // 2 - 1
-        for l in range(1, n + 1):
-            pts = [
-                (F(m), determinant(reduced_lower_matrix(F(m), n, l)))
-                for m in range(bound + 2)
-            ]
-            assert lagrange_interpolate(pts).degree() <= bound
+    for n in range(1, 8):
+        bound = _reduced_degree_bound(n)
+        samples = [(F(m), reduced_determinants(m, n)) for m in range(bound + 2)]
+        for l in range(n):
+            poly = lagrange_interpolate([(m, dets[l]) for m, dets in samples])
+            assert poly.degree() == bound, (n, l + 1)
+
+
+def test_symmetries_check_sees_a_broken_row(monkeypatch):
+    # adding 1 to the l = 1 determinant at n = 3 breaks its reflection in l
+    # (against l = 3) and its symmetry in m (the sign is -1 at n = 3); every
+    # other check still passes
+    from hextiling import matrices, verify
+
+    determinants = matrices.reduced_determinants
+
+    def broken(m, n):
+        dets = determinants(m, n)
+        return [dets[0] + 1] + dets[1:] if n == 3 else dets
+
+    monkeypatch.setattr(matrices, "reduced_determinants", broken)
+    failed = [r.name for r in verify.check_symmetries(max_n=5) if not r.ok]
+    assert failed == ["reflect-l symmetry n=3 l=1", "m -> -n-m symmetry n=3 l=1",
+                      "reflect-l symmetry n=3 l=3"]
 
 
 def test_extract_reduced_polynomial_base():
