@@ -42,7 +42,6 @@ from .matrices import (
     extract_reduced_polynomials,
     lower_weighted_matrix,
     path_matrix,
-    reduced_lower_matrix,
     reduced_prefactor,
     row_scale_product,
     upper_count_matrix,

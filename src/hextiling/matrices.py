@@ -1,37 +1,36 @@
 """Exact matrices and determinants for the lattice-path counting engine.
 
-:func:`path_matrix` turns a path family from :mod:`hextiling.hexagon` into
-its Lindstrom-Gessel-Viennot matrix of (weighted) path counts.  The two
-half-regions use it: the trimmed upper pentagon with plain counts, whose
-determinant is its tiling count, and the lower half-region with weight 1/2
-on paths ending vertically, whose determinant is its weighted count.  The
-row-rescaled version of the lower matrix has entries that are shifted
-factorials in a rational parameter m; it is built from its own formula,
-because lattice paths exist only for integer m.
+Every matrix here is a list of integer rows.  :func:`path_matrix` turns a
+path family from :mod:`hextiling.hexagon` into its Lindstrom-Gessel-Viennot
+matrix of path counts.  The two half-regions use it: the trimmed upper
+pentagon with plain counts, whose determinant is its tiling count, and the
+lower half-region with weight 1/2 on paths ending vertically, whose rows
+hold twice their weighted counts, so that its determinant is 2^(n-1) times
+its weighted count.  The row-rescaled version of the lower matrix has
+entries that are shifted factorials in a rational parameter m; it is built
+from its own formula, because lattice paths exist only for integer m.
 
-Everything is built integer-first, with one ``Fraction`` per value at the
-end.  The reduced lower matrix at a sample point m is built once as integer
-rows, each over one row denominator, carrying its rising products from one
-entry of a row to the next; both versions of every row (unmarked and
-marked) come out of the same pass.  :func:`reduced_determinants` is the one
-way to read its determinant: it returns the value for every marked row l
-from one build, and the polynomial extraction and the verification suites
-read only it.  The column relations are tested on the same integer rows;
-:func:`reduced_lower_matrix` is the ``Fraction`` view of them.
-Determinants are computed by fraction-free Bareiss elimination over
-integers after clearing row denominators, read straight off each ``int``
-or ``Fraction`` entry, with a deterministic pivot rule.
+The reduced lower matrix at a sample point m is built once as integer rows,
+each over one row denominator, carrying its rising products from one entry
+of a row to the next; both versions of every row (unmarked and marked) come
+out of the same pass.  :func:`reduced_determinants` is the one way to read
+its determinant: it returns the value for every marked row l from one
+build, with one division by the product of the row denominators, and the
+polynomial extraction and the verification suites read only it.  The
+column relations are tested on the same integer rows.  Determinants are
+computed by fraction-free Bareiss elimination on integers, with a
+deterministic pivot rule.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 from typing import List, Sequence
 
 from .exact import (
     Polynomial,
-    _over_common_denominator,
     _rising_product,
     binomial,
     lagrange_interpolate,
@@ -39,32 +38,26 @@ from .exact import (
 )
 from .hexagon import PathFamilySpec, marked_path_family, pentagon_path_family
 
-Matrix = List[List[Fraction]]
+Matrix = List[List[int]]
 
 
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination.
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix via fraction-free Bareiss
+    elimination.
 
-    Entries must be ints or Fractions.  Each row is scaled to integers
-    first, from the numerator and denominator of each entry (the scale
-    product is divided back out at the end), then the Bareiss recurrence
-    runs with exact integer divisions.  Zero pivots are repaired by swapping
-    with the first row below that has a nonzero entry in the pivot column,
-    flipping the tracked sign; if none exists the determinant is zero.
+    Every entry is copied through ``operator.index``, so a ``Fraction``
+    raises ``TypeError`` instead of reaching the floor division of the
+    recurrence, which would truncate it.  Zero pivots are repaired by
+    swapping with the first row below that has a nonzero entry in the pivot
+    column, flipping the tracked sign; if none exists the determinant is
+    zero.
     """
     n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant requires a square matrix")
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant requires a square matrix")
+    mat = [[index(x) for x in row] for row in rows]
     if n == 0:
-        return Fraction(1)
-
-    scale = 1
-    mat: List[List[int]] = []
-    for row in rows:
-        nums, den = _over_common_denominator(row)
-        scale *= den
-        mat.append(nums)
+        return 1
 
     sign = 1
     prev = 1
@@ -76,7 +69,7 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = mat[k][k]
         row_k = mat[k]
         for i in range(k + 1, n):
@@ -87,15 +80,18 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * mat[-1][-1], scale)
+    return sign * mat[-1][-1]
 
 
 def path_matrix(family: PathFamilySpec) -> Matrix:
-    """Lindstrom-Gessel-Viennot matrix of a path family.
+    """Lindstrom-Gessel-Viennot matrix of a path family, as integer rows.
 
     Entry (i, j) counts the right/down paths from start j to end i.  For an
     end flagged half-weight, a path whose last step is vertical counts 1/2;
-    there are C(t-1, r) such paths among the C(t, r) with r right steps of t.
+    there are C(t-1, r) such paths among the C(t, r) with r right steps of
+    t.  The row of such an end holds twice its weighted counts,
+    2 C(t, r) - C(t-1, r), or 2 C(t, r) when the path has no down step, so
+    the determinant is 2^h times the weighted count for h flagged ends.
     """
     rows = []
     for (ex, ey), half in zip(family.ends, family.half_weight_if_vertical_end):
@@ -105,11 +101,9 @@ def path_matrix(family: PathFamilySpec) -> Matrix:
             if right < 0 or down < 0:
                 row.append(0)
             elif half and down:
-                paths = math.comb(right + down, right)
-                vertical = math.comb(right + down - 1, right)
-                row.append(Fraction(2 * paths - vertical, 2))
+                row.append(2 * math.comb(right + down, right) - math.comb(right + down - 1, right))
             else:
-                row.append(math.comb(right + down, right))
+                row.append((2 if half else 1) * math.comb(right + down, right))
         rows.append(row)
     return rows
 
@@ -124,7 +118,9 @@ def upper_count_matrix(n: int, m: int) -> Matrix:
 
 def lower_weighted_matrix(n: int, m: int, l: int) -> Matrix:
     """Weighted path matrix of the lower half-region with marked position l,
-    size n x n; its determinant is the region's weighted count."""
+    size n x n.  Every row but the marked one holds twice its weighted
+    counts, so its determinant is 2^(n-1) times the region's weighted
+    count."""
     if m < 1:
         raise ValueError("need m >= 1")
     return path_matrix(marked_path_family(n, m, l))
@@ -132,7 +128,8 @@ def lower_weighted_matrix(n: int, m: int, l: int) -> Matrix:
 
 def row_scale_product(n: int, m: int) -> Fraction:
     """Product of the factors pulled out of each row to pass from the
-    weighted path matrix to its shifted-factorial version."""
+    weighted path counts to their shifted-factorial version: the reduced
+    determinant times it is the weighted count."""
     num, den = 1, 1
     for i in range(1, n + 1):
         num *= math.factorial(n + m - i)
@@ -183,32 +180,16 @@ def _reduced_degree_bound(n: int) -> int:
     return n * (n + 1) // 2 - 1
 
 
-def reduced_lower_matrix(m, n: int, l: int) -> Matrix:
-    """Row-rescaled lower matrix with entries polynomial in a rational m.
-
-    Equal to the weighted path matrix divided row-wise by the factors of
-    :func:`row_scale_product`; the parameter m may be any rational, which is
-    what makes the determinant a polynomial in m.
-    """
-    if not 1 <= l <= n:
-        raise ValueError("marked row out of range")
-    plain, marked, plain_den, marked_den = _reduced_rows(m, n)
-    return [
-        [Fraction(x, marked_den) for x in marked[i]] if i == l - 1
-        else [Fraction(x, plain_den) for x in plain[i]]
-        for i in range(n)
-    ]
-
-
 def reduced_determinants(m, n: int) -> List[Fraction]:
-    """Determinant of :func:`reduced_lower_matrix` at m for each marked row
+    """Determinant of the reduced lower matrix at m for each marked row
     l = 1..n in turn, all from one build of the integer rows, each with one
     division by the product of the row denominators."""
     if n < 1:
         raise ValueError("need n >= 1")
     plain, marked, plain_den, marked_den = _reduced_rows(m, n)
     den = plain_den ** (n - 1) * marked_den
-    return [determinant(plain[:l] + [marked[l]] + plain[l + 1:]) / den for l in range(n)]
+    return [Fraction(determinant(plain[:l] + [marked[l]] + plain[l + 1:]), den)
+            for l in range(n)]
 
 
 def reduced_prefactor(m, n: int) -> Fraction:

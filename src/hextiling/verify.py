@@ -122,7 +122,7 @@ def check_lemma6(max_n: int = 7, max_m: int = 5) -> List[CaseResult]:
     for n in range(1, max_n + 1):
         for m in range(1, max_m + 1):
             for l in range(1, n + 1):
-                det = matrices.determinant(matrices.lower_weighted_matrix(n, m, l))
+                det = Fraction(matrices.determinant(matrices.lower_weighted_matrix(n, m, l)), 2 ** (n - 1))
                 want = formulas.lower_weighted_closed_form(n, m, l)
                 _case(out, f"lower det n={n} m={m} l={l}", det == want, f"{det} vs {want}")
     return out

@@ -323,6 +323,10 @@ _GOLDEN_VERIFY = [
      "d4c419efd75277d331d8331db92db97cff0b7d0a87a9d47ce38cb96cad990daa"),
     (["column-relation", "--max-n", "10"],
      "c2a96e06d5057f2822400139ba82bc8ee24fe877fef814e3ffa33311d40417a8"),
+    (["lemma5", "--max-n", "8", "--max-m", "8"],
+     "0529e0ed7992141737f48c8bfe146907117a09e8395049eb036a1337d3740ae7"),
+    (["lemma6", "--max-n", "8", "--max-m", "5"],
+     "ac75d1231b9086f5ad4c6ef955a823ca2b819ecf7c24977bea54307561ef2dbf"),
 ]
 
 

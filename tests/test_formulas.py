@@ -135,15 +135,17 @@ def test_upper_count_closed_form():
 def test_lower_weighted_closed_form():
     for m in (1, 2, 5):
         assert lower_weighted_closed_form(1, m, 1) == 1
-    assert lower_weighted_closed_form(2, 1, 1) == determinant(lower_weighted_matrix(2, 1, 1))
-    assert lower_weighted_closed_form(4, 3, 2) == determinant(lower_weighted_matrix(4, 3, 2))
+    # the matrix determinant is 2^(n-1) times the weighted count
+    for n, m, l in [(2, 1, 1), (4, 3, 2)]:
+        det = F(determinant(lower_weighted_matrix(n, m, l)), 2 ** (n - 1))
+        assert lower_weighted_closed_form(n, m, l) == det
 
 
 def test_lower_weighted_closed_form_grid():
     for n in range(1, 7):
         for m in range(1, 5):
             for l in range(1, n + 1):
-                det = determinant(lower_weighted_matrix(n, m, l))
+                det = F(determinant(lower_weighted_matrix(n, m, l)), 2 ** (n - 1))
                 assert det == lower_weighted_closed_form(n, m, l), (n, m, l)
 
 

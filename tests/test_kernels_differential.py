@@ -1,12 +1,14 @@
 """Differential tests: each integer-first exact kernel against a
 term-by-term Fraction construction of the same value, each path matrix
-against its entries typed out by hand, the oracle's iterative search against
-the three recursive searches it replaced, kept here as the references, and
-the oracle's neighbor lists against ``hexagon.cell_neighbors``.
+against its entries typed out by hand, the integer Bareiss ``determinant``
+against a Gaussian elimination over ``Fraction``, the oracle's iterative
+search against the three recursive searches it replaced, kept here as the
+references, and the oracle's neighbor lists against
+``hexagon.cell_neighbors``.
 
 The references build on nothing that was rewritten: only ``Fraction``,
-``math``, ``binomial``, ``Polynomial`` arithmetic, the public
-``determinant`` and the oracle's cell geometry.  (The determinant is checked
+``math``, ``binomial``, ``Polynomial`` arithmetic, the rational elimination
+below and the oracle's cell geometry.  (The determinant is also checked
 against the permutation expansion in ``test_matrices.py``.)  The closed
 forms and the polynomial extraction of the reduced determinant are checked
 against the one-``Fraction``-per-factor versions they replaced, also kept
@@ -43,11 +45,11 @@ from hextiling.hexagon import (
     full_hexagon_region,
 )
 from hextiling.matrices import (
+    _reduced_rows,
     determinant,
     extract_reduced_polynomials,
     lower_weighted_matrix,
     reduced_determinants,
-    reduced_lower_matrix,
     reduced_prefactor,
     row_scale_product,
     upper_count_matrix,
@@ -129,6 +131,27 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _rational_determinant(rows):
+    """Gaussian elimination over Fractions, swapping in the first row below
+    with a nonzero entry when a pivot is zero."""
+    mat = [[F(x) for x in row] for row in rows]
+    n = len(mat)
+    det = F(1)
+    for k in range(n):
+        swap = next((r for r in range(k, n) if mat[r][k]), None)
+        if swap is None:
+            return F(0)
+        if swap != k:
+            mat[k], mat[swap] = mat[swap], mat[k]
+            det = -det
+        det *= mat[k][k]
+        for i in range(k + 1, n):
+            factor = mat[i][k] / mat[k][k]
+            for j in range(k, n):
+                mat[i][j] -= factor * mat[k][j]
+    return det
+
+
 def _reference_upper_count(n, m):
     """The binomial entries typed out by hand."""
     return [
@@ -145,7 +168,8 @@ def reciprocal_factorial(n: int) -> Fraction:
 
 
 def _reference_lower_weighted(n, m, l):
-    """Each entry as a chain of Fraction products of factorial reciprocals."""
+    """Each entry as a chain of Fraction products of factorial reciprocals;
+    every row but the marked one doubled, as ``path_matrix`` builds it."""
     rows = []
     for i in range(1, n + 1):
         row = []
@@ -155,7 +179,7 @@ def _reference_lower_weighted(n, m, l):
                 entry = (top * reciprocal_factorial(m + i - j)
                          * reciprocal_factorial(n + j - 2 * i))
             else:
-                entry = (top * reciprocal_factorial(m + i - j)
+                entry = (2 * top * reciprocal_factorial(m + i - j)
                          * reciprocal_factorial(n + j - 2 * i + 1)
                          * (m + F(n - j + 1, 2)))
             row.append(entry)
@@ -263,7 +287,7 @@ def _reference_extract_reduced_polynomial(n, l):
     by the reference Lagrange construction."""
     points = []
     for m in range(1, n + 1):
-        det = determinant(_reference_reduced_lower(m, n, l))
+        det = _rational_determinant(_reference_reduced_lower(m, n, l))
         points.append((F(m), det / _reference_reduced_prefactor(m, n)))
     return _reference_lagrange(points)
 
@@ -456,6 +480,33 @@ def test_hypergeometric_sum_singular_step_matches_reference(nums, dens, k, data)
                                        nums, dens, 1, term_count)
 
 
+@st.composite
+def _integer_matrices(draw):
+    """Square integer matrices, small and large entries mixed.  Some draws
+    zero the leading column above a random row, so the first pivot needs a
+    row swap; some replace a row by a combination of the rows, so the
+    matrix is singular."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["plain", "zero pivot", "singular"]))
+    if shape == "zero pivot":
+        for row in rows[:draw(st.integers(1, n))]:
+            row[0] = 0
+    elif shape == "singular":
+        i = draw(st.integers(0, n - 1))
+        coeffs = [0 if r == i else draw(st.integers(-3, 3)) for r in range(n)]
+        rows[i] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    return rows
+
+
+@given(_integer_matrices())
+def test_determinant_matches_rational_elimination(rows):
+    det = determinant(rows)
+    assert type(det) is int
+    assert det == _rational_determinant(rows)
+
+
 @given(st.integers(1, 8), st.integers(0, 12))
 def test_upper_count_matrix_matches_reference(n, m):
     assert upper_count_matrix(n, m) == _reference_upper_count(n, m)
@@ -467,10 +518,14 @@ def test_lower_weighted_matrix_matches_reference(nl, m):
     assert lower_weighted_matrix(n, m, l) == _reference_lower_weighted(n, m, l)
 
 
-@given(_n_and_l(6), st.fractions(min_value=-10, max_value=10, max_denominator=9))
-def test_reduced_lower_matrix_matches_reference(nl, m):
-    n, l = nl
-    assert reduced_lower_matrix(m, n, l) == _reference_reduced_lower(m, n, l)
+@given(st.integers(1, 6), st.fractions(min_value=-10, max_value=10, max_denominator=9))
+def test_reduced_lower_matrix_matches_reference(n, m):
+    # both versions of every integer row, over their denominators
+    plain, marked, plain_den, marked_den = _reduced_rows(m, n)
+    for l in range(1, n + 1):
+        rows = [[F(x, marked_den) for x in marked[i]] if i == l - 1
+                else [F(x, plain_den) for x in plain[i]] for i in range(n)]
+        assert rows == _reference_reduced_lower(m, n, l), l
 
 
 # rational m, and the roots of the prefactor: the integers -1..-floor(n/2)
@@ -486,8 +541,7 @@ _reduced_m = st.one_of(
 def test_reduced_determinant_and_prefactor_match_reference(nl, m):
     n, l = nl
     det = reduced_determinants(m, n)[l - 1]
-    assert det == determinant(reduced_lower_matrix(m, n, l))
-    assert det == determinant(_reference_reduced_lower(m, n, l))
+    assert det == _rational_determinant(_reference_reduced_lower(m, n, l))
     assert reduced_prefactor(m, n) == _reference_reduced_prefactor(m, n)
 
 

@@ -8,13 +8,13 @@ from hypothesis import given, strategies as st
 from hextiling.exact import Polynomial
 from hextiling.hexagon import marked_path_family, pentagon_path_family
 from hextiling.matrices import (
+    _reduced_rows,
     check_column_relation,
     determinant,
     extract_reduced_polynomials,
     lower_weighted_matrix,
     path_matrix,
     reduced_determinants,
-    reduced_lower_matrix,
     reduced_prefactor,
     row_scale_product,
     upper_count_matrix,
@@ -43,14 +43,23 @@ def _cofactor_det(rows):
 
 
 def test_determinant_identity():
-    eye = [[F(int(i == j)) for j in range(5)] for i in range(5)]
+    eye = [[int(i == j) for j in range(5)] for i in range(5)]
     assert determinant(eye) == 1
 
 
 def test_determinant_small():
     assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[F(1, 2)]]) == F(1, 2)
+    assert determinant([[7]]) == 7
     assert determinant([]) == 1
+    assert type(determinant([[1, 2], [3, 4]])) is int
+
+
+def test_determinant_rejects_fraction_entries():
+    # Bareiss floors its exact divisions, so a Fraction entry must be
+    # refused, not rounded; an integral Fraction is refused as well
+    for rows in ([[F(1, 2)]], [[2, 1], [1, F(3, 2)]], [[1, 0], [0, F(3)]]):
+        with pytest.raises(TypeError):
+            determinant(rows)
 
 
 def test_determinant_singular_and_pivoting():
@@ -69,18 +78,19 @@ def test_determinant_matches_permutation_expansion():
     rng = random.Random(424242)
     for _ in range(50):
         rows = [
-            [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+            [rng.randint(-9, 9) for _ in range(4)]
             for _ in range(4)
         ]
         assert determinant(rows) == _cofactor_det(rows)
 
 
 def _walk_weight(x, y, end, half, last_down=False):
-    """Weighted number of right/down paths from (x, y) to ``end``, walked
-    step by step: each path adds 1, or 1/2 if ``half`` and it ends down."""
+    """Twice the weighted number of right/down paths from (x, y) to ``end``
+    if ``half``, else their number, walked step by step: on a ``half`` end
+    each path adds 2, or 1 if it ends down."""
     if (x, y) == end:
-        return F(1, 2) if half and last_down else F(1)
-    total = F(0)
+        return (1 if last_down else 2) if half else 1
+    total = 0
     if x < end[0]:
         total += _walk_weight(x + 1, y, end, half)
     if y > end[1]:
@@ -115,10 +125,12 @@ def test_upper_count_matrix_values():
 
 def test_lower_weighted_matrix_values():
     assert lower_weighted_matrix(1, 5, 1) == [[1]]
+    # the unmarked rows hold twice their weighted counts, so each
+    # determinant is 2^(n-1) times the weighted count (2 and 15/4 here)
     mat = lower_weighted_matrix(2, 1, 1)
-    assert mat == [[2, 1], [1, F(3, 2)]]
-    assert determinant(mat) == 2
-    assert determinant(lower_weighted_matrix(3, 1, 1)) == F(15, 4)
+    assert mat == [[2, 1], [2, 3]]
+    assert determinant(mat) == 2 * 2
+    assert determinant(lower_weighted_matrix(3, 1, 1)) == 2 ** 2 * F(15, 4)
 
 
 def test_lower_weighted_matrix_validation():
@@ -129,15 +141,12 @@ def test_lower_weighted_matrix_validation():
 
 
 def test_reduced_matrix_base_case():
-    assert reduced_lower_matrix(F(7, 3), 1, 1) == [[1]]
-    assert determinant(reduced_lower_matrix(F(7, 3), 1, 1)) == 1
+    _, marked, _, marked_den = _reduced_rows(F(7, 3), 1)
+    assert (marked, marked_den) == ([[1]], 1)
     assert reduced_determinants(F(7, 3), 1) == [1]
 
 
 def test_reduced_determinant_validation():
-    for l in (0, 4):
-        with pytest.raises(ValueError):
-            reduced_lower_matrix(F(1, 2), 3, l)
     for n in (-2, -1, 0):
         with pytest.raises(ValueError, match="need n >= 1"):
             reduced_determinants(F(1, 2), n)
@@ -148,9 +157,10 @@ def test_reduced_determinant_validation():
 def test_reduced_times_row_scale_equals_weighted():
     for n in range(1, 6):
         for m in range(1, 5):
+            dets = reduced_determinants(m, n)
             for l in range(1, n + 1):
-                lhs = determinant(reduced_lower_matrix(m, n, l)) * row_scale_product(n, m)
-                rhs = determinant(lower_weighted_matrix(n, m, l))
+                lhs = dets[l - 1] * row_scale_product(n, m)
+                rhs = F(determinant(lower_weighted_matrix(n, m, l)), 2 ** (n - 1))
                 assert lhs == rhs, (n, m, l)
 
 
@@ -161,18 +171,17 @@ def test_reduced_determinant_symmetries():
         for l in range(1, n + 1):
             for _ in range(10):
                 m = F(rng.randint(-48, 48), rng.choice([1, 2, 3, 5, 7, 11]))
-                det = determinant(reduced_lower_matrix(m, n, l))
-                assert det == determinant(reduced_lower_matrix(m, n, n + 1 - l))
-                assert determinant(reduced_lower_matrix(-n - m, n, l)) == sign * det
+                dets = reduced_determinants(m, n)
+                assert dets[l - 1] == dets[n - l]
+                assert reduced_determinants(-n - m, n)[l - 1] == sign * dets[l - 1]
 
 
 def test_reduced_determinant_integer_roots():
     # the forced prefactor contains (m+i)_{n-2i+1}, so the determinant
     # vanishes at m = -1, ..., -floor(n/2)
     for n in range(2, 7):
-        for l in range(1, n + 1):
-            for i in range(1, n // 2 + 1):
-                assert determinant(reduced_lower_matrix(-i, n, l)) == 0
+        for i in range(1, n // 2 + 1):
+            assert reduced_determinants(-i, n) == [0] * n
 
 
 def test_column_relation_examples():
@@ -293,15 +302,14 @@ def test_extract_consistency_with_prefactor():
     for n in range(1, 6):
         for l, poly in enumerate(extract_reduced_polynomials(n), start=1):
             for m in [F(1, 3), 7, F(-15, 2)]:
-                det = determinant(reduced_lower_matrix(m, n, l))
+                det = reduced_determinants(m, n)[l - 1]
                 assert det == reduced_prefactor(m, n) * poly(m)
 
 
 @st.composite
 def _square_matrices(draw):
     n = draw(st.integers(1, 5))
-    entry = st.one_of(st.just(F(0)),
-                      st.fractions(min_value=-9, max_value=9, max_denominator=8))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
     return [[draw(entry) for _ in range(n)] for _ in range(n)]
 
 
