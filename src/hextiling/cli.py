@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import formulas, verify
 from .hexagon import HexagonSpec, axis_positions
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep sample: exact proportion next to its arcsine limit.
 
     Floats are rounded through 15 significant digits at construction so that
@@ -70,6 +67,8 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[SweepRow]) -> str:
+    import json  # only this output format needs it; kept off the start-up path
+
     payload = [
         {
             "N": r.n,
@@ -221,11 +220,20 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
+    # Exact values outgrow CPython's default limit of 4300 digits for
+    # int-to-str conversion; lift it while a command runs, then restore it
+    # for in-process callers.  Interpreters without the limit lack the getter.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

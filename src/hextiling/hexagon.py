@@ -31,7 +31,6 @@ lower half.  All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 
@@ -53,8 +52,12 @@ class RegionKind(enum.Enum):
     LOWER_HALF = "lower-half"
 
 
-@dataclass(frozen=True)
-class HexagonSpec:
+class _Sides(NamedTuple):
+    side_a: int
+    side_m: int
+
+
+class HexagonSpec(_Sides):
     """The hexagon with sides (side_a, side_m, side_a, side_a, side_m, side_a).
 
     ``parity``, ``n`` and ``m`` split the sides by the parity of side_m: even
@@ -64,14 +67,14 @@ class HexagonSpec:
     the pentagons of offset 0 are cut from it.
     """
 
-    side_a: int
-    side_m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side_a < 1:
+    def __new__(cls, side_a: int, side_m: int):
+        if side_a < 1:
             raise ValueError("side_a must be a positive integer")
-        if self.side_m < 0:
+        if side_m < 0:
             raise ValueError("side_m must be a nonnegative integer")
+        return super().__new__(cls, side_a, side_m)
 
     @property
     def parity(self) -> Parity:
@@ -86,8 +89,7 @@ class HexagonSpec:
         return (self.side_m + 1) // 2
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A concrete cell set.
 
     ``weighted_pairs`` lists the axis-rhombus cell pairs that count with
@@ -98,8 +100,7 @@ class Region:
     weighted_pairs: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class PathFamilySpec:
+class PathFamilySpec(NamedTuple):
     """Endpoints of the nonintersecting lattice-path family tied to a region.
 
     Points are (x, y) lattice points.  Paths take unit steps right, which

@@ -9,11 +9,9 @@ every m.
 
 from __future__ import annotations
 
-import inspect
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple
 
 from . import formulas, matrices, oracle
 from .exact import SingularParameterError
@@ -28,8 +26,7 @@ from .hexagon import (
 _BOX_LIMIT = 3  # largest box side oracle-vs-theorems checks
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -293,7 +290,8 @@ def run_suite(name: str, **bounds) -> List[CaseResult]:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    accepted = inspect.signature(fn).parameters
+    code = fn.__code__
+    accepted = code.co_varnames[:code.co_argcount]
     kwargs = {}
     for key, value in bounds.items():
         if value is None:

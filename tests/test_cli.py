@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from hextiling import formulas
 from hextiling.cli import (
     SWEEP_HEADER,
     SweepRow,
@@ -278,6 +279,49 @@ def test_module_entry_point_runs_the_readme_commands():
     assert (code, lines[0], len(lines), err) == (0, SWEEP_HEADER, 2, "")
     # the exit code of main reaches the shell
     assert run("fixed", "--sides", "1", "1", "--l", "1")[0] == 2
+
+
+def test_sweep_prints_exact_values_past_the_digit_limit():
+    # N = 5000 gives a numerator of 4489 digits, past CPython's default
+    # 4300-digit limit for int-to-str conversion
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "hextiling", "sweep", "--a", "1",
+                           "--b", "0.5", "--n", "5000"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, row = proc.stdout.splitlines()
+    numerator = row.split(",")[3].split("/")[0]
+    assert header == SWEEP_HEADER and len(numerator) > 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str digit limit")
+def test_main_lifts_the_digit_limit_only_while_it_runs(capsys, monkeypatch):
+    before = sys.get_int_max_str_digits()
+    monkeypatch.setattr(formulas, "macmahon_count", lambda a, b, c: 10 ** 5000)
+    assert run_cli(capsys, "count", "--sides", "2", "2") == (0, "1" + "0" * 5000 + "\n", "")
+    assert sys.get_int_max_str_digits() == before
+    assert run_cli(capsys, "count", "--sides", "0", "2")[0] == 2
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_import_path_loads_no_dataclasses_inspect_or_json():
+    # only modules that importing the CLI newly loads count, so the test
+    # holds where site start-up has already loaded some of them
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "before = set(sys.modules)\n"
+        "import hextiling.cli\n"
+        "hextiling.cli.build_parser()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "hextiling.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "json"} == set()
 
 
 def test_verify_warns_about_ignored_bounds(capsys):

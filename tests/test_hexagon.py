@@ -68,6 +68,20 @@ def test_hexagon_spec_validation(side_a, side_m):
         assert HexagonSpec(side_a, side_m).side_m == side_m
 
 
+def test_hexagon_spec_is_an_immutable_value():
+    spec = HexagonSpec(3, 4)
+    assert repr(spec) == "HexagonSpec(side_a=3, side_m=4)"
+    with pytest.raises(AttributeError):
+        spec.side_a = 5
+    with pytest.raises(AttributeError):
+        spec.n = 5
+    with pytest.raises(AttributeError):
+        spec.extra = 5
+    twin = HexagonSpec(side_a=3, side_m=4)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert HexagonSpec(3, 3) != spec
+
+
 def test_degenerate_hexagon():
     # side_m == 0: a parallelogram with n = side_a axis positions, m = 0
     spec = HexagonSpec(2, 0)
