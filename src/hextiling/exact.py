@@ -6,11 +6,12 @@ pure function of immutable values (thread-safe by construction), and no
 floating point appears anywhere: callers that want a float convert at the
 very end with ``float()``.
 
-The kernels are integer-first: ``shifted_factorial``,
-``Polynomial.compose_affine``, ``lagrange_interpolate`` and
-``hypergeometric_sum`` carry integer numerators over one common
-denominator and build each ``Fraction`` once, at the end, instead of
-normalising a ``Fraction`` (one gcd) at every arithmetic step.
+The kernels are integer-first: ``shifted_factorial``, polynomial
+evaluation (``Polynomial.__call__``), ``Polynomial.compose_affine``,
+``lagrange_interpolate`` and ``hypergeometric_sum`` carry integer
+numerators over one common denominator and build each ``Fraction`` once,
+at the end, instead of normalising a ``Fraction`` (one gcd) at every
+arithmetic step.
 """
 
 from __future__ import annotations
@@ -103,11 +104,23 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
+        """p(x), exactly (a float x is read as the rational it stores).
+
+        With the coefficients written as a_k / D over one denominator D and
+        x = u/w, Horner builds sum_k a_k u^k w^(deg-k) in integers, divided
+        by D w^deg once, at the end.
+        """
         x = Fraction(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        if self.is_zero:
+            return Fraction(0)
+        nums, den = _over_common_denominator(self.coeffs)
+        u, w = x.numerator, x.denominator
+        out = nums[-1]
+        w_power = 1
+        for a in reversed(nums[:-1]):
+            w_power *= w
+            out = out * u + a * w_power
+        return Fraction(out, den * w_power)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

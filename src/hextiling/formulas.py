@@ -9,10 +9,15 @@ proportion, and the arcsine limit (the one floating-point function here).
 
 Counts that must be integers are computed over rationals and asserted
 integral, so any transcription error in a formula surfaces immediately.
-The closed forms of the reduced determinant (the weighted lower count, its
-constant and the special values) are integer-first: integer products of
-factorials and rising products (the special values gather their powers of
-2 in one exponent), and one ``Fraction`` at the end.
+The kernels are integer-first: each builds its value from integer
+numerators over one denominator and makes one ``Fraction`` at the end.
+That covers the closed forms of the reduced determinant (the weighted
+lower count, its constant and the special values, which gather their
+powers of 2 in one exponent), the axis sum (nested Horner from its last
+term), the proportion (the axis sum's numerator and denominator times the
+binomial prefactor) and the prefactors of both hypergeometric forms.  The
+axis sum keeps a loop of its own rather than ``hypergeometric_sum``, so
+that the ``hyp-chain`` cross-check compares independent routes.
 """
 
 from __future__ import annotations
@@ -63,28 +68,28 @@ def axis_sum(n: int, m: int, l: int) -> Fraction:
         raise ValueError(f"need 1 <= l <= {n}, got l = {l}")
     if m < 1:
         raise ValueError("axis sum undefined for m = 0 (pole at e = 0)")
-    total = Fraction(0)
-    # factor = (-1)^e C(n,e) (1/2)_e / (1/2-n)_e, carried from term to term;
-    # 2e+1-2n is odd, so the ratio never divides by 0.  The factor n-2e stays
-    # out of the ratio because it vanishes at e = n/2.
-    factor = Fraction(1)
-    for e in range(l):
-        total += factor * Fraction(n - 2 * e, (m + e) * (m + n - e))
-        factor *= Fraction(-(n - e) * (2 * e + 1), (e + 1) * (2 * e + 1 - 2 * n))
-    return total
-
-
-def _count_prefactor(n: int, m: int) -> Fraction:
-    return Fraction(
-        m * binomial(m + n, m) * binomial(m + n - 1, m),
-        binomial(2 * m + 2 * n - 1, 2 * m),
-    )
+    # Term e is F_e g_e with g_e = (n-2e) / ((m+e)(m+n-e)), F_0 = 1 and
+    # r_(e+1) = F_(e+1) / F_e = -(n-e)(2e+1) / ((e+1)(2e+1-2n)); 2e+1-2n is
+    # odd, so the ratio never divides by 0.  The factor n-2e stays out of the
+    # ratio because it vanishes at e = n/2.  Nested Horner from the last
+    # term, g_0 + r_1 (g_1 + r_2 (g_2 + ...)), over one integer numerator
+    # and one integer denominator.
+    num, den = n - 2 * l + 2, (m + l - 1) * (m + n - l + 1)
+    for e in range(l - 2, -1, -1):
+        a, b = n - 2 * e, (m + e) * (m + n - e)
+        p, q = -(n - e) * (2 * e + 1), (e + 1) * (2 * e + 1 - 2 * n)
+        num, den = a * q * den + b * p * num, b * q * den
+    return Fraction(num, den)
 
 
 def proportion_nm(n: int, m: int, l: int) -> Fraction:
     """Proportion of tilings containing axis rhombus l, from (n, m) directly."""
     # axis_sum first: it rejects a bad (n, m, l) before the prefactor sees it
-    return axis_sum(n, m, l) * _count_prefactor(n, m)
+    s = axis_sum(n, m, l)
+    return Fraction(
+        s.numerator * m * binomial(m + n, m) * binomial(m + n - 1, m),
+        s.denominator * binomial(2 * m + 2 * n - 1, 2 * m),
+    )
 
 
 def proportion(spec: HexagonSpec, l: int) -> Fraction:
@@ -228,31 +233,29 @@ def proportion_series_form(n: int, m: int, l: int) -> Fraction:
     """The proportion as a five-parameter hypergeometric partial sum of
     length l.  Raises SingularParameterError where a lower parameter hits
     zero inside the range (even n with l >= n/2 + 2)."""
-    pref = Fraction(math.factorial(2 * n - 1))
-    pref *= shifted_factorial(m + 1, n - 1) ** 2
-    pref /= Fraction(math.factorial(n - 1)) ** 2
-    pref /= shifted_factorial(2 * m + 1, 2 * n - 1)
+    pref_num = math.factorial(2 * n - 1) * _rising_product(m + 1, 1, n - 1) ** 2
+    pref_den = math.factorial(n - 1) ** 2 * _rising_product(2 * m + 1, 1, 2 * n - 1)
     series = hypergeometric_sum(
-        [-n, 1 - Fraction(n, 2), m, -m - n, Fraction(1, 2)],
-        [-Fraction(n, 2), 1 - m - n, 1 + m, Fraction(1, 2) - n],
+        [-n, Fraction(2 - n, 2), m, -m - n, Fraction(1, 2)],
+        [Fraction(-n, 2), 1 - m - n, 1 + m, Fraction(1 - 2 * n, 2)],
         1,
         l,
     )
-    return pref * series
+    return Fraction(pref_num * series.numerator, pref_den * series.denominator)
 
 
 def proportion_balanced_form(n: int, m: int, l: int) -> Fraction:
     """The proportion as a balanced terminating 4F3-style sum of length l."""
-    pref = Fraction(
+    pref_num = (
         math.factorial(2 * l)
         * math.factorial(2 * m)
         * math.factorial(m + n - 1)
         * math.factorial(m + n)
-        * math.factorial(2 * n - 2 * l + 2),
-        4 * (l + m - 1) * (m + n - l + 1),
+        * math.factorial(2 * n - 2 * l + 2)
     )
-    pref /= (
-        math.factorial(l - 1)
+    pref_den = (
+        4 * (l + m - 1) * (m + n - l + 1)
+        * math.factorial(l - 1)
         * math.factorial(l)
         * math.factorial(m - 1)
         * math.factorial(m)
@@ -261,12 +264,12 @@ def proportion_balanced_form(n: int, m: int, l: int) -> Fraction:
         * math.factorial(2 * m + 2 * n - 1)
     )
     series = hypergeometric_sum(
-        [1 - l, 1, 1, Fraction(3, 2) - l + n],
+        [1 - l, 1, 1, Fraction(3 - 2 * l + 2 * n, 2)],
         [Fraction(3, 2), 2 - l - m, 2 - l + m + n],
         1,
         l,
     )
-    return pref * series
+    return Fraction(pref_num * series.numerator, pref_den * series.denominator)
 
 
 def hyp_chain_check(n: int, m: int, l: int) -> bool:

@@ -371,6 +371,12 @@ _GOLDEN_VERIFY = [
      "0529e0ed7992141737f48c8bfe146907117a09e8395049eb036a1337d3740ae7"),
     (["lemma6", "--max-n", "8", "--max-m", "5"],
      "ac75d1231b9086f5ad4c6ef955a823ca2b819ecf7c24977bea54307561ef2dbf"),
+    (["hyp-chain", "--max-n", "8", "--max-m", "6"],
+     "dd5b2d28a25d4beaca0a7deac419dab700e145540e46c09c94bb04f163777169"),
+    (["p-polynomial", "--max-n", "7"],
+     "4e6a630aafae9f6748cdb981b8d0f9c527687b5e875ad28450ffe957139e8b01"),
+    (["corollary", "--max-n", "16"],
+     "1994cba4ab4d3c8d22a3116ed012fe2959545ac2385c5e3ba17e52f78da7f785"),
 ]
 
 
@@ -401,6 +407,12 @@ _GOLDEN_COMMANDS = [
      "ccc452565f4d561b334ed0ab5acfec04c708fd217eecf63c48130778ca8ca8c4"),
     (["fixed", "--sides", "3", "4", "--l", "0"],
      "5563b825ace8a6a5ae53adcc460cc7c3a50b04675d386f749a26fa3ff9656d39"),
+    (["sweep", "--a", "0.25", "--b", "0.25", "--n", "200", "400"],
+     "60b3b1ad9d7d449458bd8a9440024f6bd996d8fa87ea79ef9c6a5e403d75c561"),
+    (["sweep", "--a", "1", "--b", "0.5", "--n", "300", "--format", "json"],
+     "dee8e1f5e0b04f4da1f39869509b49c5cd874e900e2ef4cf39387e83a4a0fd76"),
+    (["fixed", "--sides", "25", "24", "--l", "13"],
+     "d58db53480354e6454b83cf2f33dc6284b67cf0a5d91b3092fc01947c0ede26f"),
 ]
 
 

@@ -199,6 +199,13 @@ def test_hyp_chain_singular_cells():
     assert proportion_balanced_form(4, 2, 4) == proportion_nm(4, 2, 4)
 
 
+def test_proportion_matches_balanced_form_at_sweep_sizes():
+    # the differential test of the axis sum stops at n = 40; sweep reaches
+    # n in the hundreds
+    for n, m, l in [(400, 100, 100), (400, 200, 200), (301, 150, 75), (400, 1, 400)]:
+        assert proportion_nm(n, m, l) == proportion_balanced_form(n, m, l)
+
+
 def test_arcsine_limit_values():
     assert abs(arcsine_limit(0.5, 0.5) - 1 / 3) < 1e-14
     assert arcsine_limit(0.0, 0.5) == 1.0

@@ -1,18 +1,20 @@
 """Differential tests: each integer-first exact kernel against a
-term-by-term Fraction construction of the same value, each path matrix
-against its entries typed out by hand, the integer Bareiss ``determinant``
-against a Gaussian elimination over ``Fraction``, the oracle's iterative
-search against the three recursive searches it replaced, kept here as the
-references, and the oracle's neighbor lists against
-``hexagon.cell_neighbors``.
+term-by-term Fraction construction of the same value (polynomial
+evaluation, the axis sum and the three forms of the proportion among
+them), each path matrix against its entries typed out by hand, the integer
+Bareiss ``determinant`` against a Gaussian elimination over ``Fraction``,
+the oracle's iterative search against the three recursive searches it
+replaced, kept here as the references, and the oracle's neighbor lists
+against ``hexagon.cell_neighbors``.
 
 The references build on nothing that was rewritten: only ``Fraction``,
-``math``, ``binomial``, ``Polynomial`` arithmetic, the rational elimination
-below and the oracle's cell geometry.  (The determinant is also checked
-against the permutation expansion in ``test_matrices.py``.)  The closed
-forms and the polynomial extraction of the reduced determinant are checked
-against the one-``Fraction``-per-factor versions they replaced, also kept
-here.
+``math``, ``binomial``, ``Polynomial`` arithmetic (not its evaluation), the
+rational elimination below and the oracle's cell geometry.  (The
+determinant is also checked against the permutation expansion in
+``test_matrices.py``.)  The closed forms, the hypergeometric forms of the
+proportion and the polynomial extraction of the reduced determinant are
+checked against the one-``Fraction``-per-factor versions they replaced,
+also kept here.
 """
 
 import math
@@ -33,6 +35,9 @@ from hextiling.formulas import (
     _reduced_poly_closed_constant,
     axis_sum,
     lower_weighted_closed_form,
+    proportion_balanced_form,
+    proportion_nm,
+    proportion_series_form,
     reduced_poly_value,
 )
 from hextiling.hexagon import (
@@ -89,6 +94,12 @@ def _reference_lagrange(points):
             denom *= xi - xj
         total = total + basis * (F(yi) / denom)
     return total
+
+
+def _reference_polynomial_value(poly, x):
+    """The term-by-term sum of c_k x^k over Fractions."""
+    x = F(x)
+    return sum((c * x**k for k, c in enumerate(poly.coeffs)), F(0))
 
 
 def _reference_compose_affine(poly, shift, slope):
@@ -216,6 +227,56 @@ def _reference_axis_sum(n, m, l):
         term /= sf(F(1, 2) - n, e)
         total += term
     return total
+
+
+def _reference_proportion_nm(n, m, l):
+    """The axis sum times the binomial prefactor, each its own Fraction."""
+    pref = F(m * binomial(m + n, m) * binomial(m + n - 1, m), binomial(2 * m + 2 * n - 1, 2 * m))
+    return _reference_axis_sum(n, m, l) * pref
+
+
+def _reference_series_form(n, m, l):
+    """The series form as one Fraction per factor and per parameter."""
+    sf = _reference_shifted_factorial
+    pref = F(math.factorial(2 * n - 1))
+    pref *= sf(m + 1, n - 1) ** 2
+    pref /= F(math.factorial(n - 1)) ** 2
+    pref /= sf(2 * m + 1, 2 * n - 1)
+    series = _reference_hypergeometric_sum(
+        [-n, 1 - F(n, 2), m, -m - n, F(1, 2)],
+        [-F(n, 2), 1 - m - n, 1 + m, F(1, 2) - n],
+        1,
+        l,
+    )
+    return pref * series
+
+
+def _reference_balanced_form(n, m, l):
+    """The balanced form as one Fraction per factor and per parameter."""
+    pref = F(
+        math.factorial(2 * l)
+        * math.factorial(2 * m)
+        * math.factorial(m + n - 1)
+        * math.factorial(m + n)
+        * math.factorial(2 * n - 2 * l + 2),
+        4 * (l + m - 1) * (m + n - l + 1),
+    )
+    pref /= (
+        math.factorial(l - 1)
+        * math.factorial(l)
+        * math.factorial(m - 1)
+        * math.factorial(m)
+        * math.factorial(n - l)
+        * math.factorial(n - l + 1)
+        * math.factorial(2 * m + 2 * n - 1)
+    )
+    series = _reference_hypergeometric_sum(
+        [1 - l, 1, 1, F(3, 2) - l + n],
+        [F(3, 2), 2 - l - m, 2 - l + m + n],
+        1,
+        l,
+    )
+    return pref * series
 
 
 def _reference_reduced_prefactor(m, n):
@@ -453,6 +514,31 @@ def test_lagrange_matches_reference_on_non_integer_abscissae(points):
     assert lagrange_interpolate(points) == _reference_lagrange(points)
 
 
+# x = 0, integers, non-integral rationals and floats, which must be read as
+# the exact binary fractions they store
+_points = st.one_of(
+    st.just(0),
+    st.integers(-30, 30),
+    _non_integers,
+    st.floats(min_value=-30, max_value=30),
+)
+
+
+@given(st.lists(_rationals, max_size=8), _points)
+def test_polynomial_call_matches_term_by_term_sum(coeffs, x):
+    poly = Polynomial(coeffs)
+    value = poly(x)
+    assert type(value) is Fraction
+    assert value == _reference_polynomial_value(poly, x)
+
+
+def test_polynomial_call_edge_cases():
+    assert Polynomial()(F(3, 7)) == 0 == Polynomial([0, 0])(2.5)
+    assert Polynomial([F(5, 3), 4])(0) == F(5, 3)
+    assert Polynomial([0, 1])(0.1) == F(0.1) != F(1, 10)
+    assert Polynomial([F(1, 2), 0, F(-1, 3)])(F(3, 2)) == F(1, 2) - F(3, 4)
+
+
 @given(st.lists(_rationals, max_size=8), _rationals, _rationals)
 def test_compose_affine_matches_reference(coeffs, shift, slope):
     poly = Polynomial(coeffs)
@@ -591,6 +677,17 @@ def test_lower_weighted_closed_form_matches_reference(nl, m):
 def test_axis_sum_matches_reference(nl, m):
     n, l = nl
     assert axis_sum(n, m, l) == _reference_axis_sum(n, m, l)
+
+
+@given(_n_and_l(14), st.integers(1, 14))
+def test_proportion_forms_match_reference(nl, m):
+    # the series form is singular for even n and l >= n/2 + 2: both sides
+    # must then raise the same error
+    n, l = nl
+    assert proportion_nm(n, m, l) == _reference_proportion_nm(n, m, l)
+    assert (_outcome(proportion_series_form, n, m, l)
+            == _outcome(_reference_series_form, n, m, l))
+    assert proportion_balanced_form(n, m, l) == _reference_balanced_form(n, m, l)
 
 
 # A dead end, where every higher neighbor of the lowest uncovered cell is
