@@ -68,11 +68,11 @@ from .formulas import (
 from .oracle import (
     DEFAULT_CELL_LIMIT,
     RegionTooLargeError,
-    axis_occupancy_tally,
     count_tilings,
     count_with_fixed_rhombus,
     enumerate_tilings,
-    factorization_check,
+    factorization_checks,
+    hexagon_tally,
     weighted_count,
 )
 

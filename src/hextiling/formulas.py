@@ -58,16 +58,22 @@ def macmahon_count(a: int, b: int, c: int) -> int:
     return _as_integer(out, "MacMahon product")
 
 
+def _check_axis_domain(n: int, m: int, l: int) -> None:
+    """Reject (n, m, l) outside 1 <= l <= n, m >= 1, where the proportion
+    and its sum forms are defined."""
+    if not 1 <= l <= n:
+        raise ValueError(f"need 1 <= l <= {n}, got l = {l}")
+    if m < 1:
+        raise ValueError("axis sum undefined for m = 0 (pole at e = 0)")
+
+
 def axis_sum(n: int, m: int, l: int) -> Fraction:
     """The alternating axis sum of length l.
 
     sum_{e=0}^{l-1} (-1)^e C(n,e) (n-2e) (1/2)_e / ((m+e)(m+n-e)(1/2-n)_e),
     exact.  m == 0 is rejected: the e = 0 term has a pole there.
     """
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= {n}, got l = {l}")
-    if m < 1:
-        raise ValueError("axis sum undefined for m = 0 (pole at e = 0)")
+    _check_axis_domain(n, m, l)
     # Term e is F_e g_e with g_e = (n-2e) / ((m+e)(m+n-e)), F_0 = 1 and
     # r_(e+1) = F_(e+1) / F_e = -(n-e)(2e+1) / ((e+1)(2e+1-2n)); 2e+1-2n is
     # odd, so the ratio never divides by 0.  The factor n-2e stays out of the
@@ -233,6 +239,7 @@ def proportion_series_form(n: int, m: int, l: int) -> Fraction:
     """The proportion as a five-parameter hypergeometric partial sum of
     length l.  Raises SingularParameterError where a lower parameter hits
     zero inside the range (even n with l >= n/2 + 2)."""
+    _check_axis_domain(n, m, l)
     pref_num = math.factorial(2 * n - 1) * _rising_product(m + 1, 1, n - 1) ** 2
     pref_den = math.factorial(n - 1) ** 2 * _rising_product(2 * m + 1, 1, 2 * n - 1)
     series = hypergeometric_sum(
@@ -246,6 +253,7 @@ def proportion_series_form(n: int, m: int, l: int) -> Fraction:
 
 def proportion_balanced_form(n: int, m: int, l: int) -> Fraction:
     """The proportion as a balanced terminating 4F3-style sum of length l."""
+    _check_axis_domain(n, m, l)
     pref_num = (
         math.factorial(2 * l)
         * math.factorial(2 * m)

@@ -123,27 +123,20 @@ def hexagon_cells(a: int, b: int, c: int) -> frozenset:
     """
     if min(a, b, c) < 0:
         raise ValueError("hexagon sides must be nonnegative")
-
-    def top2(col: int) -> int:
-        return 2 * b + (col if col <= a else 2 * a - col)
-
-    def bot2(col: int) -> int:
-        return -(col if col <= c else 2 * c - col)
+    # doubled heights of the top and bottom boundary on each vertical line
+    top = [2 * b + (col if col <= a else 2 * a - col) for col in range(a + c + 1)]
+    bot = [-(col if col <= c else 2 * c - col) for col in range(a + c + 1)]
 
     cells = []
     for s in range(a + c):
-        # right-pointing: vertical edge on column s, apex on column s+1
-        lo = max(bot2(s) + 1, bot2(s + 1))
-        hi = min(top2(s) - 1, top2(s + 1))
-        for r2 in range(lo, hi + 1):
-            if (r2 + s) % 2 == 1:
-                cells.append(Cell(r2, s, "right"))
-        # left-pointing: vertical edge on column s+1, apex on column s
-        lo = max(bot2(s + 1) + 1, bot2(s))
-        hi = min(top2(s + 1) - 1, top2(s))
-        for r2 in range(lo, hi + 1):
-            if (r2 + s) % 2 == 0:
-                cells.append(Cell(r2, s, "left"))
+        # right-pointing: vertical edge on column s, apex on column s+1, r2 + s odd
+        lo = max(bot[s] + 1, bot[s + 1])
+        for r2 in range(lo + (lo + s + 1) % 2, min(top[s] - 1, top[s + 1]) + 1, 2):
+            cells.append(Cell(r2, s, "right"))
+        # left-pointing: vertical edge on column s+1, apex on column s, r2 + s even
+        lo = max(bot[s + 1] + 1, bot[s])
+        for r2 in range(lo + (lo + s) % 2, min(top[s + 1] - 1, top[s]) + 1, 2):
+            cells.append(Cell(r2, s, "left"))
     return frozenset(cells)
 
 
@@ -243,7 +236,12 @@ def full_hexagon_region(spec: HexagonSpec) -> Region:
 
 
 def box_region(a: int, b: int, c: int) -> Region:
-    """Full hexagon for an arbitrary a x b x c box (no symmetry assumed)."""
+    """Full hexagon for an arbitrary a x b x c box (no symmetry assumed).
+
+    ``box_region(a, b, a)`` has exactly the cells of
+    ``full_hexagon_region(HexagonSpec(a, b))``: both are
+    ``hexagon_cells(a, b, a)``.
+    """
     return Region(hexagon_cells(a, b, c))
 
 

@@ -25,11 +25,13 @@ that enumeration, so the order stays the search order.
 Tilings are yielded as frozensets of cell pairs, each pair sorted, so the
 pair ``hexagon.axis_rhombus_cells`` returns is tested by membership.
 Fixed-rhombus counts come in two shapes: ``count_with_fixed_rhombus`` filters
-one enumeration per axis position, and ``axis_occupancy_tally`` counts every
-axis position as the hexagon minus that rhombus's two cells, on the frontier
-kernel, which is what the ``oracle-vs-theorems`` suite uses.  The
-factorization check therefore compares a filtered enumeration with kernel
-counts of the two halves.
+one enumeration per axis position, and ``hexagon_tally`` counts every axis
+position as the hexagon minus that rhombus's two cells, on the frontier
+kernel.  ``hexagon_tally`` builds and prepares the hexagon once for its total
+and all its positions; it is the one oracle call per hexagon of the
+``oracle-vs-theorems`` suite.  ``factorization_checks`` compares, at every
+position of one hexagon, a filtered enumeration with kernel counts of the two
+halves, counting the upper half, which no position changes, once.
 
 Everything is exact; weighted counts run the kernel on integer pair weights
 and divide once at the end.  Regions larger than the configurable cell limit
@@ -39,7 +41,7 @@ are rejected outright instead of being truncated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Tuple
 
 from .hexagon import (
     HexagonSpec,
@@ -64,21 +66,27 @@ def _prepare(region: Region, max_cells: int):
     right cell ``(r2, s)`` is ``(r2 + 1, s, "left")``, and those of a left
     cell are ``(r2, s + 1, "right")`` and then ``(r2 + 1, s, "right")``
     (``hexagon.cell_neighbors`` lists all three neighbors).  Plain tuples
-    hash and compare equal to ``Cell``, so they look up the index directly.
+    hash and compare equal to ``Cell``, so they look up the index directly,
+    once each.
     """
     cells = sorted(region.cells)
     if len(cells) > max_cells:
         raise RegionTooLargeError(
             f"region has {len(cells)} cells, exceeding the limit of {max_cells}"
         )
-    index = {c: i for i, c in enumerate(cells)}
+    index = dict(zip(cells, range(len(cells))))
+    get = index.get
     later = []
     for i, (r2, s, orient) in enumerate(cells):
         if orient == "right":
-            higher = ((r2 + 1, s, "left"),)
+            j = get((r2 + 1, s, "left"))
+            later.append(() if j is None else ((i, j),))
+            continue
+        j, k = get((r2, s + 1, "right")), get((r2 + 1, s, "right"))
+        if j is None:
+            later.append(() if k is None else ((i, k),))
         else:
-            higher = ((r2, s + 1, "right"), (r2 + 1, s, "right"))
-        later.append(tuple((i, index[n]) for n in higher if n in index))
+            later.append(((i, j),) if k is None else ((i, j), (i, k)))
     return cells, index, later
 
 
@@ -243,40 +251,48 @@ def count_with_fixed_rhombus(
     return sum(1 for t in enumerate_tilings(region, max_cells) if target in t)
 
 
-def axis_occupancy_tally(
+def hexagon_tally(
     spec: HexagonSpec, max_cells: int = DEFAULT_CELL_LIMIT
-) -> Dict[int, int]:
-    """Per-position count of the tilings that contain each axis rhombus.
+) -> Tuple[int, Dict[int, int]]:
+    """Tiling count of the full hexagon, and per axis position l the count of
+    its tilings that contain the l-th axis rhombus.
 
-    The count at l is the frontier kernel's count of the hexagon with that
-    rhombus's two cells removed, so values agree with count_with_fixed_rhombus
-    position-wise.
+    Every count comes from one prepared copy of the hexagon on the frontier
+    kernel.  The count at l is that of the hexagon with the rhombus's two
+    cells removed, so it agrees with count_with_fixed_rhombus position-wise.
+    A hexagon with no axis rhombus (n == 0) has no positions.
     """
     _, index, later = _prepare(build_region(spec, RegionKind.FULL_HEXAGON), max_cells)
-    return {
+    fixed = {
         l: _frontier_count(
             later, removed=[index[c] for c in axis_rhombus_cells(spec, l)]
         )
-        for l in range(1, axis_positions(spec) + 1)
+        for l in range(1, spec.n + 1)
     }
+    return _frontier_count(later), fixed
 
 
-def factorization_check(
-    spec: HexagonSpec, l: int, max_cells: int = DEFAULT_CELL_LIMIT
-) -> bool:
-    """Check the reflective-symmetry factorization of the fixed-rhombus count.
+def factorization_checks(
+    spec: HexagonSpec, max_cells: int = DEFAULT_CELL_LIMIT
+) -> Dict[int, bool]:
+    """Check the reflective-symmetry factorization at every axis position.
 
     The count of tilings containing axis rhombus l must equal
     2^(side_a - 1) times the tiling count of the (trimmed) upper half times
     the weighted count of the lower half with position l removed.  (For odd
-    parity the trimmed upper half is the whole upper half.)
+    parity the trimmed upper half is the whole upper half.)  The left side
+    is a filtered enumeration per position; the upper half, the same for
+    every l, is counted once on the frontier kernel.  The left sides come
+    first, so a hexagon past ``max_cells`` is reported as itself, not as one
+    of its halves.
     """
-    fixed = count_with_fixed_rhombus(spec, l, max_cells)
-    upper = build_region(spec, RegionKind.UPPER_TRIMMED)
-    lower = build_region(spec, RegionKind.LOWER_HALF, l)
-    rhs = (
-        Fraction(2) ** (spec.side_a - 1)
-        * count_tilings(upper, max_cells)
-        * weighted_count(lower, max_cells)
-    )
-    return Fraction(fixed) == rhs
+    positions = range(1, axis_positions(spec) + 1)
+    fixed = [count_with_fixed_rhombus(spec, l, max_cells) for l in positions]
+    upper = count_tilings(build_region(spec, RegionKind.UPPER_TRIMMED), max_cells)
+    scale = 2 ** (spec.side_a - 1) * upper
+    return {
+        l: got == scale * weighted_count(
+            build_region(spec, RegionKind.LOWER_HALF, l), max_cells
+        )
+        for l, got in zip(positions, fixed)
+    }

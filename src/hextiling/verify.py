@@ -18,9 +18,7 @@ from .exact import SingularParameterError
 from .hexagon import (
     HexagonSpec,
     Parity,
-    axis_positions,
     box_region,
-    full_hexagon_region,
 )
 
 _BOX_LIMIT = 3  # largest box side oracle-vs-theorems checks
@@ -43,62 +41,81 @@ def _case(results: List[CaseResult], name: str, ok: bool, detail: str = ""):
     results.append(CaseResult(name, ok, detail))
 
 
-def check_totals(max_a: int = 3, max_m: int = 4, box_limit: int = 3,
-                 max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
-    """Oracle tiling counts against MacMahon's product, hexagons and boxes."""
+def _grid(max_a, max_m) -> List[HexagonSpec]:
+    """The hexagons of the oracle suites, (a, m) for a <= max_a, m <= max_m,
+    in that order."""
+    return [HexagonSpec(a, m) for a in range(1, max_a + 1) for m in range(1, max_m + 1)]
+
+
+def _tallies(max_a, max_m, max_cells, parities=(Parity.EVEN, Parity.ODD)):
+    """``oracle.hexagon_tally`` of every grid hexagon with its parity in
+    ``parities``, keyed by spec in grid order."""
+    return {spec: oracle.hexagon_tally(spec, max_cells)
+            for spec in _grid(max_a, max_m) if spec.parity in parities}
+
+
+def _total_cases(tallies, box_limit, max_cells) -> List[CaseResult]:
+    """Hexagon totals from the walk, then every box with sides up to
+    box_limit.  box(a, b, a) has the cells of hexagon(a, b), so it takes
+    that hexagon's count when the walk holds it; each box is still compared
+    with the product in its own argument order."""
     out: List[CaseResult] = []
-    for a in range(1, max_a + 1):
-        for m in range(1, max_m + 1):
-            got = oracle.count_tilings(full_hexagon_region(HexagonSpec(a, m)), max_cells)
-            want = formulas.macmahon_count(a, a, m)
-            _case(out, f"hexagon({a},{m}) total", got == want, f"oracle {got} vs product {want}")
+    for (a, m), (got, _) in tallies.items():
+        want = formulas.macmahon_count(a, a, m)
+        _case(out, f"hexagon({a},{m}) total", got == want, f"oracle {got} vs product {want}")
     for a in range(1, box_limit + 1):
         for b in range(1, box_limit + 1):
             for c in range(1, box_limit + 1):
-                got = oracle.count_tilings(box_region(a, b, c), max_cells)
+                hexagon = HexagonSpec(a, b)
+                if c == a and hexagon in tallies:
+                    got = tallies[hexagon][0]
+                else:
+                    got = oracle.count_tilings(box_region(a, b, c), max_cells)
                 want = formulas.macmahon_count(a, b, c)
                 _case(out, f"box({a},{b},{c}) total", got == want, f"oracle {got} vs product {want}")
     return out
 
 
-def _fixed_grid(parities, max_a, max_m, max_cells) -> List[CaseResult]:
+def _fixed_cases(tallies) -> List[CaseResult]:
     out: List[CaseResult] = []
-    for a in range(1, max_a + 1):
-        for m_side in range(1, max_m + 1):
-            spec = HexagonSpec(a, m_side)
-            if spec.parity not in parities or spec.n == 0:
-                continue
-            for l, got in oracle.axis_occupancy_tally(spec, max_cells).items():
-                want = formulas.fixed_count(spec, l)
-                _case(out, f"hexagon({a},{m_side}) fixed l={l}",
-                      got == want, f"oracle {got} vs formula {want}")
+    for spec, (_, fixed) in tallies.items():
+        a, m = spec
+        for l, got in fixed.items():
+            want = formulas.fixed_count(spec, l)
+            _case(out, f"hexagon({a},{m}) fixed l={l}", got == want,
+                  f"oracle {got} vs formula {want}")
     return out
+
+
+def check_totals(max_a: int = 3, max_m: int = 4, box_limit: int = 3,
+                 max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
+    """Oracle tiling counts against MacMahon's product, hexagons and boxes."""
+    return _total_cases(_tallies(max_a, max_m, max_cells), box_limit, max_cells)
 
 
 def check_fixed_even(max_a: int = 3, max_m: int = 4,
                      max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Oracle fixed-rhombus counts against the even-side closed form."""
-    return _fixed_grid({Parity.EVEN}, max_a, max_m, max_cells)
+    return _fixed_cases(_tallies(max_a, max_m, max_cells, {Parity.EVEN}))
 
 
 def check_fixed_odd(max_a: int = 3, max_m: int = 3,
                     max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Oracle fixed-rhombus counts against the odd-side closed form."""
-    return _fixed_grid({Parity.ODD}, max_a, max_m, max_cells)
+    return _fixed_cases(_tallies(max_a, max_m, max_cells, {Parity.ODD}))
 
 
 def check_factorization(max_a: int = 3, max_m: int = 4,
                         max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
-    """Fixed count = 2^(side_a-1) * upper count * weighted lower count."""
+    """Fixed count = 2^(side_a-1) * upper count * weighted lower count, with
+    the upper half counted once per hexagon and the lower half once per l."""
     out: List[CaseResult] = []
-    for a in range(1, max_a + 1):
-        for m_side in range(1, max_m + 1):
-            spec = HexagonSpec(a, m_side)
-            if spec.n == 0:
-                continue
-            for l in range(1, axis_positions(spec) + 1):
-                ok = oracle.factorization_check(spec, l, max_cells)
-                _case(out, f"hexagon({a},{m_side}) factorization l={l}", ok)
+    for spec in _grid(max_a, max_m):
+        if spec.n == 0:
+            continue
+        a, m = spec
+        for l, ok in oracle.factorization_checks(spec, max_cells).items():
+            _case(out, f"hexagon({a},{m}) factorization l={l}", ok)
     return out
 
 
@@ -258,17 +275,18 @@ def check_oracle_vs_theorems(max_a: int = 3, max_m: int = 4,
                              max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Totals plus fixed-rhombus counts for both parities on one grid.
 
-    Box totals stop at sides of _BOX_LIMIT whatever max_a is; a larger
-    max_a is reported on stderr as bounding the hexagons only.
+    The grid is walked once: one ``oracle.hexagon_tally`` per hexagon gives
+    its total and its fixed counts, and box(a, b, a) reuses hexagon(a, b)'s
+    total.  Box totals stop at sides of _BOX_LIMIT whatever max_a is; a
+    larger max_a is reported on stderr as bounding the hexagons only.
     """
     if max_a > _BOX_LIMIT:
         side = _BOX_LIMIT
         print(f"warning: suite oracle-vs-theorems checks boxes only up to "
               f"{side}x{side}x{side}; max_a={max_a} bounds the hexagons only",
               file=sys.stderr)
-    out = check_totals(max_a, max_m, min(max_a, _BOX_LIMIT), max_cells)
-    out += _fixed_grid({Parity.EVEN, Parity.ODD}, max_a, max_m, max_cells)
-    return out
+    tallies = _tallies(max_a, max_m, max_cells)
+    return _total_cases(tallies, min(max_a, _BOX_LIMIT), max_cells) + _fixed_cases(tallies)
 
 
 SUITES: Dict[str, Callable[..., List[CaseResult]]] = {

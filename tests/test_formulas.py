@@ -199,6 +199,18 @@ def test_hyp_chain_singular_cells():
     assert proportion_balanced_form(4, 2, 4) == proportion_nm(4, 2, 4)
 
 
+@pytest.mark.parametrize("form", [proportion_series_form, proportion_balanced_form])
+@pytest.mark.parametrize("n, m, l", [(3, 2, 0), (3, 2, 4), (3, 0, 2), (4, 0, 5)])
+def test_sum_forms_reject_what_axis_sum_rejects(form, n, m, l):
+    # l = 0, l = n + 1 and m = 0 fail before any arithmetic, with the
+    # checks and messages of axis_sum (l is checked first)
+    with pytest.raises(ValueError) as want:
+        axis_sum(n, m, l)
+    with pytest.raises(ValueError) as got:
+        form(n, m, l)
+    assert str(got.value) == str(want.value)
+
+
 def test_proportion_matches_balanced_form_at_sweep_sizes():
     # the differential test of the axis sum stops at n = 40; sweep reaches
     # n in the hundreds

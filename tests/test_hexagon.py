@@ -12,6 +12,7 @@ from hextiling.hexagon import (
     RegionKind,
     axis_positions,
     axis_rhombus_cells,
+    box_region,
     build_region,
     full_hexagon_region,
     hexagon_cells,
@@ -28,6 +29,13 @@ def test_hexagon_cell_counts():
     for a, b, c in [(1, 1, 1), (3, 2, 3), (3, 4, 5), (2, 2, 2), (1, 4, 2)]:
         assert len(hexagon_cells(a, b, c)) == 2 * (a * b + b * c + c * a)
     assert hexagon_cells(0, 5, 0) == frozenset()
+
+
+def test_box_a_b_a_is_hexagon_a_b():
+    # the oracle-vs-theorems suite takes box(a, b, a)'s count from hexagon(a, b)
+    for a in range(1, 5):
+        for b in range(0, 6):
+            assert box_region(a, b, a).cells == full_hexagon_region(HexagonSpec(a, b)).cells
 
 
 def _parity_split(side_a, side_m):

@@ -5,7 +5,9 @@ them), each path matrix against its entries typed out by hand, the integer
 Bareiss ``determinant`` against a Gaussian elimination over ``Fraction``,
 the oracle's iterative search against the three recursive searches it
 replaced, kept here as the references, and the oracle's neighbor lists
-against ``hexagon.cell_neighbors``.
+against ``hexagon.cell_neighbors``, the per-column hexagon builder against
+the row-by-row parity loop it replaced, and the oracle's one-pass hexagon
+tally against a separate count per axis position.
 
 The references build on nothing that was rewritten: only ``Fraction``,
 ``math``, ``binomial``, ``Polynomial`` arithmetic (not its evaluation), the
@@ -41,6 +43,7 @@ from hextiling.formulas import (
     reduced_poly_value,
 )
 from hextiling.hexagon import (
+    Cell,
     HexagonSpec,
     Region,
     RegionKind,
@@ -48,6 +51,7 @@ from hextiling.hexagon import (
     build_region,
     cell_neighbors,
     full_hexagon_region,
+    hexagon_cells,
 )
 from hextiling.matrices import (
     _reduced_rows,
@@ -63,7 +67,9 @@ from hextiling.oracle import (
     DEFAULT_CELL_LIMIT,
     RegionTooLargeError,
     count_tilings,
+    count_with_fixed_rhombus,
     enumerate_tilings,
+    hexagon_tally,
     weighted_count,
 )
 
@@ -739,3 +745,46 @@ def test_later_matches_cell_neighbors():
 @given(_punctured_regions())
 def test_later_matches_cell_neighbors_on_punctured_regions(region):
     _assert_later_matches_cell_neighbors(region)
+
+
+def _reference_hexagon_cells(a, b, c):
+    """Every row2 between each column's bounds, kept when its parity fits."""
+
+    def top2(col):
+        return 2 * b + (col if col <= a else 2 * a - col)
+
+    def bot2(col):
+        return -(col if col <= c else 2 * c - col)
+
+    cells = []
+    for s in range(a + c):
+        lo = max(bot2(s) + 1, bot2(s + 1))
+        hi = min(top2(s) - 1, top2(s + 1))
+        for r2 in range(lo, hi + 1):
+            if (r2 + s) % 2 == 1:
+                cells.append(Cell(r2, s, "right"))
+        lo = max(bot2(s + 1) + 1, bot2(s))
+        hi = min(top2(s + 1) - 1, top2(s))
+        for r2 in range(lo, hi + 1):
+            if (r2 + s) % 2 == 0:
+                cells.append(Cell(r2, s, "left"))
+    return frozenset(cells)
+
+
+def test_hexagon_cells_match_parity_loop():
+    for a in range(7):
+        for b in range(7):
+            for c in range(7):
+                assert hexagon_cells(a, b, c) == _reference_hexagon_cells(a, b, c), (a, b, c)
+
+
+def test_hexagon_tally_matches_count_per_position():
+    # every hexagon with a <= 3 and side_m <= 5 (18 of them), so no draw is
+    # needed; a = 1 with odd side_m has no axis position
+    for a in range(1, 4):
+        for m_side in range(0, 6):
+            spec = HexagonSpec(a, m_side)
+            total, fixed = hexagon_tally(spec)
+            assert total == count_tilings(full_hexagon_region(spec)), spec
+            assert fixed == {l: count_with_fixed_rhombus(spec, l)
+                             for l in range(1, spec.n + 1)}, spec

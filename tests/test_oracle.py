@@ -22,11 +22,11 @@ from hextiling.hexagon import (
 from hextiling.matrices import determinant, lower_weighted_matrix, path_matrix
 from hextiling.oracle import (
     RegionTooLargeError,
-    axis_occupancy_tally,
     count_tilings,
     count_with_fixed_rhombus,
     enumerate_tilings,
-    factorization_check,
+    factorization_checks,
+    hexagon_tally,
     weighted_count,
 )
 
@@ -94,7 +94,10 @@ def test_cell_limit_enforced():
     with pytest.raises(RegionTooLargeError):
         weighted_count(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
     with pytest.raises(RegionTooLargeError):
-        axis_occupancy_tally(HexagonSpec(2, 2), max_cells=10)
+        hexagon_tally(HexagonSpec(2, 2), max_cells=10)
+    with pytest.raises(RegionTooLargeError, match="region has 24 cells"):
+        # reported as the hexagon, not as one of its 10-cell halves
+        factorization_checks(HexagonSpec(2, 2), max_cells=10)
     # raised at the call, before the first tiling is asked for
     with pytest.raises(RegionTooLargeError):
         enumerate_tilings(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
@@ -122,7 +125,8 @@ def test_counters_reach_past_enumeration():
         region = full_hexagon_region(spec)
         assert len(region.cells) == cells
         assert count_tilings(region, max_cells=cells) == macmahon_count(a, a, m_side)
-        tally = axis_occupancy_tally(spec, max_cells=cells)
+        total, tally = hexagon_tally(spec, max_cells=cells)
+        assert total == macmahon_count(a, a, m_side)
         assert tally == {l: fixed_count(spec, l)
                          for l in range(1, spec.n + 1)}, (a, m_side)
 
@@ -220,9 +224,11 @@ def test_occupancy_tally_coherence():
     for a in range(1, 4):
         for m_side in range(1, 5):
             spec = HexagonSpec(a, m_side)
+            total, tally = hexagon_tally(spec)
+            assert total == count_tilings(full_hexagon_region(spec)), (a, m_side)
             if spec.n == 0:
+                assert tally == {}
                 continue
-            tally = axis_occupancy_tally(spec)
             assert list(tally) == list(range(1, axis_positions(spec) + 1))
             for l, occupancy in tally.items():
                 assert occupancy == count_with_fixed_rhombus(spec, l), (a, m_side, l)
@@ -231,10 +237,11 @@ def test_occupancy_tally_coherence():
 
 
 def test_factorization_examples():
-    assert factorization_check(HexagonSpec(3, 2), 1)
-    assert factorization_check(HexagonSpec(3, 3), 2)
-    assert factorization_check(HexagonSpec(2, 2), 1)
-    assert factorization_check(HexagonSpec(2, 2), 2)
+    assert factorization_checks(HexagonSpec(3, 2)) == {1: True, 2: True, 3: True}
+    assert factorization_checks(HexagonSpec(3, 3)) == {1: True, 2: True}
+    assert factorization_checks(HexagonSpec(2, 2)) == {1: True, 2: True}
+    with pytest.raises(ValueError, match="no rhombus"):
+        factorization_checks(HexagonSpec(1, 1))
 
 
 def test_factorization_full_grid():
@@ -243,5 +250,6 @@ def test_factorization_full_grid():
             spec = HexagonSpec(a, m_side)
             if spec.n == 0:
                 continue
-            for l in range(1, axis_positions(spec) + 1):
-                assert factorization_check(spec, l), (a, m_side, l)
+            checks = factorization_checks(spec)
+            assert list(checks) == list(range(1, axis_positions(spec) + 1))
+            assert all(checks.values()), (a, m_side, checks)
