@@ -27,6 +27,7 @@ from .hexagon import (
     RegionKind,
     axis_positions,
     axis_rhombus_cells,
+    box_path_family,
     box_region,
     build_region,
     full_hexagon_region,

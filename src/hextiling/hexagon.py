@@ -281,6 +281,22 @@ def marked_path_family(n: int, m: int, l: int) -> PathFamilySpec:
     return PathFamilySpec(starts, ends, flags)
 
 
+def box_path_family(a: int, b: int, c: int) -> PathFamilySpec:
+    """Path endpoints for the hexagon with side sequence (b, a, c, b, a, c):
+    path i runs from (-i, -i) to (b-i, -c-i), i = 0..a-1, unweighted.
+
+    Each path takes b right and c down steps, so entry (i, j) of its path
+    matrix is C(b+c, b-i+j), and its determinant is MacMahon's count of
+    plane partitions in an a x b x c box (Gessel-Viennot).  a == 0 is the
+    empty family.
+    """
+    if min(a, b, c) < 0:
+        raise ValueError("box dimensions must be nonnegative")
+    starts = tuple((-i, -i) for i in range(a))
+    ends = tuple((b - i, -c - i) for i in range(a))
+    return PathFamilySpec(starts, ends, (False,) * a)
+
+
 def path_family(
     spec: HexagonSpec,
     kind: RegionKind,
@@ -288,8 +304,11 @@ def path_family(
 ) -> PathFamilySpec:
     """Lattice-path translation of a region built from ``spec``.
 
-    Only the trimmed upper pentagon and the lower half admit one.
+    The full hexagon, the trimmed upper pentagon and the lower half admit
+    one; the untrimmed upper half does not.
     """
+    if kind is RegionKind.FULL_HEXAGON:
+        return box_path_family(spec.side_a, spec.side_a, spec.side_m)
     if kind is RegionKind.UPPER_TRIMMED:
         if spec.parity is Parity.EVEN:
             return pentagon_path_family(spec.n - 1, spec.m)

@@ -2,13 +2,14 @@
 
 Every matrix here is a list of integer rows.  :func:`path_matrix` turns a
 path family from :mod:`hextiling.hexagon` into its Lindstrom-Gessel-Viennot
-matrix of path counts.  The two half-regions use it: the trimmed upper
-pentagon with plain counts, whose determinant is its tiling count, and the
-lower half-region with weight 1/2 on paths ending vertically, whose rows
-hold twice their weighted counts, so that its determinant is 2^(n-1) times
-its weighted count.  The row-rescaled version of the lower matrix has
-entries that are shifted factorials in a rational parameter m; it is built
-from its own formula, because lattice paths exist only for integer m.
+matrix of path counts.  The full hexagon and the two half-regions use it:
+the full hexagon and the trimmed upper pentagon with plain counts, whose
+determinants are their tiling counts, and the lower half-region with weight
+1/2 on paths ending vertically, whose rows hold twice their weighted counts,
+so that its determinant is 2^(n-1) times its weighted count.  The
+row-rescaled version of the lower matrix has entries that are shifted
+factorials in a rational parameter m; it is built from its own formula,
+because lattice paths exist only for integer m.
 
 The reduced lower matrix at a sample point m is built once as integer rows,
 each over one row denominator, carrying its rising products from one entry

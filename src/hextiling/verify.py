@@ -18,7 +18,9 @@ from .exact import SingularParameterError
 from .hexagon import (
     HexagonSpec,
     Parity,
+    RegionKind,
     box_region,
+    path_family,
 )
 
 _BOX_LIMIT = 3  # largest box side oracle-vs-theorems checks
@@ -213,22 +215,37 @@ def check_reflection_unsigned(max_n: int = 6) -> List[CaseResult]:
     return out
 
 
+def _path_det(spec: HexagonSpec, kind: RegionKind, axis=None) -> int:
+    return matrices.determinant(matrices.path_matrix(path_family(spec, kind, axis)))
+
+
+def _centre_third_by_determinants(spec: HexagonSpec, l: int) -> bool:
+    """Propp's one-third from path-matrix determinants alone.  By Ciucu's
+    factorization the fixed count is 2^(side_a-1) det U det L_l / 2^(n-1),
+    for the trimmed upper half U and the lower half L_l marked at l; three
+    times it must equal the total, det G of the full hexagon."""
+    upper = _path_det(spec, RegionKind.UPPER_TRIMMED)
+    lower = _path_det(spec, RegionKind.LOWER_HALF, l)
+    total = _path_det(spec, RegionKind.FULL_HEXAGON)
+    return 3 * 2 ** (spec.side_a - 1) * upper * lower == 2 ** (spec.n - 1) * total
+
+
 def check_corollary(max_n: int = 10) -> List[CaseResult]:
-    """One-third proportion at the central specialization (n up to
-    min(4, max_n)), the central-sum closed form, and its two-term
-    recurrence."""
+    """Propp's one-third at the central specialization (2n-1, n, n), for n
+    up to min(4, max_n), by two routes: the closed-form proportion, and the
+    path-matrix determinants of both hexagons it covers, (2n-1, 2n) and
+    (2n, 2n-1), with no closed form.  Then the central-sum closed form and
+    its two-term recurrence up to max_n."""
     out: List[CaseResult] = []
     third = Fraction(1, 3)
     for n in range(1, min(4, max_n) + 1):
         big_n, m, l = 2 * n - 1, n, n
         p = formulas.proportion_nm(big_n, m, l)
         _case(out, f"centre proportion n={n}", p == third, f"{p}")
-        even_total = formulas.macmahon_count(big_n, big_n, 2 * m)
-        odd_total = formulas.macmahon_count(big_n + 1, big_n + 1, 2 * m - 1)
         _case(out, f"centre even count n={n}",
-              formulas.fixed_count_even(big_n, m, l) * 3 == even_total)
+              _centre_third_by_determinants(HexagonSpec(big_n, 2 * m), l))
         _case(out, f"centre odd count n={n}",
-              formulas.fixed_count_odd(big_n, m, l) * 3 == odd_total)
+              _centre_third_by_determinants(HexagonSpec(big_n + 1, 2 * m - 1), l))
     for n in range(1, max_n + 1):
         _case(out, f"central sum closed form n={n}",
               formulas.central_axis_sum(n) == formulas.central_axis_closed_form(n))
@@ -299,6 +316,7 @@ SUITES: Dict[str, Callable[..., List[CaseResult]]] = {
     "p-polynomial": check_reduced_polynomials,
     "corollary": check_corollary,
     "hyp-chain": check_hyp_chain,
+    "convergence": check_convergence,
 }
 
 

@@ -166,6 +166,13 @@ def test_verify_hyp_chain_reports_skips(capsys):
     assert "skipped" in out.strip().splitlines()[-1]
 
 
+def test_verify_convergence_suite(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "convergence")
+    assert code == 0
+    assert out.splitlines()[-1] == "convergence: 3/3 checks passed"
+    assert err == ""
+
+
 def test_commands_are_deterministic(capsys):
     first = run_cli(capsys, "sweep", "--a", "0.5", "--b", "0.5",
                     "--n", "4", "8", "12")
@@ -377,6 +384,8 @@ _GOLDEN_VERIFY = [
      "4e6a630aafae9f6748cdb981b8d0f9c527687b5e875ad28450ffe957139e8b01"),
     (["corollary", "--max-n", "16"],
      "1994cba4ab4d3c8d22a3116ed012fe2959545ac2385c5e3ba17e52f78da7f785"),
+    (["corollary", "--max-n", "2"],
+     "8e8ad9c9ab51e9212a8b15a7f56bf2310f1fa62a9b65bd51054eb030297e7885"),
 ]
 
 

@@ -12,6 +12,7 @@ from hextiling.hexagon import (
     RegionKind,
     axis_positions,
     axis_rhombus_cells,
+    box_path_family,
     box_region,
     build_region,
     full_hexagon_region,
@@ -256,8 +257,20 @@ def test_path_family_from_params():
     odd = HexagonSpec(3, 3)
     assert path_family(odd, RegionKind.UPPER_TRIMMED) == pentagon_path_family(3, 1)
     assert path_family(odd, RegionKind.LOWER_HALF, 1) == marked_path_family(2, 2, 1)
+    assert path_family(even, RegionKind.FULL_HEXAGON) == box_path_family(3, 3, 2)
+    assert path_family(odd, RegionKind.FULL_HEXAGON) == box_path_family(3, 3, 3)
     with pytest.raises(ValueError):
-        path_family(even, RegionKind.FULL_HEXAGON)
+        path_family(even, RegionKind.UPPER_HALF)
+
+
+def test_box_paths():
+    fam = box_path_family(2, 3, 1)
+    assert fam.starts == ((0, 0), (-1, -1))
+    assert fam.ends == ((3, -1), (2, -2))
+    assert fam.half_weight_if_vertical_end == (False, False)
+    assert box_path_family(0, 3, 1) == ((), (), ())
+    with pytest.raises(ValueError):
+        box_path_family(1, -1, 1)
 
 
 def test_path_endpoints_stay_in_bounding_box():

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hextiling.exact import Polynomial
-from hextiling.hexagon import marked_path_family, pentagon_path_family
+from hextiling.formulas import fixed_count, macmahon_count
+from hextiling.hexagon import (
+    HexagonSpec,
+    RegionKind,
+    box_path_family,
+    marked_path_family,
+    path_family,
+    pentagon_path_family,
+)
 from hextiling.matrices import (
     _reduced_rows,
     check_column_relation,
@@ -113,6 +121,20 @@ def test_path_matrix_matches_walked_paths():
             for l in range(1, n + 1):
                 family = marked_path_family(n, m, l)
                 assert path_matrix(family) == _walked_matrix(family), (n, m, l)
+    for a in range(0, 5):
+        for b in range(0, 5):
+            for c in range(0, 5):
+                family = box_path_family(a, b, c)
+                assert path_matrix(family) == _walked_matrix(family), (a, b, c)
+
+
+def test_box_path_determinant_is_macmahon_count():
+    # a == 0 is the empty family, whose determinant is 1
+    for a in range(0, 7):
+        for b in range(0, 7):
+            for c in range(0, 7):
+                det = determinant(path_matrix(box_path_family(a, b, c)))
+                assert det == macmahon_count(a, b, c), (a, b, c)
 
 
 def test_upper_count_matrix_values():
@@ -316,3 +338,63 @@ def _square_matrices(draw):
 @given(_square_matrices())
 def test_determinant_matches_permutation_expansion_on_random_sizes(rows):
     assert determinant(rows) == _cofactor_det(rows)
+
+
+def _path_det(spec, kind, axis=None):
+    return determinant(path_matrix(path_family(spec, kind, axis)))
+
+
+def test_factorization_of_determinants_gives_fixed_counts():
+    # Ciucu's factorization on the determinant route: the fixed count is
+    # 2^(side_a-1) times the upper count times the weighted lower count, and
+    # det L_l is 2^(n-1) times the latter
+    cases = 0
+    for side_a in range(1, 9):
+        for side_m in range(1, 9):
+            spec = HexagonSpec(side_a, side_m)
+            upper = _path_det(spec, RegionKind.UPPER_TRIMMED)
+            for l in range(1, spec.n + 1):
+                lower = _path_det(spec, RegionKind.LOWER_HALF, l)
+                assert (2 ** (side_a - 1) * upper * lower
+                        == 2 ** (spec.n - 1) * fixed_count(spec, l)), (spec, l)
+                cases += 1
+    assert cases == 256
+
+
+def test_corollary_counts_need_no_macmahon_product(monkeypatch):
+    from hextiling import formulas, verify
+
+    def refuse(*_):
+        raise AssertionError("macmahon_count called")
+
+    monkeypatch.setattr(formulas, "macmahon_count", refuse)
+    results = verify.check_corollary(max_n=16)
+    assert len(results) == 3 * 4 + 2 * 16
+    assert all(r.ok for r in results)
+
+
+# (the matrix raised by 1, the corollary count checks it breaks); the even
+# hexagon of centre n is (2n-1, 2n), the odd one (2n, 2n-1), and the two
+# share their lower half, marked_path_family(2n-1, n, n)
+_BROKEN_DETERMINANTS = [
+    (path_family(HexagonSpec(1, 2), RegionKind.UPPER_TRIMMED), ["centre even count n=1"]),
+    (path_family(HexagonSpec(3, 4), RegionKind.FULL_HEXAGON), ["centre even count n=2"]),
+    (path_family(HexagonSpec(6, 5), RegionKind.LOWER_HALF, 3),
+     ["centre even count n=3", "centre odd count n=3"]),
+    (path_family(HexagonSpec(8, 7), RegionKind.UPPER_TRIMMED), ["centre odd count n=4"]),
+]
+
+
+@pytest.mark.parametrize("family, expected", _BROKEN_DETERMINANTS)
+def test_corollary_sees_a_broken_determinant(monkeypatch, family, expected):
+    from hextiling import matrices, verify
+
+    target = path_matrix(family)
+    exact = matrices.determinant
+
+    def broken(rows):
+        return exact(rows) + (rows == target)
+
+    monkeypatch.setattr(matrices, "determinant", broken)
+    failed = [r.name for r in verify.check_corollary(max_n=16) if not r.ok]
+    assert failed == expected

@@ -179,6 +179,9 @@ def test_region_to_paths_to_matrix_chain():
     cases = _hexagons_up_to(72)
     assert {spec.parity for spec in cases} == {Parity.EVEN, Parity.ODD}
     for spec in cases:
+        full = build_region(spec, RegionKind.FULL_HEXAGON)
+        paths = path_matrix(path_family(spec, RegionKind.FULL_HEXAGON))
+        assert count_tilings(full) == determinant(paths), spec
         upper = build_region(spec, RegionKind.UPPER_TRIMMED)
         # an empty family gives the empty matrix, whose determinant is 1
         paths = path_matrix(path_family(spec, RegionKind.UPPER_TRIMMED))
