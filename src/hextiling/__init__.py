@@ -30,22 +30,18 @@ from .hexagon import (
     box_path_family,
     box_region,
     build_region,
-    full_hexagon_region,
     hexagon_cells,
     marked_path_family,
     path_family,
     pentagon_path_family,
-    pentagon_region,
 )
 from .matrices import (
     check_column_relation,
     determinant,
     extract_reduced_polynomials,
-    lower_weighted_matrix,
     path_matrix,
     reduced_prefactor,
     row_scale_product,
-    upper_count_matrix,
 )
 from .formulas import (
     arcsine_limit,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import formulas, verify
-from .hexagon import HexagonSpec, axis_positions
+from .hexagon import HexagonSpec
 
 
 class SweepRow(NamedTuple):
@@ -105,9 +105,8 @@ def _cmd_fixed(args) -> int:
     spec = _hexagon(side_a, side_m)
     if spec.n == 0:
         raise ValueError(f"hexagon ({side_a},{side_m}) has no rhombus on its symmetry axis")
-    positions = axis_positions(spec)
-    if not 1 <= args.l <= positions:
-        raise ValueError(f"l must lie in 1..{positions}, got {args.l}")
+    if not 1 <= args.l <= spec.n:
+        raise ValueError(f"l must lie in 1..{spec.n}, got {args.l}")
     total = formulas.macmahon_count(side_a, side_a, side_m)
     fixed = formulas.fixed_count(spec, args.l)
     print(f"total {total}")

@@ -47,7 +47,6 @@ class Parity(enum.Enum):
 
 class RegionKind(enum.Enum):
     FULL_HEXAGON = "full-hexagon"
-    UPPER_HALF = "upper-half"
     UPPER_TRIMMED = "upper-trimmed"
     LOWER_HALF = "lower-half"
 
@@ -169,6 +168,20 @@ def _validate_axis(spec: HexagonSpec, l: int) -> None:
         raise ValueError(f"axis position must satisfy 1 <= l <= {n}, got {l}")
 
 
+def _check_mark(spec: HexagonSpec, kind: RegionKind, axis: Optional[int]) -> None:
+    """The axis-mark rule of both :func:`build_region` and :func:`path_family`:
+    LOWER_HALF requires a mark in 1..n, the other kinds take none."""
+    if not isinstance(kind, RegionKind):
+        raise ValueError(f"unknown region kind: {kind!r}")
+    if kind is not RegionKind.LOWER_HALF:
+        if axis is not None:
+            raise ValueError("only lower regions take an axis mark")
+    elif axis is None:
+        raise ValueError("lower regions require the marked axis position")
+    else:
+        _validate_axis(spec, axis)
+
+
 def axis_rhombus_cells(spec: HexagonSpec, l: int) -> tuple:
     """The two cells forming the l-th axis rhombus, left cell first.
 
@@ -188,72 +201,48 @@ def build_region(
     kind: RegionKind,
     axis: Optional[int] = None,
 ) -> Region:
-    """Construct the cell set for one of the four region kinds.
+    """Construct the cell set for one of the three region kinds.
 
     * FULL_HEXAGON: every cell.
-    * UPPER_HALF:   all cells strictly above the symmetry axis.
-    * UPPER_TRIMMED: the upper half with its two forced vertical end strips
-      removed (even parity).  For odd parity the upper half has no forced
-      strips, so trimming is the identity.
+    * UPPER_TRIMMED: all cells strictly above the symmetry axis, less the two
+      forced vertical end strips (even parity).  For odd parity the upper
+      half has no forced strips, so it is kept whole.
     * LOWER_HALF:   all cells strictly below the axis, plus every cell ON the
       axis except the two forming the marked rhombus ``axis``.  The remaining
       axis rhombi become the weight-1/2 pairs.
 
     Only LOWER_HALF takes (and requires) the ``axis`` mark.
     """
-    if axis is not None and kind is not RegionKind.LOWER_HALF:
-        raise ValueError("only lower regions take an axis mark")
+    _check_mark(spec, kind, axis)
     a, m_side = spec.side_a, spec.side_m
     cells = hexagon_cells(a, m_side, a)
 
     if kind is RegionKind.FULL_HEXAGON:
         return Region(cells)
 
-    if kind in (RegionKind.UPPER_HALF, RegionKind.UPPER_TRIMMED):
-        upper = {c for c in cells if c.row2 > m_side}
-        if kind is RegionKind.UPPER_TRIMMED and spec.parity is Parity.EVEN:
-            upper = {c for c in upper if c.col not in (0, 2 * a - 1)}
-        return Region(frozenset(upper))
+    if kind is RegionKind.UPPER_TRIMMED:
+        ends = (0, 2 * a - 1) if spec.parity is Parity.EVEN else ()
+        return Region(frozenset(c for c in cells if c.row2 > m_side and c.col not in ends))
 
-    if kind is RegionKind.LOWER_HALF:
-        if axis is None:
-            raise ValueError("lower regions require the marked axis position")
-        removed = set(axis_rhombus_cells(spec, axis))
-        keep = {c for c in cells if c.row2 < m_side}
-        keep.update(c for c in cells if c.row2 == m_side and c not in removed)
-        pairs = frozenset(
-            axis_rhombus_cells(spec, k)
-            for k in range(1, axis_positions(spec) + 1)
-            if k != axis
-        )
-        return Region(frozenset(keep), pairs)
-
-    raise ValueError(f"unknown region kind: {kind!r}")
-
-
-def full_hexagon_region(spec: HexagonSpec) -> Region:
-    return build_region(spec, RegionKind.FULL_HEXAGON)
+    removed = set(axis_rhombus_cells(spec, axis))
+    keep = {c for c in cells if c.row2 < m_side}
+    keep.update(c for c in cells if c.row2 == m_side and c not in removed)
+    pairs = frozenset(
+        axis_rhombus_cells(spec, k)
+        for k in range(1, axis_positions(spec) + 1)
+        if k != axis
+    )
+    return Region(frozenset(keep), pairs)
 
 
 def box_region(a: int, b: int, c: int) -> Region:
     """Full hexagon for an arbitrary a x b x c box (no symmetry assumed).
 
     ``box_region(a, b, a)`` has exactly the cells of
-    ``full_hexagon_region(HexagonSpec(a, b))``: both are
+    ``build_region(HexagonSpec(a, b), RegionKind.FULL_HEXAGON)``: both are
     ``hexagon_cells(a, b, a)``.
     """
     return Region(hexagon_cells(a, b, c))
-
-
-def pentagon_region(n: int, m: int) -> Region:
-    """Standalone trimmed upper pentagon with n path slots and width offset m.
-
-    Realized as the trimmed upper half of the hexagon with sides (n+1, 2m);
-    n == 0 yields the empty region (which has exactly one empty tiling).
-    """
-    if n < 0 or m < 0:
-        raise ValueError("pentagon parameters must be nonnegative")
-    return build_region(HexagonSpec(n + 1, 2 * m), RegionKind.UPPER_TRIMMED)
 
 
 def pentagon_path_family(n: int, m: int) -> PathFamilySpec:
@@ -302,20 +291,14 @@ def path_family(
     kind: RegionKind,
     axis: Optional[int] = None,
 ) -> PathFamilySpec:
-    """Lattice-path translation of a region built from ``spec``.
-
-    The full hexagon, the trimmed upper pentagon and the lower half admit
-    one; the untrimmed upper half does not.
-    """
+    """Lattice-path translation of ``build_region(spec, kind, axis)``: the
+    full hexagon, the trimmed upper half and the marked lower half each have
+    one, and take the axis mark by the same rule."""
+    _check_mark(spec, kind, axis)
     if kind is RegionKind.FULL_HEXAGON:
         return box_path_family(spec.side_a, spec.side_a, spec.side_m)
     if kind is RegionKind.UPPER_TRIMMED:
         if spec.parity is Parity.EVEN:
             return pentagon_path_family(spec.n - 1, spec.m)
         return pentagon_path_family(spec.n + 1, spec.m - 1)
-    if kind is RegionKind.LOWER_HALF:
-        if axis is None:
-            raise ValueError("lower paths require the marked axis position")
-        _validate_axis(spec, axis)
-        return marked_path_family(spec.n, spec.m, axis)
-    raise ValueError("no lattice-path translation for this region kind")
+    return marked_path_family(spec.n, spec.m, axis)

@@ -2,10 +2,11 @@
 
 Every matrix here is a list of integer rows.  :func:`path_matrix` turns a
 path family from :mod:`hextiling.hexagon` into its Lindstrom-Gessel-Viennot
-matrix of path counts.  The full hexagon and the two half-regions use it:
-the full hexagon and the trimmed upper pentagon with plain counts, whose
-determinants are their tiling counts, and the lower half-region with weight
-1/2 on paths ending vertically, whose rows hold twice their weighted counts,
+matrix of path counts, and is the one way to build the matrix of a region:
+``path_matrix(path_family(spec, kind, axis))`` for each of the three region
+kinds.  The full hexagon and the trimmed upper half have plain counts, whose
+determinants are their tiling counts; the lower half-region has weight 1/2
+on paths ending vertically, and its rows hold twice their weighted counts,
 so that its determinant is 2^(n-1) times its weighted count.  The
 row-rescaled version of the lower matrix has entries that are shifted
 factorials in a rational parameter m; it is built from its own formula,
@@ -37,7 +38,7 @@ from .exact import (
     lagrange_interpolate,
     shifted_factorial,
 )
-from .hexagon import PathFamilySpec, marked_path_family, pentagon_path_family
+from .hexagon import PathFamilySpec
 
 Matrix = List[List[int]]
 
@@ -107,24 +108,6 @@ def path_matrix(family: PathFamilySpec) -> Matrix:
                 row.append((2 if half else 1) * math.comb(right + down, right))
         rows.append(row)
     return rows
-
-
-def upper_count_matrix(n: int, m: int) -> Matrix:
-    """Path matrix of the trimmed upper pentagon, size n x n; its
-    determinant is the region's tiling count."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    return path_matrix(pentagon_path_family(n, m))
-
-
-def lower_weighted_matrix(n: int, m: int, l: int) -> Matrix:
-    """Weighted path matrix of the lower half-region with marked position l,
-    size n x n.  Every row but the marked one holds twice its weighted
-    counts, so its determinant is 2^(n-1) times the region's weighted
-    count."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    return path_matrix(marked_path_family(n, m, l))
 
 
 def row_scale_product(n: int, m: int) -> Fraction:

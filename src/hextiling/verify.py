@@ -20,7 +20,9 @@ from .hexagon import (
     Parity,
     RegionKind,
     box_region,
+    marked_path_family,
     path_family,
+    pentagon_path_family,
 )
 
 _BOX_LIMIT = 3  # largest box side oracle-vs-theorems checks
@@ -126,7 +128,7 @@ def check_lemma5(max_n: int = 8, max_m: int = 8) -> List[CaseResult]:
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
         for m in range(0, max_m + 1):
-            det = matrices.determinant(matrices.upper_count_matrix(n, m))
+            det = matrices.determinant(matrices.path_matrix(pentagon_path_family(n, m)))
             want = formulas.upper_count_closed_form(n, m)
             _case(out, f"upper det n={n} m={m}", det == want, f"{det} vs {want}")
     return out
@@ -138,7 +140,8 @@ def check_lemma6(max_n: int = 7, max_m: int = 5) -> List[CaseResult]:
     for n in range(1, max_n + 1):
         for m in range(1, max_m + 1):
             for l in range(1, n + 1):
-                det = Fraction(matrices.determinant(matrices.lower_weighted_matrix(n, m, l)), 2 ** (n - 1))
+                paths = matrices.path_matrix(marked_path_family(n, m, l))
+                det = Fraction(matrices.determinant(paths), 2 ** (n - 1))
                 want = formulas.lower_weighted_closed_form(n, m, l)
                 _case(out, f"lower det n={n} m={m} l={l}", det == want, f"{det} vs {want}")
     return out
@@ -219,13 +222,13 @@ def _path_det(spec: HexagonSpec, kind: RegionKind, axis=None) -> int:
     return matrices.determinant(matrices.path_matrix(path_family(spec, kind, axis)))
 
 
-def _centre_third_by_determinants(spec: HexagonSpec, l: int) -> bool:
+def _centre_third_by_determinants(spec: HexagonSpec, lower: int) -> bool:
     """Propp's one-third from path-matrix determinants alone.  By Ciucu's
     factorization the fixed count is 2^(side_a-1) det U det L_l / 2^(n-1),
-    for the trimmed upper half U and the lower half L_l marked at l; three
-    times it must equal the total, det G of the full hexagon."""
+    for the trimmed upper half U and the lower half L_l marked at l, whose
+    determinant is ``lower``; three times it must equal the total, det G of
+    the full hexagon."""
     upper = _path_det(spec, RegionKind.UPPER_TRIMMED)
-    lower = _path_det(spec, RegionKind.LOWER_HALF, l)
     total = _path_det(spec, RegionKind.FULL_HEXAGON)
     return 3 * 2 ** (spec.side_a - 1) * upper * lower == 2 ** (spec.n - 1) * total
 
@@ -242,10 +245,11 @@ def check_corollary(max_n: int = 10) -> List[CaseResult]:
         big_n, m, l = 2 * n - 1, n, n
         p = formulas.proportion_nm(big_n, m, l)
         _case(out, f"centre proportion n={n}", p == third, f"{p}")
-        _case(out, f"centre even count n={n}",
-              _centre_third_by_determinants(HexagonSpec(big_n, 2 * m), l))
-        _case(out, f"centre odd count n={n}",
-              _centre_third_by_determinants(HexagonSpec(big_n + 1, 2 * m - 1), l))
+        even, odd = HexagonSpec(big_n, 2 * m), HexagonSpec(big_n + 1, 2 * m - 1)
+        # both hexagons have the lower half marked_path_family(big_n, m, l)
+        lower = _path_det(even, RegionKind.LOWER_HALF, l)
+        _case(out, f"centre even count n={n}", _centre_third_by_determinants(even, lower))
+        _case(out, f"centre odd count n={n}", _centre_third_by_determinants(odd, lower))
     for n in range(1, max_n + 1):
         _case(out, f"central sum closed form n={n}",
               formulas.central_axis_sum(n) == formulas.central_axis_closed_form(n))

@@ -23,13 +23,8 @@ from hextiling.formulas import (
     reduced_poly_value,
     upper_count_closed_form,
 )
-from hextiling.hexagon import HexagonSpec
-from hextiling.matrices import (
-    determinant,
-    extract_reduced_polynomials,
-    lower_weighted_matrix,
-    upper_count_matrix,
-)
+from hextiling.hexagon import HexagonSpec, marked_path_family, pentagon_path_family
+from hextiling.matrices import determinant, extract_reduced_polynomials, path_matrix
 
 F = Fraction
 
@@ -128,7 +123,7 @@ def test_upper_count_closed_form():
     assert upper_count_closed_form(3, 0) == 1
     for n in range(1, 9):
         for m in range(0, 9):
-            det = determinant(upper_count_matrix(n, m))
+            det = determinant(path_matrix(pentagon_path_family(n, m)))
             assert det == upper_count_closed_form(n, m), (n, m)
 
 
@@ -137,7 +132,7 @@ def test_lower_weighted_closed_form():
         assert lower_weighted_closed_form(1, m, 1) == 1
     # the matrix determinant is 2^(n-1) times the weighted count
     for n, m, l in [(2, 1, 1), (4, 3, 2)]:
-        det = F(determinant(lower_weighted_matrix(n, m, l)), 2 ** (n - 1))
+        det = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
         assert lower_weighted_closed_form(n, m, l) == det
 
 
@@ -145,7 +140,7 @@ def test_lower_weighted_closed_form_grid():
     for n in range(1, 7):
         for m in range(1, 5):
             for l in range(1, n + 1):
-                det = F(determinant(lower_weighted_matrix(n, m, l)), 2 ** (n - 1))
+                det = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
                 assert det == lower_weighted_closed_form(n, m, l), (n, m, l)
 
 

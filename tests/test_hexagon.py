@@ -15,12 +15,10 @@ from hextiling.hexagon import (
     box_path_family,
     box_region,
     build_region,
-    full_hexagon_region,
     hexagon_cells,
     marked_path_family,
     path_family,
     pentagon_path_family,
-    pentagon_region,
 )
 from hextiling.oracle import enumerate_tilings
 
@@ -36,7 +34,8 @@ def test_box_a_b_a_is_hexagon_a_b():
     # the oracle-vs-theorems suite takes box(a, b, a)'s count from hexagon(a, b)
     for a in range(1, 5):
         for b in range(0, 6):
-            assert box_region(a, b, a).cells == full_hexagon_region(HexagonSpec(a, b)).cells
+            full = build_region(HexagonSpec(a, b), RegionKind.FULL_HEXAGON)
+            assert box_region(a, b, a).cells == full.cells
 
 
 def _parity_split(side_a, side_m):
@@ -97,7 +96,8 @@ def test_degenerate_hexagon():
     assert (spec.parity, spec.n, spec.m) == (Parity.EVEN, 2, 0)
     assert len(build_region(spec, RegionKind.FULL_HEXAGON).cells) == 8
     trimmed = build_region(spec, RegionKind.UPPER_TRIMMED)
-    assert trimmed == pentagon_region(1, 0) and len(trimmed.cells) == 2
+    assert len(trimmed.cells) == 2
+    assert path_family(spec, RegionKind.UPPER_TRIMMED) == pentagon_path_family(1, 0)
 
 
 def test_axis_positions():
@@ -118,7 +118,7 @@ def test_axis_positions_match_brute_force():
     # sorted already, as tilings store their pairs
     assert all(pair == tuple(sorted(pair)) for pair in pairs)
     seen = set()
-    for tiling in enumerate_tilings(full_hexagon_region(spec)):
+    for tiling in enumerate_tilings(build_region(spec, RegionKind.FULL_HEXAGON)):
         seen.update(p for p in tiling if p in pairs)
     assert seen == pairs and len(seen) == 3 == axis_positions(spec)
 
@@ -156,15 +156,21 @@ def test_axis_rhombus_cells_geometry():
     assert (left.col, right.col) == (3, 4)
 
 
+def _upper_half(spec):
+    """The untrimmed upper half: every cell strictly above the axis."""
+    full = build_region(spec, RegionKind.FULL_HEXAGON)
+    return frozenset(c for c in full.cells if c.row2 > spec.side_m)
+
+
 def test_build_region_cell_counts():
     # hexagon (3,2), marked position 1: the classic cut
     spec = HexagonSpec(3, 2)
     full = build_region(spec, RegionKind.FULL_HEXAGON)
-    upper = build_region(spec, RegionKind.UPPER_HALF)
+    upper = _upper_half(spec)
     trimmed = build_region(spec, RegionKind.UPPER_TRIMMED)
     lower = build_region(spec, RegionKind.LOWER_HALF, 1)
     assert len(full.cells) == 42
-    assert len(upper.cells) == 18
+    assert len(upper) == 18
     assert len(trimmed.cells) == 14
     assert len(lower.cells) == 22
     assert len(lower.weighted_pairs) == 2
@@ -175,11 +181,11 @@ def test_upper_plus_lower_covers_hexagon_minus_rhombus():
         for m in range(1, 4):
             spec = HexagonSpec(n, 2 * m)
             full = build_region(spec, RegionKind.FULL_HEXAGON)
-            upper = build_region(spec, RegionKind.UPPER_HALF)
+            upper = _upper_half(spec)
             for l in range(1, n + 1):
                 lower = build_region(spec, RegionKind.LOWER_HALF, l)
-                assert not upper.cells & lower.cells
-                missing = full.cells - upper.cells - lower.cells
+                assert not upper & lower.cells
+                missing = full.cells - upper - lower.cells
                 assert missing == frozenset(axis_rhombus_cells(spec, l))
 
 
@@ -187,27 +193,25 @@ def test_trimmed_is_upper_minus_end_strips():
     for n in range(1, 6):
         for m in range(1, 4):
             spec = HexagonSpec(n, 2 * m)
-            upper = build_region(spec, RegionKind.UPPER_HALF)
+            upper = _upper_half(spec)
             trimmed = build_region(spec, RegionKind.UPPER_TRIMMED)
-            strips = {c for c in upper.cells if c.col in (0, 2 * n - 1)}
-            assert trimmed.cells == upper.cells - strips
+            strips = {c for c in upper if c.col in (0, 2 * n - 1)}
+            assert trimmed.cells == upper - strips
             assert len(strips) == 4 * m
     # odd parity has no forced strips: trimming is the identity
     for n in range(0, 5):
         for m in range(1, 4):
             spec = HexagonSpec(n + 1, 2 * m - 1)
-            upper = build_region(spec, RegionKind.UPPER_HALF)
             trimmed = build_region(spec, RegionKind.UPPER_TRIMMED)
-            assert trimmed.cells == upper.cells
+            assert trimmed.cells == _upper_half(spec)
 
 
 def test_every_region_has_even_cell_count():
     for a in range(1, 4):
         for m_side in range(1, 5):
             spec = HexagonSpec(a, m_side)
-            kinds = [RegionKind.FULL_HEXAGON, RegionKind.UPPER_HALF,
-                     RegionKind.UPPER_TRIMMED]
-            for kind in kinds:
+            assert len(_upper_half(spec)) % 2 == 0
+            for kind in (RegionKind.FULL_HEXAGON, RegionKind.UPPER_TRIMMED):
                 assert len(build_region(spec, kind).cells) % 2 == 0
             if spec.n:
                 for l in range(1, spec.n + 1):
@@ -218,7 +222,7 @@ def test_every_region_has_even_cell_count():
 def test_empty_trimmed_region():
     spec = HexagonSpec(1, 2)
     assert build_region(spec, RegionKind.UPPER_TRIMMED).cells == frozenset()
-    assert pentagon_region(0, 1).cells == frozenset()
+    assert path_family(spec, RegionKind.UPPER_TRIMMED) == pentagon_path_family(0, 1)
 
 
 def test_build_region_axis_validation():
@@ -228,9 +232,36 @@ def test_build_region_axis_validation():
     with pytest.raises(ValueError):
         build_region(spec, RegionKind.LOWER_HALF, 4)
     with pytest.raises(ValueError):
-        build_region(spec, RegionKind.UPPER_HALF, 1)
+        build_region(spec, RegionKind.UPPER_TRIMMED, 1)
     with pytest.raises(ValueError):
         build_region(spec, RegionKind.FULL_HEXAGON, 1)
+    with pytest.raises(ValueError, match="unknown region kind"):
+        build_region(spec, "upper-half")
+
+
+def _accepts(construct, spec, kind, axis):
+    try:
+        construct(spec, kind, axis)
+    except ValueError:
+        return False
+    return True
+
+
+# hexagon (1, 1) has no axis position, (2, 0) is the degenerate one
+@pytest.mark.parametrize("spec", [HexagonSpec(3, 2), HexagonSpec(3, 3),
+                                  HexagonSpec(1, 1), HexagonSpec(2, 0)])
+@pytest.mark.parametrize("kind", list(RegionKind))
+@pytest.mark.parametrize("axis", [None, 1, "n + 1"])
+def test_region_and_path_family_share_the_axis_rule(spec, kind, axis):
+    if axis == "n + 1":
+        axis = spec.n + 1
+    # a lower half takes one of the n positions, every other kind no mark
+    if kind is RegionKind.LOWER_HALF:
+        expected = axis is not None and 1 <= axis <= spec.n
+    else:
+        expected = axis is None
+    assert _accepts(build_region, spec, kind, axis) == expected
+    assert _accepts(path_family, spec, kind, axis) == expected
 
 
 def test_pentagon_paths():
@@ -248,6 +279,8 @@ def test_marked_paths():
     fam = marked_path_family(3, 1, 2)
     assert fam.ends == ((2, -2), (3, 1), (4, 2))
     assert fam.half_weight_if_vertical_end == (True, False, True)
+    with pytest.raises(ValueError):
+        marked_path_family(3, 1, 0)
 
 
 def test_path_family_from_params():
@@ -259,8 +292,6 @@ def test_path_family_from_params():
     assert path_family(odd, RegionKind.LOWER_HALF, 1) == marked_path_family(2, 2, 1)
     assert path_family(even, RegionKind.FULL_HEXAGON) == box_path_family(3, 3, 2)
     assert path_family(odd, RegionKind.FULL_HEXAGON) == box_path_family(3, 3, 3)
-    with pytest.raises(ValueError):
-        path_family(even, RegionKind.UPPER_HALF)
 
 
 def test_box_paths():

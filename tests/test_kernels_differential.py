@@ -50,18 +50,18 @@ from hextiling.hexagon import (
     box_region,
     build_region,
     cell_neighbors,
-    full_hexagon_region,
     hexagon_cells,
+    marked_path_family,
+    pentagon_path_family,
 )
 from hextiling.matrices import (
     _reduced_rows,
     determinant,
     extract_reduced_polynomials,
-    lower_weighted_matrix,
+    path_matrix,
     reduced_determinants,
     reduced_prefactor,
     row_scale_product,
-    upper_count_matrix,
 )
 from hextiling.oracle import (
     DEFAULT_CELL_LIMIT,
@@ -601,13 +601,13 @@ def test_determinant_matches_rational_elimination(rows):
 
 @given(st.integers(1, 8), st.integers(0, 12))
 def test_upper_count_matrix_matches_reference(n, m):
-    assert upper_count_matrix(n, m) == _reference_upper_count(n, m)
+    assert path_matrix(pentagon_path_family(n, m)) == _reference_upper_count(n, m)
 
 
 @given(_n_and_l(6), st.integers(1, 12))
 def test_lower_weighted_matrix_matches_reference(nl, m):
     n, l = nl
-    assert lower_weighted_matrix(n, m, l) == _reference_lower_weighted(n, m, l)
+    assert path_matrix(marked_path_family(n, m, l)) == _reference_lower_weighted(n, m, l)
 
 
 @given(st.integers(1, 6), st.fractions(min_value=-10, max_value=10, max_denominator=9))
@@ -714,8 +714,8 @@ def _lower_halves():
 def test_enumeration_matches_recursive_reference_past_the_draws():
     # larger than the punctured draws, so many lower-half fills share an
     # upper-half frontier; the order must still be the search order
-    for region in [full_hexagon_region(HexagonSpec(3, 4)),
-                   full_hexagon_region(HexagonSpec(2, 5)), *_lower_halves()]:
+    for region in [build_region(HexagonSpec(3, 4), RegionKind.FULL_HEXAGON),
+                   build_region(HexagonSpec(2, 5), RegionKind.FULL_HEXAGON), *_lower_halves()]:
         got = list(enumerate_tilings(region))
         assert got == list(_reference_enumerate_tilings(region))
         assert len(got) == count_tilings(region)
@@ -731,12 +731,15 @@ def _assert_later_matches_cell_neighbors(region):
 
 
 def test_later_matches_cell_neighbors():
-    regions = [full_hexagon_region(HexagonSpec(a, m))
+    regions = [build_region(HexagonSpec(a, m), RegionKind.FULL_HEXAGON)
                for a in range(1, 4) for m in range(1, 5)]
     regions += [box_region(a, b, c) for a, b, c in [(1, 2, 3), (3, 1, 2), (2, 3, 1)]]
     for a, m_side in [(3, 4), (3, 3), (1, 1)]:
-        regions += [build_region(HexagonSpec(a, m_side), kind)
-                    for kind in (RegionKind.UPPER_HALF, RegionKind.UPPER_TRIMMED)]
+        spec = HexagonSpec(a, m_side)
+        full = build_region(spec, RegionKind.FULL_HEXAGON).cells
+        # the untrimmed upper half, then the trimmed one
+        regions += [Region(frozenset(c for c in full if c.row2 > m_side)),
+                    build_region(spec, RegionKind.UPPER_TRIMMED)]
     regions += _lower_halves()
     for region in regions:
         _assert_later_matches_cell_neighbors(region)
@@ -785,6 +788,6 @@ def test_hexagon_tally_matches_count_per_position():
         for m_side in range(0, 6):
             spec = HexagonSpec(a, m_side)
             total, fixed = hexagon_tally(spec)
-            assert total == count_tilings(full_hexagon_region(spec)), spec
+            assert total == count_tilings(build_region(spec, RegionKind.FULL_HEXAGON)), spec
             assert fixed == {l: count_with_fixed_rhombus(spec, l)
                              for l in range(1, spec.n + 1)}, spec

@@ -20,12 +20,10 @@ from hextiling.matrices import (
     check_column_relation,
     determinant,
     extract_reduced_polynomials,
-    lower_weighted_matrix,
     path_matrix,
     reduced_determinants,
     reduced_prefactor,
     row_scale_product,
-    upper_count_matrix,
 )
 
 F = Fraction
@@ -138,28 +136,21 @@ def test_box_path_determinant_is_macmahon_count():
 
 
 def test_upper_count_matrix_values():
-    assert upper_count_matrix(1, 2) == [[3]]
-    mat = upper_count_matrix(2, 1)
+    assert path_matrix(pentagon_path_family(1, 2)) == [[3]]
+    mat = path_matrix(pentagon_path_family(2, 1))
     assert mat == [[3, 1], [1, 2]]
     assert determinant(mat) == 5
-    assert determinant(upper_count_matrix(3, 0)) == 1
+    assert determinant(path_matrix(pentagon_path_family(3, 0))) == 1
 
 
 def test_lower_weighted_matrix_values():
-    assert lower_weighted_matrix(1, 5, 1) == [[1]]
+    assert path_matrix(marked_path_family(1, 5, 1)) == [[1]]
     # the unmarked rows hold twice their weighted counts, so each
     # determinant is 2^(n-1) times the weighted count (2 and 15/4 here)
-    mat = lower_weighted_matrix(2, 1, 1)
+    mat = path_matrix(marked_path_family(2, 1, 1))
     assert mat == [[2, 1], [2, 3]]
     assert determinant(mat) == 2 * 2
-    assert determinant(lower_weighted_matrix(3, 1, 1)) == 2 ** 2 * F(15, 4)
-
-
-def test_lower_weighted_matrix_validation():
-    with pytest.raises(ValueError):
-        lower_weighted_matrix(3, 1, 0)
-    with pytest.raises(ValueError):
-        lower_weighted_matrix(3, 0, 1)
+    assert determinant(path_matrix(marked_path_family(3, 1, 1))) == 2 ** 2 * F(15, 4)
 
 
 def test_reduced_matrix_base_case():
@@ -182,7 +173,7 @@ def test_reduced_times_row_scale_equals_weighted():
             dets = reduced_determinants(m, n)
             for l in range(1, n + 1):
                 lhs = dets[l - 1] * row_scale_product(n, m)
-                rhs = F(determinant(lower_weighted_matrix(n, m, l)), 2 ** (n - 1))
+                rhs = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
                 assert lhs == rhs, (n, m, l)
 
 

@@ -15,11 +15,10 @@ from hextiling.hexagon import (
     axis_positions,
     box_region,
     build_region,
-    full_hexagon_region,
+    marked_path_family,
     path_family,
-    pentagon_region,
 )
-from hextiling.matrices import determinant, lower_weighted_matrix, path_matrix
+from hextiling.matrices import determinant, path_matrix
 from hextiling.oracle import (
     RegionTooLargeError,
     count_tilings,
@@ -34,20 +33,20 @@ F = Fraction
 
 
 def test_unit_hexagon_has_two_tilings():
-    tilings = list(enumerate_tilings(full_hexagon_region(HexagonSpec(1, 1))))
+    tilings = list(enumerate_tilings(build_region(HexagonSpec(1, 1), RegionKind.FULL_HEXAGON)))
     assert len(tilings) == 2
     for t in tilings:
         assert len(t) == 3
 
 
 def test_regular_hexagon_has_twenty_tilings():
-    assert count_tilings(full_hexagon_region(HexagonSpec(2, 2))) == 20
+    assert count_tilings(build_region(HexagonSpec(2, 2), RegionKind.FULL_HEXAGON)) == 20
 
 
 def test_enumeration_matches_product_formula():
     for a in range(1, 4):
         for m in range(1, 5):
-            got = count_tilings(full_hexagon_region(HexagonSpec(a, m)))
+            got = count_tilings(build_region(HexagonSpec(a, m), RegionKind.FULL_HEXAGON))
             assert got == macmahon_count(a, a, m), (a, m)
 
 
@@ -60,28 +59,31 @@ def test_enumeration_matches_product_formula_boxes():
 
 
 def test_enumeration_is_duplicate_free():
-    tilings = list(enumerate_tilings(full_hexagon_region(HexagonSpec(2, 2))))
+    tilings = list(enumerate_tilings(build_region(HexagonSpec(2, 2), RegionKind.FULL_HEXAGON)))
     assert len(set(tilings)) == len(tilings) == 20
 
 
 def test_enumeration_is_deterministic():
-    region = full_hexagon_region(HexagonSpec(2, 2))
+    region = build_region(HexagonSpec(2, 2), RegionKind.FULL_HEXAGON)
     first = list(enumerate_tilings(region))
     second = list(enumerate_tilings(region))
     assert first == second
 
 
 def test_empty_region_has_one_empty_tiling():
-    tilings = list(enumerate_tilings(pentagon_region(0, 3)))
+    # the trimmed upper half of hexagon (1, 6) is the pentagon with no path
+    empty = build_region(HexagonSpec(1, 6), RegionKind.UPPER_TRIMMED)
+    assert empty.cells == frozenset()
+    tilings = list(enumerate_tilings(empty))
     assert len(tilings) == 1
     assert tilings[0] == frozenset()
-    assert count_tilings(pentagon_region(0, 3)) == 1
-    assert weighted_count(pentagon_region(0, 3)) == Fraction(1)
+    assert count_tilings(empty) == 1
+    assert weighted_count(empty) == Fraction(1)
 
 
 def test_odd_cell_count_yields_nothing():
     # drop one cell from a hexagon to force an odd region
-    region = full_hexagon_region(HexagonSpec(1, 1))
+    region = build_region(HexagonSpec(1, 1), RegionKind.FULL_HEXAGON)
     broken = Region(frozenset(sorted(region.cells)[1:]))
     assert list(enumerate_tilings(broken)) == []
     assert count_tilings(broken) == 0
@@ -90,9 +92,9 @@ def test_odd_cell_count_yields_nothing():
 
 def test_cell_limit_enforced():
     with pytest.raises(RegionTooLargeError):
-        count_tilings(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
+        count_tilings(build_region(HexagonSpec(2, 2), RegionKind.FULL_HEXAGON), max_cells=10)
     with pytest.raises(RegionTooLargeError):
-        weighted_count(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
+        weighted_count(build_region(HexagonSpec(2, 2), RegionKind.FULL_HEXAGON), max_cells=10)
     with pytest.raises(RegionTooLargeError):
         hexagon_tally(HexagonSpec(2, 2), max_cells=10)
     with pytest.raises(RegionTooLargeError, match="region has 24 cells"):
@@ -100,7 +102,7 @@ def test_cell_limit_enforced():
         factorization_checks(HexagonSpec(2, 2), max_cells=10)
     # raised at the call, before the first tiling is asked for
     with pytest.raises(RegionTooLargeError):
-        enumerate_tilings(full_hexagon_region(HexagonSpec(2, 2)), max_cells=10)
+        enumerate_tilings(build_region(HexagonSpec(2, 2), RegionKind.FULL_HEXAGON), max_cells=10)
     with pytest.raises(RegionTooLargeError):
         count_with_fixed_rhombus(HexagonSpec(2, 2), 1, max_cells=10)
 
@@ -122,7 +124,7 @@ def test_counters_reach_past_enumeration():
     # would take minutes; one of each parity
     for a, m_side, cells in [(6, 6, 216), (5, 5, 150)]:
         spec = HexagonSpec(a, m_side)
-        region = full_hexagon_region(spec)
+        region = build_region(spec, RegionKind.FULL_HEXAGON)
         assert len(region.cells) == cells
         assert count_tilings(region, max_cells=cells) == macmahon_count(a, a, m_side)
         total, tally = hexagon_tally(spec, max_cells=cells)
@@ -132,15 +134,17 @@ def test_counters_reach_past_enumeration():
 
 
 def test_pentagon_counts_match_determinants():
+    # the pentagon with n paths and offset m is the trimmed upper half of
+    # hexagon (n + 1, 2m)
     for n in range(0, 5):
         for m in range(0, 4):
-            got = count_tilings(pentagon_region(n, m))
+            got = count_tilings(build_region(HexagonSpec(n + 1, 2 * m), RegionKind.UPPER_TRIMMED))
             want = upper_count_closed_form(n, m) if n else 1
             assert got == want, (n, m)
 
 
 def test_pentagon_unique_tiling_at_zero_offset():
-    assert count_tilings(pentagon_region(3, 0)) == 1
+    assert count_tilings(build_region(HexagonSpec(4, 0), RegionKind.UPPER_TRIMMED)) == 1
 
 
 def test_weighted_counts_match_determinants_even():
@@ -150,7 +154,7 @@ def test_weighted_counts_match_determinants_even():
             for l in range(1, n + 1):
                 lower = build_region(spec, RegionKind.LOWER_HALF, l)
                 got = weighted_count(lower)
-                want = F(determinant(lower_weighted_matrix(n, m, l)), 2 ** (n - 1))
+                want = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
                 assert got == want, (n, m, l)
 
 
@@ -164,7 +168,7 @@ def test_weighted_counts_match_determinants_odd():
         for l in range(1, spec.n + 1):
             lower = build_region(spec, RegionKind.LOWER_HALF, l)
             got = weighted_count(lower)
-            want = F(determinant(lower_weighted_matrix(spec.n, spec.m, l)), 2 ** (spec.n - 1))
+            want = F(determinant(path_matrix(marked_path_family(spec.n, spec.m, l))), 2 ** (spec.n - 1))
             assert got == want, (a, m_side, l)
 
 
@@ -194,7 +198,7 @@ def test_region_to_paths_to_matrix_chain():
 
 
 def test_weighted_count_without_weights_is_plain_count():
-    region = pentagon_region(2, 1)
+    region = build_region(HexagonSpec(3, 2), RegionKind.UPPER_TRIMMED)
     assert weighted_count(region) == count_tilings(region) == 5
 
 
@@ -228,7 +232,7 @@ def test_occupancy_tally_coherence():
         for m_side in range(1, 5):
             spec = HexagonSpec(a, m_side)
             total, tally = hexagon_tally(spec)
-            assert total == count_tilings(full_hexagon_region(spec)), (a, m_side)
+            assert total == count_tilings(build_region(spec, RegionKind.FULL_HEXAGON)), (a, m_side)
             if spec.n == 0:
                 assert tally == {}
                 continue
