@@ -6,12 +6,14 @@ pure function of immutable values (thread-safe by construction), and no
 floating point appears anywhere: callers that want a float convert at the
 very end with ``float()``.
 
-The kernels are integer-first: ``shifted_factorial``, polynomial
-evaluation (``Polynomial.__call__``), ``Polynomial.compose_affine``,
-``lagrange_interpolate`` and ``hypergeometric_sum`` carry integer
-numerators over one common denominator and build each ``Fraction`` once,
-at the end, instead of normalising a ``Fraction`` (one gcd) at every
-arithmetic step.
+The kernels are integer-first: ``shifted_factorial`` and
+``hypergeometric_sum`` carry integer numerators over one common
+denominator and build each ``Fraction`` once, at the end, instead of
+normalising a ``Fraction`` (one gcd) at every arithmetic step.  A
+``Polynomial`` is itself stored that way, as integer numerators over one
+denominator in lowest terms, so ``lagrange_interpolate`` builds one, and
+evaluation, ``compose_affine``, scalar products and equality work on it,
+with no ``Fraction`` per coefficient in between.
 """
 
 from __future__ import annotations
@@ -79,68 +81,93 @@ def double_factorial(n: int) -> int:
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored lowest degree first with the trailing coefficient
-    nonzero (the zero polynomial is the empty tuple).  Instances are
-    immutable; arithmetic returns new objects.
+    Stored as integer numerators, lowest degree first with the last one
+    nonzero, over one positive denominator, in lowest terms: no integer
+    above 1 divides the denominator and every numerator.  The zero
+    polynomial has no numerators and denominator 1.  Equal polynomials
+    thus have equal fields, however they were built.  ``coeffs`` gives the
+    coefficients as ``Fraction`` values.  Instances are immutable;
+    arithmetic returns new objects.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable = (), den: int = 1):
+        """The polynomial sum_k coeffs[k] x^k / den, for rational coeffs
+        and a nonzero integer den."""
+        if den == 0:
+            raise ZeroDivisionError("Polynomial denominator is zero")
+        nums = list(coeffs)
+        if not all(type(c) is int for c in nums):
+            nums, common = _over_common_denominator([Fraction(c) for c in nums])
+            den *= common
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if not nums:
+            den = 1
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """Coefficients as ``Fraction`` values, lowest degree first."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __call__(self, x) -> Fraction:
         """p(x), exactly (a float x is read as the rational it stores).
 
-        With the coefficients written as a_k / D over one denominator D and
-        x = u/w, Horner builds sum_k a_k u^k w^(deg-k) in integers, divided
-        by D w^deg once, at the end.
+        With x = u/w, Horner builds sum_k a_k u^k w^(deg-k) in integers
+        from the numerators a_k, divided by den w^deg once, at the end.
         """
         x = Fraction(x)
         if self.is_zero:
             return Fraction(0)
-        nums, den = _over_common_denominator(self.coeffs)
+        nums = self.nums
         u, w = x.numerator, x.denominator
         out = nums[-1]
         w_power = 1
         for a in reversed(nums[:-1]):
             w_power *= w
             out = out * u + a * w_power
-        return Fraction(out, den * w_power)
+        return Fraction(out, self.den * w_power)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a[i] += c
+        return Polynomial(a, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -149,27 +176,27 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
                 return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
+            out = [0] * (len(self.nums) + len(other.nums) - 1)
+            for i, a in enumerate(self.nums):
+                for j, b in enumerate(other.nums):
                     out[i + j] += a * b
-            return Polynomial(out)
+            return Polynomial(out, self.den * other.den)
         scalar = Fraction(other)
-        return Polynomial(c * scalar for c in self.coeffs)
+        return Polynomial([c * scalar.numerator for c in self.nums],
+                          self.den * scalar.denominator)
 
     __rmul__ = __mul__
 
     def compose_affine(self, shift, slope) -> "Polynomial":
         """p(shift + slope*x), by Horner over integer coefficient lists.
 
-        With the coefficients written as a_k / D over one denominator D and
-        shift = u/w, slope = v/w over one denominator w, the Horner steps
-        build sum_k a_k (u + v x)^k w^(deg-k) in integers; each coefficient
-        is divided by D w^deg once, at the end.
+        With shift = u/w and slope = v/w over one denominator w, the Horner
+        steps build sum_k a_k (u + v x)^k w^(deg-k) in integers from the
+        numerators a_k; the result lies over den w^deg.
         """
         if self.is_zero:
             return Polynomial()
-        nums, den = _over_common_denominator(self.coeffs)
+        nums = self.nums
         (u, v), w = _over_common_denominator((Fraction(shift), Fraction(slope)))
         out = [nums[-1]]
         w_power = 1
@@ -177,8 +204,7 @@ class Polynomial:
             w_power *= w
             out = [u * c + v * b for c, b in zip(out + [0], [0] + out)]
             out[0] += a * w_power
-        den *= w_power
-        return Polynomial(Fraction(c, den) for c in out)
+        return Polynomial(out, self.den * w_power)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -201,8 +227,8 @@ def lagrange_interpolate(points: Sequence[tuple]) -> Polynomial:
     polynomial Q(t) = P(t/d) is built in integers: the node polynomial
     prod_j (t - t_j), its synthetic quotient by each (t - t_i) and the
     weights prod_{j != i} (t_i - t_j) are all integral.  The y_i / weight_i
-    are put over one common denominator D, and coefficient k of P, q_k d^k,
-    is divided by D once.
+    are put over one common denominator D, and P is returned as the
+    numerators q_k d^k over D, with no ``Fraction`` per coefficient.
     """
     ts, d = _over_common_denominator([Fraction(x) for x, _ in points])
     if len(set(ts)) != len(ts):
@@ -231,7 +257,7 @@ def lagrange_interpolate(points: Sequence[tuple]) -> Polynomial:
         for k in range(size, 0, -1):
             carry = node[k] + ti * carry
             total[k - 1] += scale * carry
-    return Polynomial(Fraction(c * d**k, den) for k, c in enumerate(total))
+    return Polynomial([c * d**k for k, c in enumerate(total)], den)
 
 
 def hypergeometric_sum(

@@ -18,10 +18,14 @@ of a row to the next; both versions of every row (unmarked and marked) come
 out of the same pass.  :func:`reduced_determinants` is the one way to read
 its determinant: it returns the value for every marked row l from one
 build, with one division by the product of the row denominators, and the
-polynomial extraction and the verification suites read only it.  The
-column relations are tested on the same integer rows.  Determinants are
-computed by fraction-free Bareiss elimination on integers, with a
-deterministic pivot rule.
+polynomial extraction and the verification suites read only it.  The n
+matrices share their plain rows, so the plain rows are eliminated once,
+with the marked rows carried through the same steps, and matrix l is
+finished from that shared state.  The column relations are tested on the
+same integer rows.  Determinants are computed by fraction-free Bareiss
+elimination on integers, with a deterministic pivot rule; one private
+loop does every elimination, and it can resume from the divisor that
+earlier steps left.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import index
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .exact import (
     Polynomial,
@@ -49,40 +53,68 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
 
     Every entry is copied through ``operator.index``, so a ``Fraction``
     raises ``TypeError`` instead of reaching the floor division of the
-    recurrence, which would truncate it.  Zero pivots are repaired by
-    swapping with the first row below that has a nonzero entry in the pivot
-    column, flipping the tracked sign; if none exists the determinant is
-    zero.
+    recurrence, which would truncate it.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    mat = [[index(x) for x in row] for row in rows]
     if n == 0:
         return 1
+    return _bareiss([[index(x) for x in row] for row in rows])[0]
 
+
+def _bareiss(mat: Matrix, prev: int = 1, carried: Matrix = ()) -> List[Optional[int]]:
+    """Fraction-free Bareiss elimination of the square integer rows ``mat``
+    in place, resumed with divisor ``prev``.
+
+    If ``mat`` is the trailing block that earlier steps left, with ``prev``
+    the last of their pivots, the first value returned is the determinant
+    of the whole matrix up to the sign of the earlier row swaps (with
+    prev = 1, the determinant of ``mat``).  Each step divides by the pivot
+    of the step before, exactly by Sylvester's identity.  Zero pivots are
+    repaired by swapping with the first row below that has a nonzero entry
+    in the pivot column, flipping the tracked sign; if none exists the
+    determinant is zero.
+
+    The values after the first are the determinants of ``mat`` with row k
+    replaced by ``carried[k-1]``, for k = 1, ..., len(carried).  That
+    matrix shares the rows above row k, so its first k steps are those of
+    ``mat``: ``carried[k-1]`` goes through them in place with the rows
+    below the pivot, and the block it then forms with the rows below it is
+    finished by a recursive call.  A swap would move the rows of those
+    matrices unevenly, so once one is needed the matrices not yet finished
+    get None.
+    """
+    n = len(mat)
     sign = 1
-    prev = 1
-    for k in range(n - 1):
+    out = [None] * (len(carried) + 1)
+    for k in range(n):
+        if 0 < k <= len(carried):
+            block = [carried[k - 1][k:]] + [row[k:] for row in mat[k + 1:]]
+            out[k] = _bareiss(block, prev)[0]
+        if k == n - 1:
+            break
         if mat[k][k] == 0:
+            carried = ()
             for r in range(k + 1, n):
                 if mat[r][k]:
                     mat[k], mat[r] = mat[r], mat[k]
                     sign = -sign
                     break
             else:
-                return 0
+                out[0] = 0
+                return out
         pivot = mat[k][k]
         row_k = mat[k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
+        for row_i in (*mat[k + 1:], *carried[k:]):
             lead = row_i[k]
             for j in range(k + 1, n):
                 # exact by Sylvester's identity: prev divides the numerator
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * mat[-1][-1]
+    out[0] = sign * mat[-1][-1]
+    return out
 
 
 def path_matrix(family: PathFamilySpec) -> Matrix:
@@ -166,14 +198,31 @@ def _reduced_degree_bound(n: int) -> int:
 
 def reduced_determinants(m, n: int) -> List[Fraction]:
     """Determinant of the reduced lower matrix at m for each marked row
-    l = 1..n in turn, all from one build of the integer rows, each with one
-    division by the product of the row denominators."""
+    l = 1..n in turn, all from one build of the integer rows.
+
+    The n matrices differ only in which row is marked, so matrix l shares
+    the plain rows above row l with every later one.  The plain rows are
+    eliminated once, carrying the marked rows through the same Bareiss
+    steps, and matrix l is finished from that shared state after l - 1
+    steps.  Matrix 1 shares nothing and goes through :func:`determinant`,
+    as does every matrix left unfinished by a zero pivot among the shared
+    plain rows.
+    """
+    dets, den = _reduced_determinant_numerators(m, n)
+    return [Fraction(det, den) for det in dets]
+
+
+def _reduced_determinant_numerators(m, n: int) -> tuple:
+    """The integer determinants of :func:`reduced_determinants` before the
+    one division by the product of the row denominators, and that product."""
     if n < 1:
         raise ValueError("need n >= 1")
     plain, marked, plain_den, marked_den = _reduced_rows(m, n)
-    den = plain_den ** (n - 1) * marked_den
-    return [Fraction(determinant(plain[:l] + [marked[l]] + plain[l + 1:]), den)
-            for l in range(n)]
+    shared = _bareiss([row[:] for row in plain], 1, [row[:] for row in marked[1:]])
+    shared[0] = determinant([marked[0]] + plain[1:])  # matrix 1 shares no step
+    dets = [determinant(plain[:l] + [marked[l]] + plain[l + 1:]) if det is None else det
+            for l, det in enumerate(shared)]
+    return dets, plain_den ** (n - 1) * marked_den
 
 
 def reduced_prefactor(m, n: int) -> Fraction:
@@ -229,10 +278,16 @@ def extract_reduced_polynomials(n: int) -> List[Polynomial]:
     no roots, divides it out pointwise, and Lagrange interpolates.  The
     polynomial part has degree at most n - 1, so the two spare samples let
     a degree check on the result fail.  Each sample point builds its
-    prefactor and its determinants once, for all n marked rows.
+    prefactor and its determinants once, for all n marked rows, and each
+    sample value is one ``Fraction``: the integer determinant over the row
+    denominators times the prefactor.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    samples = [(m, reduced_prefactor(m, n), reduced_determinants(m, n)) for m in range(1, n + 3)]
-    return [lagrange_interpolate([(m, dets[l] / pref) for m, pref, dets in samples])
+    samples = []
+    for m in range(1, n + 3):
+        pref = reduced_prefactor(m, n)
+        dets, den = _reduced_determinant_numerators(m, n)
+        samples.append([Fraction(det * pref.denominator, den * pref.numerator) for det in dets])
+    return [lagrange_interpolate([(m, values[l]) for m, values in enumerate(samples, start=1)])
             for l in range(n)]

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hextiling.exact import (
     Polynomial,
@@ -114,6 +115,39 @@ def test_lagrange_roundtrip_random():
         assert poly.degree() <= deg
         for x, y in pts:
             assert poly(x) == y
+
+
+_coefficient_lists = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=7)
+
+
+@given(_coefficient_lists, st.integers(1, 10**6), st.integers(-50, 50).filter(bool))
+def test_polynomial_normal_form(coeffs, scale, den):
+    p = Polynomial(coeffs)
+    # integer numerators over one positive denominator, in lowest terms
+    assert all(type(c) is int for c in p.nums) and type(p.den) is int
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    # the same polynomial, its coefficients scaled up and put over a
+    # denominator of either sign, is equal and hashes equal
+    scaled = Polynomial([c * scale * den for c in coeffs], scale * den)
+    assert scaled == p and hash(scaled) == hash(p)
+    assert (scaled.nums, scaled.den) == (p.nums, p.den)
+    # coeffs round-trips
+    assert Polynomial(p.coeffs) == p
+    assert list(p.coeffs) + [0] * (len(coeffs) - len(p.coeffs)) == coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+    # the zero polynomial and 0 * p are empty
+    for zero in (Polynomial(), Polynomial([0, F(0)], den), 0 * p, p * F(0)):
+        assert zero.is_zero and (zero.nums, zero.den) == ((), 1) and zero.coeffs == ()
+
+
+def test_polynomial_negative_denominator_is_normalised():
+    p = Polynomial([2, -4, 6], -8)
+    assert (p.nums, p.den) == ((-1, 2, -3), 4)
+    assert p == Polynomial([F(-1, 4), F(1, 2), F(-3, 4)])
+    with pytest.raises(ZeroDivisionError):
+        Polynomial([1], 0)
 
 
 def test_polynomial_algebra():

@@ -3,17 +3,19 @@ term-by-term Fraction construction of the same value (polynomial
 evaluation, the axis sum and the three forms of the proportion among
 them), each path matrix against its entries typed out by hand, the integer
 Bareiss ``determinant`` against a Gaussian elimination over ``Fraction``,
-the oracle's iterative search against the three recursive searches it
-replaced, kept here as the references, and the oracle's neighbor lists
-against ``hexagon.cell_neighbors``, the per-column hexagon builder against
-the row-by-row parity loop it replaced, and the oracle's one-pass hexagon
-tally against a separate count per axis position.
+the Bareiss steps shared across row-replaced matrices against
+``determinant`` of each, the oracle's iterative search against the three
+recursive searches it replaced, kept here as the references, and the
+oracle's neighbor lists against ``hexagon.cell_neighbors``, the per-column
+hexagon builder against the row-by-row parity loop it replaced, and the
+oracle's one-pass hexagon tally against a separate count per axis
+position.
 
-The references build on nothing that was rewritten: only ``Fraction``,
-``math``, ``binomial``, ``Polynomial`` arithmetic (not its evaluation), the
-rational elimination below and the oracle's cell geometry.  (The
-determinant is also checked against the permutation expansion in
-``test_matrices.py``.)  The closed forms, the hypergeometric forms of the
+The references build on nothing that was rewritten: only ``Fraction``
+(the polynomial references work on plain lists of ``Fraction``
+coefficients, not on ``Polynomial``), ``math``, ``binomial``, the rational
+elimination below and the oracle's cell geometry.  (The determinant is
+also checked against the permutation expansion in ``test_matrices.py``.)  The closed forms, the hypergeometric forms of the
 proportion and the polynomial extraction of the reduced determinant are
 checked against the one-``Fraction``-per-factor versions they replaced,
 also kept here.
@@ -55,6 +57,7 @@ from hextiling.hexagon import (
     pentagon_path_family,
 )
 from hextiling.matrices import (
+    _bareiss,
     _reduced_rows,
     determinant,
     extract_reduced_polynomials,
@@ -85,21 +88,38 @@ def _reference_shifted_factorial(a, k):
     return out
 
 
+def _trimmed(coeffs):
+    """A Fraction coefficient list, lowest degree first, as a tuple without
+    trailing zeros: the form ``Polynomial.coeffs`` takes."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _reference_product(a, b):
+    """Product of two Fraction coefficient lists, term by term."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _reference_lagrange(points):
-    """One Polynomial product per basis factor, for every node."""
+    """Coefficients of the interpolating polynomial: one product of
+    Fraction coefficient lists per basis factor, for every node."""
     xs = [F(x) for x, _ in points]
-    total = Polynomial()
-    for i, (xi, yi) in enumerate(points):
-        xi = F(xi)
-        basis = Polynomial([1])
-        denom = F(1)
+    total = [F(0)] * len(xs)
+    for i, (_, yi) in enumerate(points):
+        basis, denom = [F(1)], F(1)
         for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Polynomial([-xj, 1])
-            denom *= xi - xj
-        total = total + basis * (F(yi) / denom)
-    return total
+            if j != i:
+                basis = _reference_product(basis, [-xj, F(1)])
+                denom *= xs[i] - xj
+        for k, c in enumerate(basis):
+            total[k] += c * F(yi) / denom
+    return _trimmed(total)
 
 
 def _reference_polynomial_value(poly, x):
@@ -109,12 +129,14 @@ def _reference_polynomial_value(poly, x):
 
 
 def _reference_compose_affine(poly, shift, slope):
-    """Horner over polynomials: one Polynomial product and sum per coefficient."""
-    lin = Polynomial([shift, slope])
-    out = Polynomial()
+    """Coefficients of p(shift + slope*x) by Horner over Fraction coefficient
+    lists: one product and one sum per coefficient."""
+    lin = [F(shift), F(slope)]
+    out = [F(0)]
     for c in reversed(poly.coeffs):
-        out = out * lin + Polynomial([c])
-    return out
+        out = _reference_product(out, lin)
+        out[0] += c
+    return _trimmed(out)
 
 
 def _reference_hypergeometric_sum(nums, dens, z, term_count):
@@ -506,7 +528,7 @@ def test_shifted_factorial_matches_reference(a, k):
 @given(st.lists(st.tuples(_rationals, _rationals), max_size=8,
                 unique_by=lambda pt: pt[0]))
 def test_lagrange_matches_reference(points):
-    assert lagrange_interpolate(points) == _reference_lagrange(points)
+    assert lagrange_interpolate(points).coeffs == _reference_lagrange(points)
 
 
 # every abscissa non-integral, so the points are rescaled by x = t/d, d > 1
@@ -517,7 +539,7 @@ _non_integers = st.fractions(min_value=-20, max_value=20, max_denominator=12).fi
 @given(st.lists(st.tuples(_non_integers, _rationals), min_size=1, max_size=8,
                 unique_by=lambda pt: pt[0]))
 def test_lagrange_matches_reference_on_non_integer_abscissae(points):
-    assert lagrange_interpolate(points) == _reference_lagrange(points)
+    assert lagrange_interpolate(points).coeffs == _reference_lagrange(points)
 
 
 # x = 0, integers, non-integral rationals and floats, which must be read as
@@ -548,7 +570,8 @@ def test_polynomial_call_edge_cases():
 @given(st.lists(_rationals, max_size=8), _rationals, _rationals)
 def test_compose_affine_matches_reference(coeffs, shift, slope):
     poly = Polynomial(coeffs)
-    assert poly.compose_affine(shift, slope) == _reference_compose_affine(poly, shift, slope)
+    assert (poly.compose_affine(shift, slope).coeffs
+            == _reference_compose_affine(poly, shift, slope))
 
 
 @given(st.lists(_rationals, max_size=4), st.lists(_rationals, max_size=3),
@@ -599,6 +622,50 @@ def test_determinant_matches_rational_elimination(rows):
     assert det == _rational_determinant(rows)
 
 
+# rational m, and the roots of the prefactor: the integers -1..-floor(n/2)
+# and the half-integers -i-1/2 down to -(n-1)/2
+_reduced_m = st.one_of(
+    _rationals,
+    st.integers(-8, 1),
+    st.integers(-8, 1).map(lambda k: F(2 * k - 1, 2)),
+)
+
+
+@st.composite
+def _row_replacements(draw):
+    """A square matrix with entries in [-3, 3], so that zero pivots and
+    singular matrices are common, and one replacement row for each row
+    after the first."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    carried = [[draw(entry) for _ in range(n)] for _ in range(n - 1)]
+    return rows, carried
+
+
+@given(_row_replacements())
+def test_shared_elimination_matches_determinant_of_each_replaced_matrix(case):
+    rows, carried = case
+    shared = _bareiss([row[:] for row in rows], 1, [row[:] for row in carried])
+    assert len(shared) == len(rows)
+    assert shared[0] == determinant(rows)
+    for k, det in enumerate(shared[1:], start=1):
+        # matrix k is left unfinished exactly when a leading minor of size
+        # at most k vanishes: the shared steps then need a row swap
+        swapped = any(determinant([row[:s] for row in rows[:s]]) == 0 for s in range(1, k + 1))
+        assert (det is None) == swapped, k
+        if det is not None:
+            assert det == determinant(rows[:k] + [carried[k - 1]] + rows[k + 1:]), k
+
+
+@given(st.integers(1, 7), _reduced_m)
+def test_reduced_determinants_match_determinant_of_each_marked_matrix(n, m):
+    plain, marked, plain_den, marked_den = _reduced_rows(m, n)
+    den = plain_den ** (n - 1) * marked_den
+    assert reduced_determinants(m, n) == [
+        F(determinant(plain[:l] + [marked[l]] + plain[l + 1:]), den) for l in range(n)]
+
+
 @given(st.integers(1, 8), st.integers(0, 12))
 def test_upper_count_matrix_matches_reference(n, m):
     assert path_matrix(pentagon_path_family(n, m)) == _reference_upper_count(n, m)
@@ -618,15 +685,6 @@ def test_reduced_lower_matrix_matches_reference(n, m):
         rows = [[F(x, marked_den) for x in marked[i]] if i == l - 1
                 else [F(x, plain_den) for x in plain[i]] for i in range(n)]
         assert rows == _reference_reduced_lower(m, n, l), l
-
-
-# rational m, and the roots of the prefactor: the integers -1..-floor(n/2)
-# and the half-integers -i-1/2 down to -(n-1)/2
-_reduced_m = st.one_of(
-    _rationals,
-    st.integers(-8, 1),
-    st.integers(-8, 1).map(lambda k: F(2 * k - 1, 2)),
-)
 
 
 @given(_n_and_l(7), _reduced_m)
@@ -650,8 +708,8 @@ def test_prefactor_roots_give_zero_determinants():
 def test_extract_reduced_polynomials_match_per_row_reference():
     for n in range(1, 8):
         polys = extract_reduced_polynomials(n)
-        assert polys == [_reference_extract_reduced_polynomial(n, l)
-                         for l in range(1, n + 1)]
+        assert [p.coeffs for p in polys] == [_reference_extract_reduced_polynomial(n, l)
+                                             for l in range(1, n + 1)]
 
 
 def test_reduced_poly_value_matches_reference_on_its_whole_domain():
