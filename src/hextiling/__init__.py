@@ -36,7 +36,6 @@ from .hexagon import (
     pentagon_path_family,
 )
 from .matrices import (
-    check_column_relation,
     determinant,
     extract_reduced_polynomials,
     path_matrix,
@@ -52,7 +51,6 @@ from .formulas import (
     fixed_count,
     fixed_count_even,
     fixed_count_odd,
-    hyp_chain_check,
     lower_weighted_closed_form,
     macmahon_count,
     proportion,
@@ -68,7 +66,6 @@ from .oracle import (
     count_tilings,
     count_with_fixed_rhombus,
     enumerate_tilings,
-    factorization_checks,
     hexagon_tally,
     weighted_count,
 )

@@ -280,17 +280,6 @@ def proportion_balanced_form(n: int, m: int, l: int) -> Fraction:
     return Fraction(pref_num * series.numerator, pref_den * series.denominator)
 
 
-def hyp_chain_check(n: int, m: int, l: int) -> bool:
-    """True iff the proportion agrees exactly with both hypergeometric
-    re-expressions.  Propagates SingularParameterError for the cells where
-    the series form is undefined."""
-    target = proportion_nm(n, m, l)
-    return (
-        target == proportion_series_form(n, m, l)
-        and target == proportion_balanced_form(n, m, l)
-    )
-
-
 def arcsine_limit(a_ratio: float, b_ratio: float) -> float:
     """Limiting proportion (2/pi) arcsin(sqrt(b(1-b)) / sqrt((a+b)(a-b+1)))
     for m ~ a*n and l ~ b*n as n grows.  The only floating-point computation

@@ -139,22 +139,6 @@ def hexagon_cells(a: int, b: int, c: int) -> frozenset:
     return frozenset(cells)
 
 
-def cell_neighbors(cell: Cell) -> tuple:
-    """The up-to-three cells sharing an edge with ``cell`` on the full grid."""
-    r2, s, orient = cell
-    if orient == "right":
-        return (
-            Cell(r2, s - 1, "left"),
-            Cell(r2 - 1, s, "left"),
-            Cell(r2 + 1, s, "left"),
-        )
-    return (
-        Cell(r2, s + 1, "right"),
-        Cell(r2 - 1, s, "right"),
-        Cell(r2 + 1, s, "right"),
-    )
-
-
 def axis_positions(spec: HexagonSpec) -> int:
     """Number of admissible axis-rhombus positions (always n)."""
     if spec.n == 0:

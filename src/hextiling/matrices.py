@@ -15,17 +15,17 @@ because lattice paths exist only for integer m.
 The reduced lower matrix at a sample point m is built once as integer rows,
 each over one row denominator, carrying its rising products from one entry
 of a row to the next; both versions of every row (unmarked and marked) come
-out of the same pass.  :func:`reduced_determinants` is the one way to read
-its determinant: it returns the value for every marked row l from one
-build, with one division by the product of the row denominators, and the
-polynomial extraction and the verification suites read only it.  The n
-matrices share their plain rows, so the plain rows are eliminated once,
-with the marked rows carried through the same steps, and matrix l is
-finished from that shared state.  The column relations are tested on the
-same integer rows.  Determinants are computed by fraction-free Bareiss
-elimination on integers, with a deterministic pivot rule; one private
-loop does every elimination, and it can resume from the divisor that
-earlier steps left.
+out of the same pass, :func:`reduced_rows`.  The ``column-relation`` suite
+of :mod:`hextiling.verify` tests its column relations on those rows.
+:func:`reduced_determinants` is the one way to read the determinant: it
+returns the value for every marked row l from one build, with one division
+by the product of the row denominators, and the polynomial extraction and
+the other verification suites read only it.  The n matrices share their
+plain rows, so the plain rows are eliminated once, with the marked rows
+carried through the same steps, and matrix l is finished from that shared
+state.  Determinants are computed by fraction-free Bareiss elimination on
+integers, with a deterministic pivot rule; one private loop does every
+elimination, and it can resume from the divisor that earlier steps left.
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ from fractions import Fraction
 from operator import index
 from typing import List, Optional, Sequence
 
-from .exact import (
-    Polynomial,
-    _rising_product,
-    binomial,
-    lagrange_interpolate,
-    shifted_factorial,
-)
+from .exact import Polynomial, _rising_product, lagrange_interpolate
 from .hexagon import PathFamilySpec
 
 Matrix = List[List[int]]
@@ -153,7 +147,7 @@ def row_scale_product(n: int, m: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _reduced_rows(m, n: int) -> tuple:
+def reduced_rows(m, n: int) -> tuple:
     """Integer rows of the reduced lower matrix at m, in both versions.
 
     Returns ``(plain, marked, plain_den, marked_den)``: row i of the matrix
@@ -190,7 +184,7 @@ def _reduced_rows(m, n: int) -> tuple:
     return plain, marked, 2 * q_powers[n], q_powers[n - 1]
 
 
-def _reduced_degree_bound(n: int) -> int:
+def reduced_degree_bound(n: int) -> int:
     """Degree bound C(n+1, 2) - 1 in m of the reduced determinant: entry j
     of a row has degree j in m, and j - 1 in the marked row."""
     return n * (n + 1) // 2 - 1
@@ -217,7 +211,7 @@ def _reduced_determinant_numerators(m, n: int) -> tuple:
     one division by the product of the row denominators, and that product."""
     if n < 1:
         raise ValueError("need n >= 1")
-    plain, marked, plain_den, marked_den = _reduced_rows(m, n)
+    plain, marked, plain_den, marked_den = reduced_rows(m, n)
     shared = _bareiss([row[:] for row in plain], 1, [row[:] for row in marked[1:]])
     shared[0] = determinant([marked[0]] + plain[1:])  # matrix 1 shares no step
     dets = [determinant(plain[:l] + [marked[l]] + plain[l + 1:]) if det is None else det
@@ -237,37 +231,6 @@ def reduced_prefactor(m, n: int) -> Fraction:
         num *= _rising_product(2 * p + (2 * i + 1) * q, 2 * q, n - 2 * i)
         den *= q ** (n - 2 * i + 1) * (2 * q) ** (n - 2 * i)
     return Fraction(num, den)
-
-
-def check_column_relation(n: int, l: int, e: int, k: int) -> bool:
-    """Verify one vanishing linear combination of columns at m = -e - 1/2.
-
-    For admissible (e, k) the binomial-weighted block of columns of the
-    reduced matrix at m = -e-1/2 collapses onto a single earlier column:
-
-        sum_{j=0}^{k} C(k,j) * col(n-2e+k+j)
-            = (n-e-l+1/2)_k / ((-4)^k (n-e-l+1)_k) * col(n-2e).
-
-    The k relations for k = 1..e are linearly independent, which is what
-    forces (m+e+1/2)^e to divide the determinant.  It is tested on the
-    integer rows of :func:`_reduced_rows`: each row sits over one
-    denominator, so the relation holds on its numerators.
-    """
-    if not 1 <= e <= n // 2 - 1:
-        raise ValueError("need 1 <= e <= floor(n/2) - 1")
-    if not 1 <= k <= e:
-        raise ValueError("need 1 <= k <= e")
-    if not 1 <= l <= (n + 1) // 2:
-        raise ValueError("need 1 <= l <= floor((n+1)/2)")
-    plain, marked, _, _ = _reduced_rows(Fraction(-2 * e - 1, 2), n)
-    coeff = shifted_factorial(n - e - l + Fraction(1, 2), k) / (
-        Fraction(-4) ** k * shifted_factorial(n - e - l + 1, k)
-    )
-    base = n - 2 * e - 1  # 0-based index of col(n-2e)
-    return all(
-        sum(binomial(k, j) * row[base + k + j] for j in range(k + 1)) == coeff * row[base]
-        for row in plain[: l - 1] + [marked[l - 1]] + plain[l:]
-    )
 
 
 def extract_reduced_polynomials(n: int) -> List[Polynomial]:

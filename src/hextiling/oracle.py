@@ -29,9 +29,9 @@ one enumeration per axis position, and ``hexagon_tally`` counts every axis
 position as the hexagon minus that rhombus's two cells, on the frontier
 kernel.  ``hexagon_tally`` builds and prepares the hexagon once for its total
 and all its positions; it is the one oracle call per hexagon of the
-``oracle-vs-theorems`` suite.  ``factorization_checks`` compares, at every
-position of one hexagon, a filtered enumeration with kernel counts of the two
-halves, counting the upper half, which no position changes, once.
+``oracle-vs-theorems`` suite.  The ``factorization`` suite of
+:mod:`hextiling.verify` reads the filtered enumeration per position and
+kernel counts of the two halves from here, and compares them itself.
 
 Everything is exact; weighted counts run the kernel on integer pair weights
 and divide once at the end.  Regions larger than the configurable cell limit
@@ -47,7 +47,6 @@ from .hexagon import (
     HexagonSpec,
     Region,
     RegionKind,
-    axis_positions,
     axis_rhombus_cells,
     build_region,
 )
@@ -65,9 +64,9 @@ def _prepare(region: Region, max_cells: int):
     In the sorted ``(row2, col, orient)`` order the only higher neighbor of a
     right cell ``(r2, s)`` is ``(r2 + 1, s, "left")``, and those of a left
     cell are ``(r2, s + 1, "right")`` and then ``(r2 + 1, s, "right")``
-    (``hexagon.cell_neighbors`` lists all three neighbors).  Plain tuples
-    hash and compare equal to ``Cell``, so they look up the index directly,
-    once each.
+    (the differential tests check these lists against a reference that
+    lists all three neighbors of every cell).  Plain tuples hash and compare
+    equal to ``Cell``, so they look up the index directly, once each.
     """
     cells = sorted(region.cells)
     if len(cells) > max_cells:
@@ -271,28 +270,3 @@ def hexagon_tally(
     }
     return _frontier_count(later), fixed
 
-
-def factorization_checks(
-    spec: HexagonSpec, max_cells: int = DEFAULT_CELL_LIMIT
-) -> Dict[int, bool]:
-    """Check the reflective-symmetry factorization at every axis position.
-
-    The count of tilings containing axis rhombus l must equal
-    2^(side_a - 1) times the tiling count of the (trimmed) upper half times
-    the weighted count of the lower half with position l removed.  (For odd
-    parity the trimmed upper half is the whole upper half.)  The left side
-    is a filtered enumeration per position; the upper half, the same for
-    every l, is counted once on the frontier kernel.  The left sides come
-    first, so a hexagon past ``max_cells`` is reported as itself, not as one
-    of its halves.
-    """
-    positions = range(1, axis_positions(spec) + 1)
-    fixed = [count_with_fixed_rhombus(spec, l, max_cells) for l in positions]
-    upper = count_tilings(build_region(spec, RegionKind.UPPER_TRIMMED), max_cells)
-    scale = 2 ** (spec.side_a - 1) * upper
-    return {
-        l: got == scale * weighted_count(
-            build_region(spec, RegionKind.LOWER_HALF, l), max_cells
-        )
-        for l, got in zip(positions, fixed)
-    }

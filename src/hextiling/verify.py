@@ -14,12 +14,13 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple
 
 from . import formulas, matrices, oracle
-from .exact import SingularParameterError
+from .exact import SingularParameterError, binomial, shifted_factorial
 from .hexagon import (
     HexagonSpec,
     Parity,
     RegionKind,
     box_region,
+    build_region,
     marked_path_family,
     path_family,
     pentagon_path_family,
@@ -109,17 +110,33 @@ def check_fixed_odd(max_a: int = 3, max_m: int = 3,
     return _fixed_cases(_tallies(max_a, max_m, max_cells, {Parity.ODD}))
 
 
+def _ciucu(spec: HexagonSpec, upper, lower):
+    """Ciucu's factorization (JCTA 77, 1997) of the count of tilings that
+    contain an axis rhombus: 2^(side_a-1) times the tiling count of the
+    trimmed upper half times the weighted count of the lower half marked
+    there.  (For odd parity the trimmed upper half is the whole upper
+    half.)"""
+    return 2 ** (spec.side_a - 1) * upper * lower
+
+
 def check_factorization(max_a: int = 3, max_m: int = 4,
                         max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
-    """Fixed count = 2^(side_a-1) * upper count * weighted lower count, with
-    the upper half counted once per hexagon and the lower half once per l."""
+    """Ciucu's factorization on oracle counts: the left side a filtered
+    enumeration per position, the upper half counted once per hexagon on
+    the frontier kernel and the lower half once per l.  Every left side of
+    a hexagon comes first, so a hexagon past ``max_cells`` is reported as
+    itself, not as one of its halves."""
     out: List[CaseResult] = []
     for spec in _grid(max_a, max_m):
         if spec.n == 0:
             continue
         a, m = spec
-        for l, ok in oracle.factorization_checks(spec, max_cells).items():
-            _case(out, f"hexagon({a},{m}) factorization l={l}", ok)
+        positions = range(1, spec.n + 1)
+        fixed = [oracle.count_with_fixed_rhombus(spec, l, max_cells) for l in positions]
+        upper = oracle.count_tilings(build_region(spec, RegionKind.UPPER_TRIMMED), max_cells)
+        for l, got in zip(positions, fixed):
+            lower = oracle.weighted_count(build_region(spec, RegionKind.LOWER_HALF, l), max_cells)
+            _case(out, f"hexagon({a},{m}) factorization l={l}", got == _ciucu(spec, upper, lower))
     return out
 
 
@@ -156,7 +173,7 @@ def check_symmetries(max_n: int = 6) -> List[CaseResult]:
     """
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
-        bound = matrices._reduced_degree_bound(n)
+        bound = matrices.reduced_degree_bound(n)
         points = [Fraction(2 * k + 1, 3) for k in range(bound + 2)]
         dets = [matrices.reduced_determinants(m, n) for m in points]
         negated = [matrices.reduced_determinants(-n - m, n) for m in points]
@@ -169,13 +186,35 @@ def check_symmetries(max_n: int = 6) -> List[CaseResult]:
 
 
 def check_column_relations(max_n: int = 8) -> List[CaseResult]:
-    """Vanishing column combinations of the reduced matrix at m = -e-1/2."""
+    """Vanishing column combinations of the reduced matrix at m = -e-1/2.
+
+    For 1 <= k <= e <= n/2 - 1 and each marked row l <= (n+1)/2, the
+    binomial-weighted block of columns collapses onto a single earlier
+    column:
+
+        sum_{j=0}^{k} C(k,j) * col(n-2e+k+j)
+            = (n-e-l+1/2)_k / ((-4)^k (n-e-l+1)_k) * col(n-2e).
+
+    The k relations for k = 1..e are linearly independent, which is what
+    forces (m+e+1/2)^e to divide the determinant.  They are tested on the
+    integer rows of ``matrices.reduced_rows``, read once per (n, e): each
+    row sits over one denominator, so the relation holds on its numerators.
+    """
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
         for e in range(1, n // 2):
+            plain, marked, _, _ = matrices.reduced_rows(Fraction(-2 * e - 1, 2), n)
+            base = n - 2 * e - 1  # 0-based index of col(n-2e)
             for k in range(1, e + 1):
                 for l in range(1, (n + 1) // 2 + 1):
-                    ok = matrices.check_column_relation(n, l, e, k)
+                    coeff = shifted_factorial(n - e - l + Fraction(1, 2), k) / (
+                        Fraction(-4) ** k * shifted_factorial(n - e - l + 1, k)
+                    )
+                    ok = all(
+                        sum(binomial(k, j) * row[base + k + j] for j in range(k + 1))
+                        == coeff * row[base]
+                        for row in plain[: l - 1] + [marked[l - 1]] + plain[l:]
+                    )
                     _case(out, f"column relation n={n} l={l} e={e} k={k}", ok)
     return out
 
@@ -224,13 +263,13 @@ def _path_det(spec: HexagonSpec, kind: RegionKind, axis=None) -> int:
 
 def _centre_third_by_determinants(spec: HexagonSpec, lower: int) -> bool:
     """Propp's one-third from path-matrix determinants alone.  By Ciucu's
-    factorization the fixed count is 2^(side_a-1) det U det L_l / 2^(n-1),
-    for the trimmed upper half U and the lower half L_l marked at l, whose
-    determinant is ``lower``; three times it must equal the total, det G of
-    the full hexagon."""
+    factorization the fixed count is ``_ciucu(spec, det U, det L_l)`` /
+    2^(n-1), for the trimmed upper half U and the lower half L_l marked at
+    l, whose determinant is ``lower`` (2^(n-1) times its weighted count);
+    three times it must equal the total, det G of the full hexagon."""
     upper = _path_det(spec, RegionKind.UPPER_TRIMMED)
     total = _path_det(spec, RegionKind.FULL_HEXAGON)
-    return 3 * 2 ** (spec.side_a - 1) * upper * lower == 2 ** (spec.n - 1) * total
+    return 3 * _ciucu(spec, upper, lower) == 2 ** (spec.n - 1) * total
 
 
 def check_corollary(max_n: int = 10) -> List[CaseResult]:
@@ -267,7 +306,9 @@ def check_hyp_chain(max_n: int = 5, max_m: int = 4) -> List[CaseResult]:
             for l in range(1, n + 1):
                 name = f"hyp chain n={n} m={m} l={l}"
                 try:
-                    ok = formulas.hyp_chain_check(n, m, l)
+                    target = formulas.proportion_nm(n, m, l)
+                    ok = (target == formulas.proportion_series_form(n, m, l)
+                          and target == formulas.proportion_balanced_form(n, m, l))
                 except SingularParameterError as exc:
                     out.append(CaseResult(name, True, f"skipped: {exc}", skipped=True))
                 else:

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from hextiling import verify
 from hextiling.exact import SingularParameterError
 from hextiling.formulas import (
     arcsine_limit,
@@ -13,7 +14,6 @@ from hextiling.formulas import (
     fixed_count,
     fixed_count_even,
     fixed_count_odd,
-    hyp_chain_check,
     lower_weighted_closed_form,
     macmahon_count,
     proportion,
@@ -178,12 +178,12 @@ def test_central_sum_identity_and_recurrence():
 
 
 def test_hyp_chain_values():
-    assert hyp_chain_check(3, 2, 2)
+    by_name = {r.name: r for r in verify.check_hyp_chain(max_n=5, max_m=4)}
+    for n, m, l in [(3, 2, 2), (2, 1, 1)] + [(5, 3, l) for l in range(1, 6)]:
+        result = by_name[f"hyp chain n={n} m={m} l={l}"]
+        assert result.ok and not result.skipped, (n, m, l)
     assert proportion_nm(3, 2, 2) == F(1, 3)
-    assert hyp_chain_check(2, 1, 1)
     assert proportion_nm(2, 1, 1) == F(2, 5)
-    for l in range(1, 6):
-        assert hyp_chain_check(5, 3, l)
 
 
 def test_hyp_chain_singular_cells():

@@ -1,21 +1,27 @@
-"""Differential tests: each integer-first exact kernel against a
-term-by-term Fraction construction of the same value (polynomial
-evaluation, the axis sum and the three forms of the proportion among
-them), each path matrix against its entries typed out by hand, the integer
-Bareiss ``determinant`` against a Gaussian elimination over ``Fraction``,
-the Bareiss steps shared across row-replaced matrices against
-``determinant`` of each, the oracle's iterative search against the three
-recursive searches it replaced, kept here as the references, and the
-oracle's neighbor lists against ``hexagon.cell_neighbors``, the per-column
-hexagon builder against the row-by-row parity loop it replaced, and the
-oracle's one-pass hexagon tally against a separate count per axis
-position.
+"""Differential tests: each rewritten kernel against a reference that
+builds the same value another way.
+
+- Each integer-first exact kernel against a term-by-term Fraction
+  construction of the same value (polynomial evaluation, the axis sum and
+  the three forms of the proportion among them).
+- Each path matrix against its entries typed out by hand.
+- The integer Bareiss ``determinant`` against a Gaussian elimination over
+  ``Fraction``, and the Bareiss steps shared across row-replaced matrices
+  against ``determinant`` of each.
+- The oracle's iterative search against the three recursive searches it
+  replaced, kept here as the references.
+- The oracle's neighbor lists against ``cell_neighbors`` below, which lists
+  all three neighbors of a cell from its coordinates alone.
+- The per-column hexagon builder against the row-by-row parity loop it
+  replaced, and the oracle's one-pass hexagon tally against a separate
+  count per axis position.
 
 The references build on nothing that was rewritten: only ``Fraction``
 (the polynomial references work on plain lists of ``Fraction``
 coefficients, not on ``Polynomial``), ``math``, ``binomial``, the rational
-elimination below and the oracle's cell geometry.  (The determinant is
-also checked against the permutation expansion in ``test_matrices.py``.)  The closed forms, the hypergeometric forms of the
+elimination below and the cell geometry of ``cell_neighbors``.  (The
+determinant is also checked against the permutation expansion in
+``test_matrices.py``.)  The closed forms, the hypergeometric forms of the
 proportion and the polynomial extraction of the reduced determinant are
 checked against the one-``Fraction``-per-factor versions they replaced,
 also kept here.
@@ -51,19 +57,18 @@ from hextiling.hexagon import (
     RegionKind,
     box_region,
     build_region,
-    cell_neighbors,
     hexagon_cells,
     marked_path_family,
     pentagon_path_family,
 )
 from hextiling.matrices import (
     _bareiss,
-    _reduced_rows,
     determinant,
     extract_reduced_polynomials,
     path_matrix,
     reduced_determinants,
     reduced_prefactor,
+    reduced_rows,
     row_scale_product,
 )
 from hextiling.oracle import (
@@ -381,6 +386,22 @@ def _reference_extract_reduced_polynomial(n, l):
     return _reference_lagrange(points)
 
 
+def cell_neighbors(cell: Cell) -> tuple:
+    """The up-to-three cells sharing an edge with ``cell`` on the full grid."""
+    r2, s, orient = cell
+    if orient == "right":
+        return (
+            Cell(r2, s - 1, "left"),
+            Cell(r2 - 1, s, "left"),
+            Cell(r2 + 1, s, "left"),
+        )
+    return (
+        Cell(r2, s + 1, "right"),
+        Cell(r2 - 1, s, "right"),
+        Cell(r2 + 1, s, "right"),
+    )
+
+
 def _prepare(region: Region, max_cells: int):
     cells = sorted(region.cells)
     if len(cells) > max_cells:
@@ -660,7 +681,7 @@ def test_shared_elimination_matches_determinant_of_each_replaced_matrix(case):
 
 @given(st.integers(1, 7), _reduced_m)
 def test_reduced_determinants_match_determinant_of_each_marked_matrix(n, m):
-    plain, marked, plain_den, marked_den = _reduced_rows(m, n)
+    plain, marked, plain_den, marked_den = reduced_rows(m, n)
     den = plain_den ** (n - 1) * marked_den
     assert reduced_determinants(m, n) == [
         F(determinant(plain[:l] + [marked[l]] + plain[l + 1:]), den) for l in range(n)]
@@ -680,7 +701,7 @@ def test_lower_weighted_matrix_matches_reference(nl, m):
 @given(st.integers(1, 6), st.fractions(min_value=-10, max_value=10, max_denominator=9))
 def test_reduced_lower_matrix_matches_reference(n, m):
     # both versions of every integer row, over their denominators
-    plain, marked, plain_den, marked_den = _reduced_rows(m, n)
+    plain, marked, plain_den, marked_den = reduced_rows(m, n)
     for l in range(1, n + 1):
         rows = [[F(x, marked_den) for x in marked[i]] if i == l - 1
                 else [F(x, plain_den) for x in plain[i]] for i in range(n)]

@@ -16,13 +16,13 @@ from hextiling.hexagon import (
     pentagon_path_family,
 )
 from hextiling.matrices import (
-    _reduced_rows,
-    check_column_relation,
     determinant,
     extract_reduced_polynomials,
     path_matrix,
+    reduced_degree_bound,
     reduced_determinants,
     reduced_prefactor,
+    reduced_rows,
     row_scale_product,
 )
 
@@ -154,7 +154,7 @@ def test_lower_weighted_matrix_values():
 
 
 def test_reduced_matrix_base_case():
-    _, marked, _, marked_den = _reduced_rows(F(7, 3), 1)
+    _, marked, _, marked_den = reduced_rows(F(7, 3), 1)
     assert (marked, marked_den) == ([[1]], 1)
     assert reduced_determinants(F(7, 3), 1) == [1]
 
@@ -197,41 +197,38 @@ def test_reduced_determinant_integer_roots():
             assert reduced_determinants(-i, n) == [0] * n
 
 
+def _column_relation_grid(max_n):
+    # every admissible (n, l, e, k), in the order the suite reports them
+    return [f"column relation n={n} l={l} e={e} k={k}"
+            for n in range(4, max_n + 1) for e in range(1, n // 2)
+            for k in range(1, e + 1) for l in range(1, (n + 1) // 2 + 1)]
+
+
 def test_column_relation_examples():
-    assert check_column_relation(4, 1, 1, 1)
-    assert check_column_relation(5, 2, 1, 1)
-    assert check_column_relation(6, 3, 2, 1)
-    assert check_column_relation(6, 3, 2, 2)
+    from hextiling import verify
+
+    by_name = {r.name: r.ok for r in verify.check_column_relations(max_n=8)}
+    for n, l, e, k in [(4, 1, 1, 1), (5, 2, 1, 1), (6, 3, 2, 1), (6, 3, 2, 2)]:
+        assert by_name[f"column relation n={n} l={l} e={e} k={k}"], (n, l, e, k)
 
 
 def test_column_relation_full_admissible_grid():
-    for n in range(4, 9):
-        for e in range(1, n // 2):
-            for k in range(1, e + 1):
-                for l in range(1, (n + 1) // 2 + 1):
-                    assert check_column_relation(n, l, e, k), (n, l, e, k)
+    from hextiling import verify
+
+    results = verify.check_column_relations(max_n=8)
+    assert [r.name for r in results] == _column_relation_grid(8)
+    assert all(r.ok for r in results), [r.name for r in results if not r.ok]
 
 
 def test_column_relation_fails_off_its_point(monkeypatch):
     # at m = -e + 1/2 instead of -e - 1/2 no admissible relation holds
-    from hextiling import matrices
+    from hextiling import matrices, verify
 
-    rows = matrices._reduced_rows
-    monkeypatch.setattr(matrices, "_reduced_rows", lambda m, n: rows(m + 1, n))
-    for n in range(4, 9):
-        for e in range(1, n // 2):
-            for k in range(1, e + 1):
-                for l in range(1, (n + 1) // 2 + 1):
-                    assert not check_column_relation(n, l, e, k), (n, l, e, k)
-
-
-def test_column_relation_validation():
-    with pytest.raises(ValueError):
-        check_column_relation(4, 1, 2, 1)  # e too large
-    with pytest.raises(ValueError):
-        check_column_relation(6, 1, 2, 3)  # k > e
-    with pytest.raises(ValueError):
-        check_column_relation(6, 4, 1, 1)  # l beyond symmetric range
+    rows = matrices.reduced_rows
+    monkeypatch.setattr(matrices, "reduced_rows", lambda m, n: rows(m + 1, n))
+    results = verify.check_column_relations(max_n=8)
+    assert [r.name for r in results] == _column_relation_grid(8)
+    assert not any(r.ok for r in results), [r.name for r in results if r.ok]
 
 
 def test_reduced_determinant_degree_bound():
@@ -240,10 +237,9 @@ def test_reduced_determinant_degree_bound():
     # from the marked row.  One spare point lets a higher degree show, and
     # the bound is attained, so the symmetries suite needs all its points.
     from hextiling.exact import lagrange_interpolate
-    from hextiling.matrices import _reduced_degree_bound
 
     for n in range(1, 8):
-        bound = _reduced_degree_bound(n)
+        bound = reduced_degree_bound(n)
         samples = [(F(m), reduced_determinants(m, n)) for m in range(bound + 2)]
         for l in range(n):
             poly = lagrange_interpolate([(m, dets[l]) for m, dets in samples])

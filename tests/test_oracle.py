@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hextiling import verify
 from hextiling.formulas import (
     fixed_count,
     macmahon_count,
@@ -24,7 +25,6 @@ from hextiling.oracle import (
     count_tilings,
     count_with_fixed_rhombus,
     enumerate_tilings,
-    factorization_checks,
     hexagon_tally,
     weighted_count,
 )
@@ -97,9 +97,11 @@ def test_cell_limit_enforced():
         weighted_count(build_region(HexagonSpec(2, 2), RegionKind.FULL_HEXAGON), max_cells=10)
     with pytest.raises(RegionTooLargeError):
         hexagon_tally(HexagonSpec(2, 2), max_cells=10)
-    with pytest.raises(RegionTooLargeError, match="region has 24 cells"):
-        # reported as the hexagon, not as one of its 10-cell halves
-        factorization_checks(HexagonSpec(2, 2), max_cells=10)
+    with pytest.raises(RegionTooLargeError, match="region has 16 cells"):
+        # hexagon(2, 1), the first of this grid with an axis rhombus, is
+        # reported as itself, not as its 8-cell lower half, which the limit
+        # also excludes
+        verify.check_factorization(max_a=2, max_m=1, max_cells=7)
     # raised at the call, before the first tiling is asked for
     with pytest.raises(RegionTooLargeError):
         enumerate_tilings(build_region(HexagonSpec(2, 2), RegionKind.FULL_HEXAGON), max_cells=10)
@@ -244,19 +246,17 @@ def test_occupancy_tally_coherence():
 
 
 def test_factorization_examples():
-    assert factorization_checks(HexagonSpec(3, 2)) == {1: True, 2: True, 3: True}
-    assert factorization_checks(HexagonSpec(3, 3)) == {1: True, 2: True}
-    assert factorization_checks(HexagonSpec(2, 2)) == {1: True, 2: True}
-    with pytest.raises(ValueError, match="no rhombus"):
-        factorization_checks(HexagonSpec(1, 1))
+    results = verify.check_factorization(max_a=3, max_m=3)
+    for a, m_side, n in [(3, 2, 3), (3, 3, 2), (2, 2, 2)]:
+        prefix = f"hexagon({a},{m_side}) factorization "
+        assert [(r.name, r.ok) for r in results if r.name.startswith(prefix)] == [
+            (f"{prefix}l={l}", True) for l in range(1, n + 1)]
 
 
 def test_factorization_full_grid():
-    for a in range(1, 4):
-        for m_side in range(1, 5):
-            spec = HexagonSpec(a, m_side)
-            if spec.n == 0:
-                continue
-            checks = factorization_checks(spec)
-            assert list(checks) == list(range(1, axis_positions(spec) + 1))
-            assert all(checks.values()), (a, m_side, checks)
+    results = verify.check_factorization(max_a=3, max_m=4)
+    assert [r.name for r in results] == [
+        f"hexagon({a},{m_side}) factorization l={l}"
+        for a in range(1, 4) for m_side in range(1, 5)
+        for l in range(1, HexagonSpec(a, m_side).n + 1)]
+    assert all(r.ok for r in results), [r.name for r in results if not r.ok]
