@@ -15,6 +15,8 @@ from .exact import (
     binomial,
     double_factorial,
     hypergeometric_sum,
+    lagrange_basis,
+    lagrange_combine,
     lagrange_interpolate,
     shifted_factorial,
 )
@@ -38,6 +40,7 @@ from .hexagon import (
 from .matrices import (
     determinant,
     extract_reduced_polynomials,
+    marked_row_determinants,
     path_matrix,
     reduced_prefactor,
     row_scale_product,
@@ -51,7 +54,7 @@ from .formulas import (
     fixed_count,
     fixed_count_even,
     fixed_count_odd,
-    lower_weighted_closed_form,
+    lower_weighted_closed_forms,
     macmahon_count,
     proportion,
     proportion_balanced_form,

@@ -9,16 +9,25 @@ very end with ``float()``.
 The kernels are integer-first: ``shifted_factorial`` and
 ``hypergeometric_sum`` carry integer numerators over one common
 denominator and build each ``Fraction`` once, at the end, instead of
-normalising a ``Fraction`` (one gcd) at every arithmetic step.  A
-``Polynomial`` is itself stored that way, as integer numerators over one
-denominator in lowest terms, so ``lagrange_interpolate`` builds one, and
-evaluation, ``compose_affine``, scalar products and equality work on it,
-with no ``Fraction`` per coefficient in between.
+normalising a ``Fraction`` (one gcd) at every arithmetic step;
+``hypergeometric_sum`` reads each parameter's numerator and denominator
+straight from an ``int`` or ``Fraction``.  A ``Polynomial`` is itself
+stored that way, as integer numerators over one denominator in lowest
+terms, and evaluation, ``compose_affine``, scalar products and equality
+work on it, with no ``Fraction`` per coefficient in between.
+
+Interpolation is split in two steps: ``lagrange_basis`` does all the work
+that depends only on the abscissae, optionally with a rational scale per
+abscissa folded into its weight, and ``lagrange_combine`` builds each
+interpolating ``Polynomial`` from a list of ordinates by integer dot
+products.  ``lagrange_interpolate`` is the two in a row; a caller with
+many ordinate lists on the same abscissae builds the basis once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -217,20 +226,36 @@ def _over_common_denominator(values: Sequence) -> tuple:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def lagrange_interpolate(points: Sequence[tuple]) -> Polynomial:
-    """Exact interpolating polynomial through (x, y) pairs with distinct x.
+def _ratio(x) -> tuple:
+    """Numerator and denominator of the rational x in lowest terms: read
+    directly from an ``int`` or ``Fraction``, through ``Fraction(x)`` from
+    anything else it accepts."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
-    Returns the unique polynomial of degree < len(points) passing through all
-    of them; raises ValueError on duplicate abscissae.
 
-    The abscissae are written x = t/d over one denominator d, and the
-    polynomial Q(t) = P(t/d) is built in integers: the node polynomial
-    prod_j (t - t_j), its synthetic quotient by each (t - t_i) and the
-    weights prod_{j != i} (t_i - t_j) are all integral.  The y_i / weight_i
-    are put over one common denominator D, and P is returned as the
-    numerators q_k d^k over D, with no ``Fraction`` per coefficient.
+def lagrange_basis(xs: Sequence, scales: Sequence = ()) -> tuple:
+    """Abscissa-only step of Lagrange interpolation through distinct x_i,
+    each ordinate to be multiplied by scales[i] (by 1 if ``scales`` is
+    empty); raises ValueError on duplicate abscissae.
+
+    The abscissae are written x = t/d over one denominator d, and the basis
+    polynomials are built in integers in t: the node polynomial
+    prod_j (t - t_j), its synthetic quotient by each (t - t_i), and the
+    weights w_i = prod_{j != i} (t_i - t_j).  Coefficient k of the basis
+    polynomial of x_i, in x and times scales[i], is the quotient's
+    coefficient times d^k scales[i] / w_i.  The basis returned is
+    ``(columns, den)``: over the one common denominator ``den``, that
+    coefficient's numerator is entry i of ``columns[k]``.
+    :func:`lagrange_combine` then builds each interpolant from the
+    ordinates with integer dot products only.
     """
-    ts, d = _over_common_denominator([Fraction(x) for x, _ in points])
+    if scales and len(scales) != len(xs):
+        raise ValueError("need one scale per abscissa")
+    ratios = [_ratio(x) for x in xs]
+    d = math.lcm(*(q for _, q in ratios))
+    ts = [p * (d // q) for p, q in ratios]
     if len(set(ts)) != len(ts):
         raise ValueError("interpolation abscissae must be distinct")
     size = len(ts)
@@ -240,24 +265,58 @@ def lagrange_interpolate(points: Sequence[tuple]) -> Polynomial:
         node = [-tj * node[0]] + [
             node[k - 1] - tj * node[k] for k in range(1, len(node))
         ] + [1]
-    ys = [Fraction(y) for _, y in points]
-    weights = []
-    for ti, yi in zip(ts, ys):
-        w = yi.denominator
+    quotients, tops, bottoms = [], [], []
+    for i, ti in enumerate(ts):
+        top, bottom = _ratio(scales[i]) if scales else (1, 1)
         for tj in ts:
             if tj != ti:
-                w *= ti - tj
-        weights.append(w)
-    den = math.lcm(*weights)
-    total = [0] * size
-    for ti, yi, w in zip(ts, ys, weights):
-        scale = yi.numerator * (den // w)
+                bottom *= ti - tj
+        tops.append(top)
+        bottoms.append(bottom)
         # synthetic division: node / (t - t_i), highest degree first
+        quotient = [0] * size
         carry = 0
         for k in range(size, 0, -1):
             carry = node[k] + ti * carry
-            total[k - 1] += scale * carry
-    return Polynomial([c * d**k for k, c in enumerate(total)], den)
+            quotient[k - 1] = carry
+        quotients.append(quotient)
+    den = math.lcm(*bottoms)
+    mults = [top * (den // bottom) for top, bottom in zip(tops, bottoms)]
+    columns, d_power = [], 1
+    for k in range(size):
+        columns.append(tuple(q[k] * d_power * mult for q, mult in zip(quotients, mults)))
+        d_power *= d
+    return tuple(columns), den
+
+
+def lagrange_combine(basis: tuple, ys: Sequence) -> Polynomial:
+    """The polynomial of degree < len(ys) through (x_i, scales[i] y_i), for
+    the abscissae and scales of ``basis``, a :func:`lagrange_basis`.
+
+    The ordinates are put over one common denominator V; coefficient k is
+    then the dot product of ``columns[k]`` with their numerators, over V
+    times the basis denominator.
+    """
+    columns, den = basis
+    if len(ys) != len(columns):
+        raise ValueError("need one ordinate per abscissa")
+    ratios = [_ratio(y) for y in ys]
+    v = math.lcm(*(q for _, q in ratios))
+    nums = [p * (v // q) for p, q in ratios]
+    return Polynomial([sum(map(operator.mul, column, nums)) for column in columns], v * den)
+
+
+def lagrange_interpolate(points: Sequence[tuple]) -> Polynomial:
+    """Exact interpolating polynomial through (x, y) pairs with distinct x.
+
+    Returns the unique polynomial of degree < len(points) passing through all
+    of them; raises ValueError on duplicate abscissae.  It is
+    :func:`lagrange_combine` of the ordinates on :func:`lagrange_basis` of
+    the abscissae, so callers that interpolate many ordinate lists on one
+    set of abscissae build the basis once.
+    """
+    return lagrange_combine(lagrange_basis([x for x, _ in points]),
+                            [y for _, y in points])
 
 
 def hypergeometric_sum(
@@ -274,36 +333,38 @@ def hypergeometric_sum(
     function itself never inspects convergence.
 
     Raises SingularParameterError as soon as a denominator parameter
-    contributes a zero factor within the requested range.
+    contributes a zero factor within the requested range.  The parameters
+    and the argument may be anything ``Fraction()`` accepts; ints and
+    Fractions are read as they are, with no ``Fraction`` built per parameter.
     """
     if term_count < 0:
         raise ValueError("term_count must be nonnegative")
-    nums = [Fraction(a) for a in numerator_params]
-    dens = [Fraction(b) for b in denominator_params]
-    z = Fraction(argument)
+    # each parameter as (p, q), so that a_i + e-1 = (p + (e-1) q) / q
+    nums = [_ratio(a) for a in numerator_params]
+    dens = [_ratio(b) for b in denominator_params]
+    top, bottom = _ratio(argument)
     if not term_count:
         return Fraction(0)
-    # Term ratio t_e / t_(e-1) = z prod_i (a_i + e-1) / (e prod_j (b_j + e-1)),
-    # with each a_i + e-1 = (p + (e-1) q) / q; the parameter denominators are
-    # multiplied into one constant ratio top / bottom.
-    top, bottom = z.numerator, z.denominator
-    for b in dens:
-        top *= b.denominator
-    for a in nums:
-        bottom *= a.denominator
+    # Term ratio t_e / t_(e-1) = z prod_i (a_i + e-1) / (e prod_j (b_j + e-1));
+    # the parameter denominators are multiplied into one constant ratio
+    # top / bottom.
+    for _, q in dens:
+        top *= q
+    for _, q in nums:
+        bottom *= q
     ratios = []
     for e in range(1, term_count):
         den_step = bottom * e
-        for b in dens:
-            factor = b.numerator + (e - 1) * b.denominator
+        for p, q in dens:
+            factor = p + (e - 1) * q
             if factor == 0:
                 raise SingularParameterError(
-                    f"denominator parameter {b} vanishes at step {e}"
+                    f"denominator parameter {Fraction(p, q)} vanishes at step {e}"
                 )
             den_step *= factor
         num_step = top
-        for a in nums:
-            num_step *= a.numerator + (e - 1) * a.denominator
+        for p, q in nums:
+            num_step *= p + (e - 1) * q
         ratios.append((num_step, den_step))
     # nested Horner: 1 + r_1 (1 + r_2 (1 + ... (1 + r_(T-1))))
     total, den = 1, 1

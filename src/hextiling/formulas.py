@@ -16,8 +16,10 @@ lower count, its constant and the special values, which gather their
 powers of 2 in one exponent), the axis sum (nested Horner from its last
 term), the proportion (the axis sum's numerator and denominator times the
 binomial prefactor) and the prefactors of both hypergeometric forms.  The
-axis sum keeps a loop of its own rather than ``hypergeometric_sum``, so
-that the ``hyp-chain`` cross-check compares independent routes.
+weighted lower count is given for every marked position l of one (n, m)
+at once, because only its axis-sum factor depends on l.  The axis sum
+keeps a loop of its own rather than ``hypergeometric_sum``, so that the
+``hyp-chain`` cross-check compares independent routes.
 """
 
 from __future__ import annotations
@@ -150,18 +152,26 @@ def _reduced_poly_closed_constant(n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def lower_weighted_closed_form(n: int, m: int, l: int) -> Fraction:
-    """Closed form for the weighted lower-half count (determinant identity).
+def lower_weighted_closed_forms(n: int, m: int) -> list[Fraction]:
+    """Closed form for the weighted lower-half count (determinant identity)
+    at each marked position l = 1..n in turn.
 
     Row-scale product times the forced prefactor times the polynomial part,
     the latter written as a constant times (m)_{n+1} times the axis sum.
+    Only the axis sum depends on l, so the rest is one integer quotient,
+    built once for all n positions.
     """
+    _check_axis_domain(n, m, 1)
     num, den = _rising_product(m, 1, n + 1), 1
     for factor in (row_scale_product(n, m), reduced_prefactor(m, n),
-                   _reduced_poly_closed_constant(n), axis_sum(n, m, l)):
+                   _reduced_poly_closed_constant(n)):
         num *= factor.numerator
         den *= factor.denominator
-    return Fraction(num, den)
+    out = []
+    for l in range(1, n + 1):
+        s = axis_sum(n, m, l)
+        out.append(Fraction(num * s.numerator, den * s.denominator))
+    return out
 
 
 def reduced_poly_value(m_val: int, n: int, l: int) -> Fraction:

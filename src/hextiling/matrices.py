@@ -17,13 +17,19 @@ each over one row denominator, carrying its rising products from one entry
 of a row to the next; both versions of every row (unmarked and marked) come
 out of the same pass, :func:`reduced_rows`.  The ``column-relation`` suite
 of :mod:`hextiling.verify` tests its column relations on those rows.
-:func:`reduced_determinants` is the one way to read the determinant: it
-returns the value for every marked row l from one build, with one division
-by the product of the row denominators, and the polynomial extraction and
-the other verification suites read only it.  The n matrices share their
-plain rows, so the plain rows are eliminated once, with the marked rows
-carried through the same steps, and matrix l is finished from that shared
-state.  Determinants are computed by fraction-free Bareiss elimination on
+
+Both marked matrices, the weighted lower path matrix and the reduced lower
+matrix, come as n matrices, one per marked row l, that differ from each
+other only in their marked rows.  :func:`marked_row_determinants` is the
+one way to take the determinants of such a set, given as its n plain rows
+and its n marked rows: the plain rows are eliminated once, with the
+marked rows carried through the same Bareiss steps, and matrix l is
+finished from that shared state.  The ``lemma6`` suite calls it on the
+rows of the path matrices, and :func:`reduced_determinants` on the reduced
+rows at m, for every l from one build and with one division by the
+product of the row denominators; the polynomial extraction and the other
+verification suites read the reduced determinant only through it.
+Determinants are computed by fraction-free Bareiss elimination on
 integers, with a deterministic pivot rule; one private loop does every
 elimination, and it can resume from the divisor that earlier steps left.
 """
@@ -35,7 +41,7 @@ from fractions import Fraction
 from operator import index
 from typing import List, Optional, Sequence
 
-from .exact import Polynomial, _rising_product, lagrange_interpolate
+from .exact import Polynomial, _ratio, _rising_product, lagrange_basis, lagrange_combine
 from .hexagon import PathFamilySpec
 
 Matrix = List[List[int]]
@@ -111,6 +117,37 @@ def _bareiss(mat: Matrix, prev: int = 1, carried: Matrix = ()) -> List[Optional[
     return out
 
 
+def marked_row_determinants(plain: Sequence[Sequence[int]],
+                            marked: Sequence[Sequence[int]]) -> List[int]:
+    """Determinants of the n integer matrices that differ from each other
+    only in their marked rows: matrix l is ``plain`` with row l replaced by
+    ``marked[l]``, for l = 1..n in turn.
+
+    Matrix l shares the plain rows above row l with every later one, so
+    the plain rows are eliminated once, carrying each marked row through
+    the same Bareiss steps, and matrix l is finished from that shared
+    state after l - 1 steps.  Matrix 1 shares nothing and goes through
+    :func:`determinant`, as does every matrix left unfinished by a zero
+    pivot among the shared plain rows.  Entries go through
+    ``operator.index``, as in :func:`determinant`.
+    """
+    n = len(plain)
+    if len(marked) != n:
+        raise ValueError("need one marked row per plain row")
+    if not n:
+        return []
+    first = determinant([marked[0], *plain[1:]])  # also checks the rows it holds
+    rows = [list(map(index, plain[0])), *map(list, plain[1:])]
+    carried = [list(map(index, row)) for row in marked[1:]]
+    for row in (rows[0], *carried):
+        if len(row) != n:
+            raise ValueError("need rows of length n")
+    shared = _bareiss(rows, 1, carried)
+    shared[0] = first
+    return [determinant([*plain[:l], marked[l], *plain[l + 1:]]) if det is None else det
+            for l, det in enumerate(shared)]
+
+
 def path_matrix(family: PathFamilySpec) -> Matrix:
     """Lindstrom-Gessel-Viennot matrix of a path family, as integer rows.
 
@@ -156,8 +193,7 @@ def reduced_rows(m, n: int) -> tuple:
     m = p/q.  Entry j of row i is (m+i-j+1)_{j-1} times
     (n+j-2i+2)_{n-j} (n+2m-j+1)/2 (plain) or (n+j-2i+1)_{n-j+1} (marked).
     """
-    m = Fraction(m)
-    p, q = m.numerator, m.denominator
+    p, q = _ratio(m)
     q_powers = [1]
     for _ in range(n):
         q_powers.append(q_powers[-1] * q)
@@ -192,16 +228,8 @@ def reduced_degree_bound(n: int) -> int:
 
 def reduced_determinants(m, n: int) -> List[Fraction]:
     """Determinant of the reduced lower matrix at m for each marked row
-    l = 1..n in turn, all from one build of the integer rows.
-
-    The n matrices differ only in which row is marked, so matrix l shares
-    the plain rows above row l with every later one.  The plain rows are
-    eliminated once, carrying the marked rows through the same Bareiss
-    steps, and matrix l is finished from that shared state after l - 1
-    steps.  Matrix 1 shares nothing and goes through :func:`determinant`,
-    as does every matrix left unfinished by a zero pivot among the shared
-    plain rows.
-    """
+    l = 1..n in turn, all from one build of the integer rows and one
+    :func:`marked_row_determinants`."""
     dets, den = _reduced_determinant_numerators(m, n)
     return [Fraction(det, den) for det in dets]
 
@@ -212,18 +240,13 @@ def _reduced_determinant_numerators(m, n: int) -> tuple:
     if n < 1:
         raise ValueError("need n >= 1")
     plain, marked, plain_den, marked_den = reduced_rows(m, n)
-    shared = _bareiss([row[:] for row in plain], 1, [row[:] for row in marked[1:]])
-    shared[0] = determinant([marked[0]] + plain[1:])  # matrix 1 shares no step
-    dets = [determinant(plain[:l] + [marked[l]] + plain[l + 1:]) if det is None else det
-            for l, det in enumerate(shared)]
-    return dets, plain_den ** (n - 1) * marked_den
+    return marked_row_determinants(plain, marked), plain_den ** (n - 1) * marked_den
 
 
 def reduced_prefactor(m, n: int) -> Fraction:
     """The forced shifted-factorial divisor of the reduced determinant,
     prod_i (m+i)_{n-2i+1} (m+i+1/2)_{n-2i}."""
-    m = Fraction(m)
-    p, q = m.numerator, m.denominator
+    p, q = _ratio(m)
     num, den = 1, 1
     for i in range(1, n // 2 + 1):
         # m + i = (p + i q)/q and m + i + 1/2 = (2p + (2i+1) q)/(2q)
@@ -241,16 +264,20 @@ def extract_reduced_polynomials(n: int) -> List[Polynomial]:
     no roots, divides it out pointwise, and Lagrange interpolates.  The
     polynomial part has degree at most n - 1, so the two spare samples let
     a degree check on the result fail.  Each sample point builds its
-    prefactor and its determinants once, for all n marked rows, and each
-    sample value is one ``Fraction``: the integer determinant over the row
-    denominators times the prefactor.
+    prefactor and its integer determinants once, for all n marked rows.
+    The division by the row denominators and the prefactor does not depend
+    on l, so it is folded into that point's interpolation weight, in one
+    basis for all l, and each polynomial is combined straight from the
+    integer determinants.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    samples = []
-    for m in range(1, n + 3):
+    points = range(1, n + 3)
+    scales, samples = [], []
+    for m in points:
         pref = reduced_prefactor(m, n)
         dets, den = _reduced_determinant_numerators(m, n)
-        samples.append([Fraction(det * pref.denominator, den * pref.numerator) for det in dets])
-    return [lagrange_interpolate([(m, values[l]) for m, values in enumerate(samples, start=1)])
-            for l in range(n)]
+        scales.append(Fraction(pref.denominator, den * pref.numerator))
+        samples.append(dets)
+    basis = lagrange_basis(points, scales)
+    return [lagrange_combine(basis, [dets[l] for dets in samples]) for l in range(n)]

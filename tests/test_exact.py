@@ -11,6 +11,8 @@ from hextiling.exact import (
     binomial,
     double_factorial,
     hypergeometric_sum,
+    lagrange_basis,
+    lagrange_combine,
     lagrange_interpolate,
     shifted_factorial,
 )
@@ -103,6 +105,19 @@ def test_lagrange_examples():
 def test_lagrange_duplicate_x_rejected():
     with pytest.raises(ValueError):
         lagrange_interpolate([(1, 2), (1, 3)])
+
+
+def test_lagrange_basis_scales_each_ordinate():
+    # the ordinates 0, 1, 8 scaled by 1, 2, 1/2 give the points of 2x
+    basis = lagrange_basis([0, 1, 2], [1, 2, F(1, 2)])
+    assert lagrange_combine(basis, [0, 1, 8]) == Polynomial([0, 2])
+    # one basis serves every list of ordinates
+    assert lagrange_combine(basis, [3, F(3, 2), 6]) == Polynomial([3])
+    assert lagrange_combine(lagrange_basis([]), []) == Polynomial()
+    with pytest.raises(ValueError, match="one scale per abscissa"):
+        lagrange_basis([0, 1], [1])
+    with pytest.raises(ValueError, match="one ordinate per abscissa"):
+        lagrange_combine(basis, [0, 1])
 
 
 def test_lagrange_roundtrip_random():

@@ -14,7 +14,7 @@ from hextiling.formulas import (
     fixed_count,
     fixed_count_even,
     fixed_count_odd,
-    lower_weighted_closed_form,
+    lower_weighted_closed_forms,
     macmahon_count,
     proportion,
     proportion_balanced_form,
@@ -129,19 +129,24 @@ def test_upper_count_closed_form():
 
 def test_lower_weighted_closed_form():
     for m in (1, 2, 5):
-        assert lower_weighted_closed_form(1, m, 1) == 1
+        assert lower_weighted_closed_forms(1, m) == [1]
     # the matrix determinant is 2^(n-1) times the weighted count
     for n, m, l in [(2, 1, 1), (4, 3, 2)]:
         det = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
-        assert lower_weighted_closed_form(n, m, l) == det
+        assert lower_weighted_closed_forms(n, m)[l - 1] == det
+    for n, m in [(0, 1), (2, 0)]:
+        with pytest.raises(ValueError):
+            lower_weighted_closed_forms(n, m)
 
 
 def test_lower_weighted_closed_form_grid():
     for n in range(1, 7):
         for m in range(1, 5):
+            closed = lower_weighted_closed_forms(n, m)
+            assert len(closed) == n
             for l in range(1, n + 1):
                 det = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
-                assert det == lower_weighted_closed_form(n, m, l), (n, m, l)
+                assert det == closed[l - 1], (n, m, l)
 
 
 def test_reduced_poly_value_base():

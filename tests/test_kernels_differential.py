@@ -6,8 +6,9 @@ builds the same value another way.
   the three forms of the proportion among them).
 - Each path matrix against its entries typed out by hand.
 - The integer Bareiss ``determinant`` against a Gaussian elimination over
-  ``Fraction``, and the Bareiss steps shared across row-replaced matrices
-  against ``determinant`` of each.
+  ``Fraction``, and the Bareiss steps shared across row-replaced matrices,
+  directly and through ``marked_row_determinants``, against
+  ``determinant`` of each.
 - The oracle's iterative search against the three recursive searches it
   replaced, kept here as the references.
 - The oracle's neighbor lists against ``cell_neighbors`` below, which lists
@@ -38,13 +39,15 @@ from hextiling.exact import (
     SingularParameterError,
     binomial,
     hypergeometric_sum,
+    lagrange_basis,
+    lagrange_combine,
     lagrange_interpolate,
     shifted_factorial,
 )
 from hextiling.formulas import (
     _reduced_poly_closed_constant,
     axis_sum,
-    lower_weighted_closed_form,
+    lower_weighted_closed_forms,
     proportion_balanced_form,
     proportion_nm,
     proportion_series_form,
@@ -65,6 +68,7 @@ from hextiling.matrices import (
     _bareiss,
     determinant,
     extract_reduced_polynomials,
+    marked_row_determinants,
     path_matrix,
     reduced_determinants,
     reduced_prefactor,
@@ -518,6 +522,8 @@ def _reference_weighted_count(
 
 
 _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+# rationals as callers pass them: plain ints as well as Fractions
+_params = st.one_of(_rationals, st.integers(-12, 12))
 
 
 @st.composite
@@ -546,10 +552,21 @@ def test_shifted_factorial_matches_reference(a, k):
     assert shifted_factorial(a, k) == _reference_shifted_factorial(a, k)
 
 
+def _split_matches_reference(points, scales):
+    """The basis/combine split, each ordinate scaled at its abscissa, against
+    the reference through the scaled points."""
+    basis = lagrange_basis([x for x, _ in points], scales)
+    got = lagrange_combine(basis, [y for _, y in points])
+    return got.coeffs == _reference_lagrange(
+        [(x, F(c) * y) for (x, y), c in zip(points, scales)])
+
+
 @given(st.lists(st.tuples(_rationals, _rationals), max_size=8,
-                unique_by=lambda pt: pt[0]))
-def test_lagrange_matches_reference(points):
+                unique_by=lambda pt: pt[0]), st.data())
+def test_lagrange_matches_reference(points, data):
     assert lagrange_interpolate(points).coeffs == _reference_lagrange(points)
+    scales = data.draw(st.lists(_params, min_size=len(points), max_size=len(points)))
+    assert _split_matches_reference(points, scales)
 
 
 # every abscissa non-integral, so the points are rescaled by x = t/d, d > 1
@@ -558,9 +575,11 @@ _non_integers = st.fractions(min_value=-20, max_value=20, max_denominator=12).fi
 
 
 @given(st.lists(st.tuples(_non_integers, _rationals), min_size=1, max_size=8,
-                unique_by=lambda pt: pt[0]))
-def test_lagrange_matches_reference_on_non_integer_abscissae(points):
+                unique_by=lambda pt: pt[0]), st.data())
+def test_lagrange_matches_reference_on_non_integer_abscissae(points, data):
     assert lagrange_interpolate(points).coeffs == _reference_lagrange(points)
+    scales = data.draw(st.lists(_params, min_size=len(points), max_size=len(points)))
+    assert _split_matches_reference(points, scales)
 
 
 # x = 0, integers, non-integral rationals and floats, which must be read as
@@ -595,8 +614,8 @@ def test_compose_affine_matches_reference(coeffs, shift, slope):
             == _reference_compose_affine(poly, shift, slope))
 
 
-@given(st.lists(_rationals, max_size=4), st.lists(_rationals, max_size=3),
-       _rationals, st.integers(0, 10))
+@given(st.lists(_params, max_size=4), st.lists(_params, max_size=3),
+       _params, st.integers(0, 10))
 def test_hypergeometric_sum_matches_reference(nums, dens, z, term_count):
     # a nonpositive integer among dens makes some draws singular; both sides
     # must then raise the same error at the same step
@@ -604,16 +623,32 @@ def test_hypergeometric_sum_matches_reference(nums, dens, z, term_count):
             == _outcome(_reference_hypergeometric_sum, nums, dens, z, term_count))
 
 
-@given(st.lists(_rationals, max_size=4), st.lists(_rationals, max_size=3),
+@given(st.lists(_params, max_size=4), st.lists(_params, max_size=3),
        st.integers(0, 6), st.data())
 def test_hypergeometric_sum_singular_step_matches_reference(nums, dens, k, data):
-    # the lower parameter -k vanishes at step k+1, inside the range
-    dens.insert(data.draw(st.integers(0, len(dens))), F(-k))
+    # the lower parameter -k vanishes at step k+1, inside the range; the
+    # message names it the same way whether it is an int or a Fraction
+    where = data.draw(st.integers(0, len(dens)))
     term_count = data.draw(st.integers(k + 2, 10))
-    kind, message = _outcome(hypergeometric_sum, nums, dens, 1, term_count)
+    outcomes = []
+    for vanishing in (-k, F(-k)):
+        with_it = dens[:where] + [vanishing] + dens[where:]
+        outcomes.append(_outcome(hypergeometric_sum, nums, with_it, 1, term_count))
+    kind, message = outcomes[0]
     assert kind is SingularParameterError
-    assert (kind, message) == _outcome(_reference_hypergeometric_sum,
-                                       nums, dens, 1, term_count)
+    assert outcomes[1] == (kind, message)
+    assert (kind, message) == _outcome(_reference_hypergeometric_sum, nums,
+                                       dens[:where] + [F(-k)] + dens[where:], 1, term_count)
+
+
+def test_hypergeometric_sum_reads_float_parameters_exactly():
+    # a float is read as the binary fraction it stores, as Fraction() does
+    assert (hypergeometric_sum([0.5, -3], [1.25], 0.1, 4)
+            == hypergeometric_sum([F(1, 2), -3], [F(5, 4)], F(0.1), 4)
+            == _reference_hypergeometric_sum([F(1, 2), -3], [F(5, 4)], F(0.1), 4))
+    assert (_outcome(hypergeometric_sum, [1], [-2.0], 1, 4)
+            == _outcome(hypergeometric_sum, [1], [F(-2)], 1, 4)
+            == (SingularParameterError, "denominator parameter -2 vanishes at step 3"))
 
 
 @st.composite
@@ -655,18 +690,22 @@ _reduced_m = st.one_of(
 @st.composite
 def _row_replacements(draw):
     """A square matrix with entries in [-3, 3], so that zero pivots and
-    singular matrices are common, and one replacement row for each row
-    after the first."""
+    singular matrices are common, and one replacement row for each row."""
     n = draw(st.integers(1, 6))
     entry = st.integers(-3, 3)
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    carried = [[draw(entry) for _ in range(n)] for _ in range(n - 1)]
-    return rows, carried
+    marked = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return rows, marked
 
 
 @given(_row_replacements())
 def test_shared_elimination_matches_determinant_of_each_replaced_matrix(case):
-    rows, carried = case
+    rows, marked = case
+    # the public entry point; zero pivots hand their matrices to determinant
+    assert marked_row_determinants(rows, marked) == [
+        determinant(rows[:k] + [row] + rows[k + 1:]) for k, row in enumerate(marked)]
+    # the private loop, which carries the replacements of every row but the first
+    carried = marked[1:]
     shared = _bareiss([row[:] for row in rows], 1, [row[:] for row in carried])
     assert len(shared) == len(rows)
     assert shared[0] == determinant(rows)
@@ -751,11 +790,11 @@ def test_row_scale_product_matches_reference(n, m):
     assert row_scale_product(n, m) == _reference_row_scale_product(n, m)
 
 
-@given(_n_and_l(10), st.integers(1, 10))
-def test_lower_weighted_closed_form_matches_reference(nl, m):
-    n, l = nl
-    assert (lower_weighted_closed_form(n, m, l)
-            == _reference_lower_weighted_closed_form(n, m, l))
+@given(st.integers(1, 10), st.integers(1, 10))
+def test_lower_weighted_closed_form_matches_reference(n, m):
+    # every marked position l of one (n, m) at once
+    assert (lower_weighted_closed_forms(n, m)
+            == [_reference_lower_weighted_closed_form(n, m, l) for l in range(1, n + 1)])
 
 
 @given(_n_and_l(40), st.integers(1, 40))

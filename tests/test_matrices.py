@@ -18,6 +18,7 @@ from hextiling.hexagon import (
 from hextiling.matrices import (
     determinant,
     extract_reduced_polynomials,
+    marked_row_determinants,
     path_matrix,
     reduced_degree_bound,
     reduced_determinants,
@@ -151,6 +152,44 @@ def test_lower_weighted_matrix_values():
     assert mat == [[2, 1], [2, 3]]
     assert determinant(mat) == 2 * 2
     assert determinant(path_matrix(marked_path_family(3, 1, 1))) == 2 ** 2 * F(15, 4)
+
+
+def test_marked_path_matrices_differ_only_in_their_marked_rows():
+    # the lemma6 suite shares the elimination of these matrices across l,
+    # reading the plain row i from matrix i - 1
+    for n in range(1, 9):
+        for m in range(1, 9):
+            mats = [path_matrix(marked_path_family(n, m, l)) for l in range(1, n + 1)]
+            for l, mat in enumerate(mats):
+                for l2, other in enumerate(mats):
+                    assert [row for i, row in enumerate(mat) if i not in (l, l2)] == [
+                        row for i, row in enumerate(other) if i not in (l, l2)], (n, m, l, l2)
+            plain = [mats[i - 1][i] for i in range(n)]
+            marked = [mats[i][i] for i in range(n)]
+            assert marked_row_determinants(plain, marked) == [determinant(mat) for mat in mats]
+
+
+def test_marked_row_determinants_validation():
+    assert marked_row_determinants([], []) == []
+    assert marked_row_determinants([[0]], [[7]]) == [7]
+    # matrix 1 is [[5, 6], [3, 4]] and matrix 2 is [[1, 2], [7, 8]]; rows
+    # may be any sequences
+    assert marked_row_determinants([[1, 2], [3, 4]], [[5, 6], (7, 8)]) == [2, -6]
+    # a zero pivot among the shared rows hands matrix 2 to determinant
+    assert marked_row_determinants(((0, 1), (1, 0)), ((2, 3), (4, 5))) == [-3, -4]
+    with pytest.raises(ValueError, match="one marked row per plain row"):
+        marked_row_determinants([[1, 2], [3, 4]], [[1, 2]])
+    with pytest.raises(ValueError, match="length n"):
+        marked_row_determinants([[1, 2, 0], [3, 4]], [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="length n"):
+        marked_row_determinants([[1, 2], [3, 4]], [[1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError):
+        marked_row_determinants([[1, 2], [3, 4]], [[1], [3, 4]])
+    for plain, marked in [([[1, 2], [3, 4]], [[1, 2], [F(1, 2), 4]]),
+                          ([[F(1), 2], [3, 4]], [[1, 2], [3, 4]]),
+                          ([[1, 2], [3, 4.0]], [[1, 2], [3, 4]])]:
+        with pytest.raises(TypeError):
+            marked_row_determinants(plain, marked)
 
 
 def test_reduced_matrix_base_case():
