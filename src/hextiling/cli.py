@@ -75,9 +75,9 @@ def rows_to_json(rows: Sequence[SweepRow]) -> str:
             "m": r.m,
             "l": r.l,
             "proportion_exact": f"{r.proportion_exact.numerator}/{r.proportion_exact.denominator}",
-            "proportion_float": _round15(r.proportion_float),
-            "arcsine_value": _round15(r.arcsine_value),
-            "abs_error": _round15(r.abs_error),
+            "proportion_float": r.proportion_float,
+            "arcsine_value": r.arcsine_value,
+            "abs_error": r.abs_error,
         }
         for r in rows
     ]

@@ -6,15 +6,19 @@ pure function of immutable values (thread-safe by construction), and no
 floating point appears anywhere: callers that want a float convert at the
 very end with ``float()``.
 
-The kernels are integer-first: ``shifted_factorial`` and
+The kernels are integer-first and say each arithmetic step once.
+``_rising_product`` is the one product loop: shifted factorials,
+binomials and double factorials are all made from it.  ``_ratio`` is the
+one way a rational is read, as a numerator and a denominator (straight
+from an ``int`` or ``Fraction``, through ``Fraction()`` from anything
+else), and ``_over_common_denominator`` is the one step that puts several
+rationals over one denominator.  ``shifted_factorial`` and
 ``hypergeometric_sum`` carry integer numerators over one common
-denominator and build each ``Fraction`` once, at the end, instead of
-normalising a ``Fraction`` (one gcd) at every arithmetic step;
-``hypergeometric_sum`` reads each parameter's numerator and denominator
-straight from an ``int`` or ``Fraction``.  A ``Polynomial`` is itself
-stored that way, as integer numerators over one denominator in lowest
-terms, and evaluation, ``compose_affine``, scalar products and equality
-work on it, with no ``Fraction`` per coefficient in between.
+denominator and build each ``Fraction`` once, at the end.  A
+``Polynomial`` is itself stored that way, as integer numerators over one
+denominator in lowest terms, and evaluation, ``compose_affine``, the
+product by a scalar and equality work on it, with no ``Fraction`` per
+coefficient in between.
 
 Interpolation is split in two steps: ``lagrange_basis`` does all the work
 that depends only on the abscissae, optionally with a rational scale per
@@ -43,13 +47,13 @@ def shifted_factorial(a, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("shift count must be nonnegative")
-    a = Fraction(a)
-    p, q = a.numerator, a.denominator
+    p, q = _ratio(a)
     return Fraction(_rising_product(p, q, k), q**k)
 
 
 def _rising_product(p: int, q: int, k: int) -> int:
-    """Integer product p(p+q)(p+2q)...(p+(k-1)q), i.e. q**k (p/q)_k."""
+    """Integer product p(p+q)(p+2q)...(p+(k-1)q), i.e. q**k (p/q)_k: the
+    one product loop behind every factorial-like value here."""
     out = 1
     for t in range(k):
         out *= p + t * q
@@ -57,7 +61,7 @@ def _rising_product(p: int, q: int, k: int) -> int:
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient, total in n via the falling product n(n-1)...(n-k+1)/k!.
+    """Binomial coefficient, total in n via the product (n-k+1)...(n-1)n / k!.
 
     Returns 0 for k < 0 and for 0 <= n < k; negative n follows the polynomial
     definition, so Pascal's recurrence holds on the whole integer grid.  For
@@ -67,11 +71,8 @@ def binomial(n: int, k: int) -> int:
         k = n - k
     if k < 0:
         return 0
-    num = 1
-    for t in range(k):
-        num *= n - t
     # k consecutive integers are always divisible by k!
-    return num // math.factorial(k)
+    return _rising_product(n - k + 1, 1, k) // math.factorial(k)
 
 
 def double_factorial(n: int) -> int:
@@ -80,11 +81,7 @@ def double_factorial(n: int) -> int:
         raise ValueError("double factorial is restricted to odd arguments here")
     if n < -1:
         raise ValueError("double factorial needs n >= -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return _rising_product(1, 2, (n + 1) // 2)
 
 
 class Polynomial:
@@ -106,10 +103,8 @@ class Polynomial:
         and a nonzero integer den."""
         if den == 0:
             raise ZeroDivisionError("Polynomial denominator is zero")
-        nums = list(coeffs)
-        if not all(type(c) is int for c in nums):
-            nums, common = _over_common_denominator([Fraction(c) for c in nums])
-            den *= common
+        nums, common = _over_common_denominator(coeffs)
+        den *= common
         while nums and nums[-1] == 0:
             nums.pop()
         if not nums:
@@ -145,11 +140,10 @@ class Polynomial:
         With x = u/w, Horner builds sum_k a_k u^k w^(deg-k) in integers
         from the numerators a_k, divided by den w^deg once, at the end.
         """
-        x = Fraction(x)
+        u, w = _ratio(x)
         if self.is_zero:
             return Fraction(0)
         nums = self.nums
-        u, w = x.numerator, x.denominator
         out = nums[-1]
         w_power = 1
         for a in reversed(nums[:-1]):
@@ -181,18 +175,11 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [0] * (len(self.nums) + len(other.nums) - 1)
-            for i, a in enumerate(self.nums):
-                for j, b in enumerate(other.nums):
-                    out[i + j] += a * b
-            return Polynomial(out, self.den * other.den)
-        scalar = Fraction(other)
-        return Polynomial([c * scalar.numerator for c in self.nums],
-                          self.den * scalar.denominator)
+    def __mul__(self, scalar) -> "Polynomial":
+        """The scalar product; a rational scalar only (a ``Polynomial``
+        raises ``TypeError``)."""
+        p, q = _ratio(scalar)
+        return Polynomial([c * p for c in self.nums], self.den * q)
 
     __rmul__ = __mul__
 
@@ -206,7 +193,7 @@ class Polynomial:
         if self.is_zero:
             return Polynomial()
         nums = self.nums
-        (u, v), w = _over_common_denominator((Fraction(shift), Fraction(slope)))
+        (u, v), w = _over_common_denominator((shift, slope))
         out = [nums[-1]]
         w_power = 1
         for a in reversed(nums[:-1]):
@@ -219,11 +206,13 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def _over_common_denominator(values: Sequence) -> tuple:
-    """Integer numerators of ``values`` (ints or Fractions) over their least
-    common denominator, and that denominator."""
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+def _over_common_denominator(values: Iterable) -> tuple:
+    """Integer numerators of the rationals ``values``, each read by
+    :func:`_ratio`, over their least common denominator, and that
+    denominator (1 for no values)."""
+    ratios = [_ratio(x) for x in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _ratio(x) -> tuple:
@@ -253,9 +242,7 @@ def lagrange_basis(xs: Sequence, scales: Sequence = ()) -> tuple:
     """
     if scales and len(scales) != len(xs):
         raise ValueError("need one scale per abscissa")
-    ratios = [_ratio(x) for x in xs]
-    d = math.lcm(*(q for _, q in ratios))
-    ts = [p * (d // q) for p, q in ratios]
+    ts, d = _over_common_denominator(xs)
     if len(set(ts)) != len(ts):
         raise ValueError("interpolation abscissae must be distinct")
     size = len(ts)
@@ -300,9 +287,7 @@ def lagrange_combine(basis: tuple, ys: Sequence) -> Polynomial:
     columns, den = basis
     if len(ys) != len(columns):
         raise ValueError("need one ordinate per abscissa")
-    ratios = [_ratio(y) for y in ys]
-    v = math.lcm(*(q for _, q in ratios))
-    nums = [p * (v // q) for p, q in ratios]
+    nums, v = _over_common_denominator(ys)
     return Polynomial([sum(map(operator.mul, column, nums)) for column in columns], v * den)
 
 

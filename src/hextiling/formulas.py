@@ -11,15 +11,16 @@ Counts that must be integers are computed over rationals and asserted
 integral, so any transcription error in a formula surfaces immediately.
 The kernels are integer-first: each builds its value from integer
 numerators over one denominator and makes one ``Fraction`` at the end.
-That covers the closed forms of the reduced determinant (the weighted
-lower count, its constant and the special values, which gather their
-powers of 2 in one exponent), the axis sum (nested Horner from its last
-term), the proportion (the axis sum's numerator and denominator times the
-binomial prefactor) and the prefactors of both hypergeometric forms.  The
-weighted lower count is given for every marked position l of one (n, m)
-at once, because only its axis-sum factor depends on l.  The axis sum
-keeps a loop of its own rather than ``hypergeometric_sum``, so that the
-``hyp-chain`` cross-check compares independent routes.
+That covers Lemma 5's product for the trimmed upper count, the closed
+forms of the reduced determinant (the weighted lower count, its constant
+and the special values, which gather their powers of 2 in one exponent),
+the axis sum (nested Horner from its last term), the proportion (the
+axis sum's numerator and denominator times the binomial prefactor) and
+the prefactors of both hypergeometric forms.  The weighted lower count is
+given for every marked position l of one (n, m) at once, because only
+its axis-sum factor depends on l.  The axis sum keeps a loop of its own
+rather than ``hypergeometric_sum``, so that the ``hyp-chain`` cross-check
+compares independent routes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .exact import (
     binomial,
     double_factorial,
     hypergeometric_sum,
-    shifted_factorial,
 )
 from .hexagon import HexagonSpec
 from .matrices import reduced_prefactor, row_scale_product
@@ -132,13 +132,12 @@ def upper_count_closed_form(n: int, m: int) -> Fraction:
 
     prod_{i=1}^{n} (n+m-i+1)! (i-1)! (2m+i+1)_{i-1} / ((m+i-1)! (2n-2i+1)!)
     """
-    out = Fraction(1)
+    num, den = 1, 1
     for i in range(1, n + 1):
-        out *= Fraction(
-            math.factorial(n + m - i + 1) * math.factorial(i - 1)
-        ) * shifted_factorial(2 * m + i + 1, i - 1)
-        out /= math.factorial(m + i - 1) * math.factorial(2 * n - 2 * i + 1)
-    return out
+        num *= (math.factorial(n + m - i + 1) * math.factorial(i - 1)
+                * _rising_product(2 * m + i + 1, 1, i - 1))
+        den *= math.factorial(m + i - 1) * math.factorial(2 * n - 2 * i + 1)
+    return Fraction(num, den)
 
 
 def _reduced_poly_closed_constant(n: int) -> Fraction:
@@ -298,7 +297,7 @@ def arcsine_limit(a_ratio: float, b_ratio: float) -> float:
     b = float(b_ratio)
     if not 0.0 < b < 1.0:
         raise ValueError("need 0 < b < 1")
-    if a < 0.0:
+    if not a >= 0.0:  # also rejects NaN
         raise ValueError("need a >= 0")
     ratio = math.sqrt(b * (1.0 - b)) / math.sqrt((a + b) * (a - b + 1.0))
     # a = 0 makes the argument exactly 1; clamp rounding noise only

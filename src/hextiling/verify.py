@@ -245,10 +245,8 @@ def check_reduced_polynomials(max_n: int = 6) -> List[CaseResult]:
             reflected = poly.compose_affine(-n, -1)
             expected = poly if n % 2 else Fraction(-1) * poly
             _case(out, f"poly signed reflection n={n} l={l}", reflected == expected)
-            ok_vals = True
-            for m_val in range(-(n // 2), 1):
-                if poly(m_val) != formulas.reduced_poly_value(m_val, n, l):
-                    ok_vals = False
+            ok_vals = all(poly(m_val) == formulas.reduced_poly_value(m_val, n, l)
+                          for m_val in range(-(n // 2), 1))
             _case(out, f"poly special values n={n} l={l}", ok_vals)
     return out
 

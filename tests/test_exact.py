@@ -78,6 +78,11 @@ def test_double_factorial():
         double_factorial(-3)
 
 
+def test_double_factorial_matches_step_two_product():
+    for n in range(-1, 302, 2):
+        assert double_factorial(n) == math.prod(range(n, 0, -2)), n
+
+
 def test_fraction_arithmetic_is_exact():
     # algebraic laws on random triples, no rounding anywhere
     rng = random.Random(7)
@@ -157,6 +162,20 @@ def test_polynomial_normal_form(coeffs, scale, den):
         assert zero.is_zero and (zero.nums, zero.den) == ((), 1) and zero.coeffs == ()
 
 
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6),
+                         st.fractions(max_denominator=10**4),
+                         st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=7),
+       st.integers(-50, 50).filter(bool))
+def test_polynomial_reads_mixed_coefficients_exactly(coeffs, den):
+    # ints, Fractions and floats (read as the rationals they store) give the
+    # same fields as the Fractions of the same coefficients
+    mixed = Polynomial(coeffs, den)
+    exact = Polynomial([Fraction(c) for c in coeffs], den)
+    assert (mixed.nums, mixed.den) == (exact.nums, exact.den)
+    assert all(type(c) is int for c in mixed.nums) and type(mixed.den) is int
+
+
 def test_polynomial_negative_denominator_is_normalised():
     p = Polynomial([2, -4, 6], -8)
     assert (p.nums, p.den) == ((-1, 2, -3), 4)
@@ -169,12 +188,16 @@ def test_polynomial_algebra():
     p = Polynomial([1, 2])        # 1 + 2x
     q = Polynomial([0, 0, 3])     # 3x^2
     assert (p + q).coeffs == (1, 2, 3)
-    assert (p * q).coeffs == (0, 0, 3, 6)
+    # the product is by scalars only
+    with pytest.raises(TypeError):
+        p * q
     assert (p - p).is_zero
     assert p.degree() == 1 and Polynomial().degree() == -1
     # p(1 - x) for p = 1 + 2x is 3 - 2x
     assert p.compose_affine(1, -1) == Polynomial([3, -2])
     assert (2 * p).coeffs == (2, 4)
+    assert (0 * p).is_zero
+    assert Fraction(-1) * p == Polynomial([-1, -2])
 
 
 def test_hypergeometric_single_term_is_one():

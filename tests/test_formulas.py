@@ -228,6 +228,12 @@ def test_arcsine_limit_values():
         arcsine_limit(-0.1, 0.5)
 
 
+def test_arcsine_limit_rejects_nan_a():
+    # NaN fails every comparison, so it must not slip past the a >= 0 check
+    with pytest.raises(ValueError, match="need a >= 0"):
+        arcsine_limit(float("nan"), 0.5)
+
+
 def test_integrality_guard():
     # every grid point must produce an integer count; a formula typo would
     # raise ArithmeticError here
