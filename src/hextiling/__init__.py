@@ -54,6 +54,7 @@ from .formulas import (
     fixed_count,
     fixed_count_even,
     fixed_count_odd,
+    fixed_counts,
     lower_weighted_closed_forms,
     macmahon_count,
     proportion,
@@ -65,10 +66,13 @@ from .formulas import (
 )
 from .oracle import (
     DEFAULT_CELL_LIMIT,
+    STATE_BUDGET,
     RegionTooLargeError,
+    StateBudgetError,
     count_tilings,
     count_with_fixed_rhombus,
     enumerate_tilings,
+    hexagon_tallies,
     hexagon_tally,
     weighted_count,
 )

@@ -178,6 +178,8 @@ class Polynomial:
     def __mul__(self, scalar) -> "Polynomial":
         """The scalar product; a rational scalar only (a ``Polynomial``
         raises ``TypeError``)."""
+        if isinstance(scalar, Polynomial):
+            raise TypeError("Polynomial supports only products with a rational scalar")
         p, q = _ratio(scalar)
         return Polynomial([c * p for c in self.nums], self.den * q)
 

@@ -18,7 +18,8 @@ the axis sum (nested Horner from its last term), the proportion (the
 axis sum's numerator and denominator times the binomial prefactor) and
 the prefactors of both hypergeometric forms.  The weighted lower count is
 given for every marked position l of one (n, m) at once, because only
-its axis-sum factor depends on l.  The axis sum keeps a loop of its own
+its axis-sum factor depends on l; so are the fixed counts of a hexagon,
+which share one MacMahon product.  The axis sum keeps a loop of its own
 rather than ``hypergeometric_sum``, so that the ``hyp-chain`` cross-check
 compares independent routes.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .exact import (
     _rising_product,
@@ -109,12 +111,19 @@ def proportion(spec: HexagonSpec, l: int) -> Fraction:
     return proportion_nm(spec.n, spec.m, l)
 
 
-def fixed_count(spec: HexagonSpec, l: int) -> int:
+def fixed_counts(spec: HexagonSpec, positions: Iterable[int]) -> list[int]:
     """Tilings of the hexagon with sides (spec.side_a, spec.side_m) that
-    contain the l-th axis rhombus: the proportion times MacMahon's total."""
-    a = spec.side_a
-    count = proportion(spec, l) * macmahon_count(a, a, spec.side_m)
-    return _as_integer(count, "fixed count")
+    contain the l-th axis rhombus, for each l in ``positions``: the
+    proportion times MacMahon's total, which is computed once."""
+    # the proportions first: they reject a bad l before the product is taken
+    proportions = [proportion(spec, l) for l in positions]
+    total = macmahon_count(spec.side_a, spec.side_a, spec.side_m)
+    return [_as_integer(p * total, "fixed count") for p in proportions]
+
+
+def fixed_count(spec: HexagonSpec, l: int) -> int:
+    """``fixed_counts`` at the single position l."""
+    return fixed_counts(spec, [l])[0]
 
 
 def fixed_count_even(n: int, m: int, l: int) -> int:

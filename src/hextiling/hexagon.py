@@ -126,16 +126,18 @@ def hexagon_cells(a: int, b: int, c: int) -> frozenset:
     top = [2 * b + (col if col <= a else 2 * a - col) for col in range(a + c + 1)]
     bot = [-(col if col <= c else 2 * c - col) for col in range(a + c + 1)]
 
+    # tuple.__new__ builds each Cell without NamedTuple's Python-level __new__
+    new = tuple.__new__
     cells = []
     for s in range(a + c):
         # right-pointing: vertical edge on column s, apex on column s+1, r2 + s odd
         lo = max(bot[s] + 1, bot[s + 1])
-        for r2 in range(lo + (lo + s + 1) % 2, min(top[s] - 1, top[s + 1]) + 1, 2):
-            cells.append(Cell(r2, s, "right"))
+        cells += [new(Cell, (r2, s, "right"))
+                  for r2 in range(lo + (lo + s + 1) % 2, min(top[s] - 1, top[s + 1]) + 1, 2)]
         # left-pointing: vertical edge on column s+1, apex on column s, r2 + s even
         lo = max(bot[s + 1] + 1, bot[s])
-        for r2 in range(lo + (lo + s) % 2, min(top[s + 1] - 1, top[s]) + 1, 2):
-            cells.append(Cell(r2, s, "left"))
+        cells += [new(Cell, (r2, s, "left"))
+                  for r2 in range(lo + (lo + s) % 2, min(top[s + 1] - 1, top[s]) + 1, 2)]
     return frozenset(cells)
 
 

@@ -7,14 +7,14 @@ higher-indexed neighbors, read off its coordinates, each as a prebuilt
 ``(i, j)`` index tuple.
 
 Two kernels share that preparation.  Counts come from a frontier dynamic
-program (``_frontier_count``): it scans the cells in order and keeps, for
-each set of cells at or above the scan cell that are already paired with a
+program (``_frontier``): it scans the cells in order and keeps, for each
+set of cells at or above the scan cell that are already paired with a
 lower cell, the summed weight of the partial matchings that reach it, so
-tilings are counted without being visited one by one.  Enumeration comes
-from a depth-first fill (``_matchings``) that takes the lowest cell not yet
-covered and pairs it with each uncovered neighbor in turn; its choices live
-on an explicit stack, not in recursion, so the depth of a region is bounded
-only by the cell limit, and every matching is produced exactly once, in
+tilings are counted without being visited one by one.  Enumeration comes from a
+depth-first fill (``_matchings``) that takes the lowest cell not yet covered
+and pairs it with each uncovered neighbor in turn; its choices live on an
+explicit stack, not in recursion, so the depth of a region is bounded only
+by the cell limit, and every matching is produced exactly once, in
 lexicographic order of its pairing choices.  The stack holds the prebuilt
 index tuples, and tilings map them to prebuilt cell pairs.  The fill runs
 in two halves split at the middle cell: each fill of the lower half is
@@ -22,26 +22,52 @@ joined with the completions of the upper half, which are searched once per
 set of upper cells the lower fill already paired and kept for the rest of
 that enumeration, so the order stays the search order.
 
+Scan orders.  The enumerator always scans row-major, by (row2, col,
+orient), so its canonical order never changes.  The counters scan each
+region row-major or column-major, by (col, row2, orient), whichever keeps
+the frontier narrower, and choose before any counting (``_scan_order``).
+A row holds at most one cell per column, and all of them can wait for a
+partner at once, so the row-major frontier is as wide as the longest row.
+Column-major, only the right cells of the scan column and the next one can
+wait, about half the longest column.  Both orders share one neighbor rule.
+A region of at most 8 columns keeps row-major without counting its lines.
+
+Every axis position in one pass.  ``hexagon_tally`` runs the frontier
+forward to the last axis rhombus, keeping the states reached just before
+each one's lower cell, and backward (``_completions``) from the top to the
+first, keeping the number of ways to complete each state just after it.
+The count at position l sums, over the forward states in which both cells
+of the l-th rhombus are free, their ways times the completions once the
+rhombus is placed; the total joins the two passes at the first rhombus.
+This is the transfer-matrix method (Stanley, *Enumerative Combinatorics I*,
+section 4.7).
+
 Tilings are yielded as frozensets of cell pairs, each pair sorted, so the
 pair ``hexagon.axis_rhombus_cells`` returns is tested by membership.
-Fixed-rhombus counts come in two shapes: ``count_with_fixed_rhombus`` filters
-one enumeration per axis position, and ``hexagon_tally`` counts every axis
-position as the hexagon minus that rhombus's two cells, on the frontier
-kernel.  ``hexagon_tally`` builds and prepares the hexagon once for its total
-and all its positions; it is the one oracle call per hexagon of the
-``oracle-vs-theorems`` suite.  The ``factorization`` suite of
-:mod:`hextiling.verify` reads the filtered enumeration per position and
-kernel counts of the two halves from here, and compares them itself.
+Fixed-rhombus counts come in two shapes: ``count_with_fixed_rhombus``
+filters one enumeration per axis position, and ``hexagon_tally`` counts
+every axis position in one forward-backward pass; ``hexagon_tallies`` gives
+the ``oracle-vs-theorems`` suite one tally per hexagon of its grid.  The
+``factorization`` suite of :mod:`hextiling.verify` reads the filtered
+enumeration per position and kernel counts of the two halves from here,
+and compares them itself.
 
 Everything is exact; weighted counts run the kernel on integer pair weights
 and divide once at the end.  Regions larger than the configurable cell limit
-are rejected outright instead of being truncated.
+are rejected outright instead of being truncated.  The counters also reject
+a region whose frontier, w cells wide in the chosen order, could hold more
+than ``STATE_BUDGET`` states by the bound C(w, floor(w/2)); both limits are
+checked before any counting, and ``hexagon_tallies`` checks every hexagon it
+is given before it counts the first, so an oversized request fails at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterator, Tuple
+from math import comb
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, Tuple
 
 from .hexagon import (
     HexagonSpec,
@@ -52,27 +78,73 @@ from .hexagon import (
 )
 
 DEFAULT_CELL_LIMIT = 120
+STATE_BUDGET = 50_000
+
+_ROW, _COL = itemgetter(0), itemgetter(1)
+_FEW_COLUMNS = 8
+_ROW_MAJOR = None  # sorted()'s own order of cells, (row2, col, orient)
+_COLUMN_MAJOR = itemgetter(1, 0, 2)  # (col, row2, orient)
 
 
 class RegionTooLargeError(ValueError):
     """Raised when a region exceeds the enumeration cell limit."""
 
 
-def _prepare(region: Region, max_cells: int):
-    """Sort the cells and list each cell's higher-indexed neighbors.
+class StateBudgetError(RegionTooLargeError):
+    """Raised when a region's counting frontier could outgrow STATE_BUDGET
+    states."""
 
-    In the sorted ``(row2, col, orient)`` order the only higher neighbor of a
-    right cell ``(r2, s)`` is ``(r2 + 1, s, "left")``, and those of a left
-    cell are ``(r2, s + 1, "right")`` and then ``(r2 + 1, s, "right")``
-    (the differential tests check these lists against a reference that
-    lists all three neighbors of every cell).  Plain tuples hash and compare
-    equal to ``Cell``, so they look up the index directly, once each.
-    """
-    cells = sorted(region.cells)
-    if len(cells) > max_cells:
+
+def _check_cell_limit(cells: int, max_cells: int) -> None:
+    if cells > max_cells:
         raise RegionTooLargeError(
-            f"region has {len(cells)} cells, exceeding the limit of {max_cells}"
+            f"region has {cells} cells, exceeding the limit of {max_cells}"
         )
+
+
+def _scan_order(cells: frozenset, max_cells: int):
+    """The sort key of the counters' scan order: column-major when its
+    frontier is narrower than row-major's, else row-major (``None``).
+
+    The row-major frontier is as wide as the longest row, the column-major
+    one half the longest column plus the scan cell; both are read off line
+    counts, without building either order.  A row holds at most one cell
+    per column, so a region of at most ``_FEW_COLUMNS`` columns keeps the
+    row-major scan without counting lines: its frontier holds at most
+    C(8, 4) = 70 states, which no order can improve on by much.  The cell
+    limit is checked first, then the peak state count C(w, floor(w/2)) of
+    the narrower width w against ``STATE_BUDGET``.
+    """
+    _check_cell_limit(len(cells), max_cells)
+    if len(set(map(_COL, cells))) <= _FEW_COLUMNS:
+        return _ROW_MAJOR
+    by_row = max(Counter(map(_ROW, cells)).values())
+    by_column = max(Counter(map(_COL, cells)).values()) // 2 + 1
+    width = min(by_row, by_column)
+    peak = comb(width, width // 2)
+    if peak > STATE_BUDGET:
+        raise StateBudgetError(
+            f"region's frontier is {width} cells wide, so counting it may take "
+            f"{peak} states, exceeding the budget of {STATE_BUDGET}"
+        )
+    return _COLUMN_MAJOR if by_column < by_row else _ROW_MAJOR
+
+
+def _prepare(region: Region, max_cells: int, order=_ROW_MAJOR):
+    """Sort the cells by the key ``order`` and list each cell's
+    higher-indexed neighbors.
+
+    Row-major and column-major alike, the only higher neighbor of a right
+    cell ``(r2, s)`` is ``(r2 + 1, s, "left")``, and those of a left cell
+    are ``(r2, s + 1, "right")`` and ``(r2 + 1, s, "right")``, listed in
+    index order: row-major puts the first one first, column-major the
+    second (the differential tests check these lists against a reference
+    that lists all three neighbors of every cell).  Plain tuples hash and
+    compare equal to ``Cell``, so they look up the index directly, once
+    each.
+    """
+    cells = sorted(region.cells, key=order)
+    _check_cell_limit(len(cells), max_cells)
     index = dict(zip(cells, range(len(cells))))
     get = index.get
     later = []
@@ -84,9 +156,23 @@ def _prepare(region: Region, max_cells: int):
         j, k = get((r2, s + 1, "right")), get((r2 + 1, s, "right"))
         if j is None:
             later.append(() if k is None else ((i, k),))
+        elif k is None:
+            later.append(((i, j),))
         else:
-            later.append(((i, j),) if k is None else ((i, j), (i, k)))
+            later.append(((i, j), (i, k)) if j < k else ((i, k), (i, j)))
     return cells, index, later
+
+
+def _prepare_count(region: Region, max_cells: int):
+    """``_prepare`` in the order ``_scan_order`` picks for ``region``."""
+    return _prepare(region, max_cells, _scan_order(region.cells, max_cells))
+
+
+def _index_pair(index, a, b) -> tuple:
+    """The scan indices of cells a and b, lower first: the pair as the
+    ``later`` lists hold it."""
+    i, j = index[a], index[b]
+    return (i, j) if i < j else (j, i)
 
 
 def _matchings(later, start: int, stop: int, taken: bytearray) -> Iterator[list]:
@@ -182,21 +268,27 @@ def _joined_tilings(cells, later) -> Iterator[frozenset]:
                 yield head | tail
 
 
-def _frontier_count(later, weight=None, removed=()) -> int:
-    """Weighted number of perfect matchings, by a frontier dynamic program.
+def _frontier(later, weight=None, keep=()):
+    """The frontier dynamic program over the cells of ``later``.
 
     Cells are scanned in index order.  A state is a bitmask, relative to the
     scan cell ``lo``, of the cells at or above ``lo`` already paired with a
     lower cell; ``states`` maps each mask to the summed weight of the partial
     matchings that reach it.  At ``lo`` a paired cell shifts out, and a free
     cell pairs with each free partner in ``later[lo]``, multiplying by
-    ``weight[pair]`` (default 1) when ``weight`` is given.  Cells in
-    ``removed`` start out paired, so they are left out of the region.  Every
-    search node of ``_matchings`` that reaches the same frontier is one state
-    here, so the kernel never visits more states than the search visits nodes.
+    ``weight[pair]`` (default 1) when ``weight`` is given.  Every search node
+    of ``_matchings`` that reaches the same frontier is one state here, so
+    the kernel never visits more states than the search visits nodes.
+
+    Returns the states past the last cell, whose mask 0 holds the weighted
+    count of perfect matchings, and the states reached just before each
+    scan step in ``keep``, keyed by step.
     """
-    states = {sum(1 << r for r in removed): 1}
+    states = {0: 1}
+    kept = {}
     for lo, choices in enumerate(later):
+        if lo in keep:
+            kept[lo] = states
         moves = [
             (1 << (pair[1] - lo), 1 if weight is None else weight[pair])
             for pair in choices
@@ -212,12 +304,56 @@ def _frontier_count(later, weight=None, removed=()) -> int:
                     key = (mask | bit) >> 1
                     nxt[key] = nxt.get(key, 0) + ways * w
         states = nxt
-    return states.get(0, 0)
+    return states, kept
+
+
+def _frontier_count(later, weight=None) -> int:
+    """Weighted number of perfect matchings of the cells of ``later``."""
+    return _frontier(later, weight)[0].get(0, 0)
+
+
+def _completions(later, keep):
+    """For each scan step t in ``keep``, the number of ways to complete a
+    matching from each frontier state of ``_frontier`` reached just before
+    t, as ``{t: {mask: ways}}``; unweighted.
+
+    The scan runs from the top down to the lowest step in ``keep``, from
+    the one empty state past the last cell.  Going down past cell t, a state
+    either marks t as paired with a lower cell, or pairs t with a partner
+    the state marks and clears that mark.  A mark stands only while the
+    marked cell has a neighbor below the scan, so a state keeping the mark
+    of a cell whose lowest neighbor is t (a bit of ``due``) is dropped at t;
+    that keeps these states as few as the forward ones.
+    """
+    # read from the top down, so the lowest neighbor of each cell is kept
+    lowest = {j: i for i in range(len(later) - 1, -1, -1) for _, j in later[i]}
+    states = {0: 1}
+    kept = {}
+    for t in range(len(later) - 1, min(keep) - 1, -1):
+        choices = later[t]
+        moves = [1 << (j - t) for _, j in choices]
+        due = sum([1 << (j - t) for _, j in choices if lowest[j] == t])
+        below = t in lowest
+        prev = {}
+        for mask, ways in states.items():
+            mask <<= 1
+            if below and not mask & due:
+                key = mask | 1
+                prev[key] = prev.get(key, 0) + ways
+            for bit in moves:
+                if mask & bit:
+                    key = mask ^ bit
+                    if not key & due:
+                        prev[key] = prev.get(key, 0) + ways
+        states = prev
+        if t in keep:
+            kept[t] = states
+    return kept
 
 
 def count_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
     """Number of tilings of ``region``, from the frontier kernel."""
-    _, _, later = _prepare(region, max_cells)
+    _, _, later = _prepare_count(region, max_cells)
     return _frontier_count(later)
 
 
@@ -230,9 +366,9 @@ def weighted_count(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> Fract
     so every tiling of the ``cells // 2`` pairs contributes
     2^(cells // 2 - k), and one division at the end gives the sum.
     """
-    cells, index, later = _prepare(region, max_cells)
+    cells, index, later = _prepare_count(region, max_cells)
     weighted = {
-        (index[a], index[b]) for a, b in region.weighted_pairs
+        _index_pair(index, a, b) for a, b in region.weighted_pairs
         if a in index and b in index
     }
     weight = {
@@ -250,23 +386,46 @@ def count_with_fixed_rhombus(
     return sum(1 for t in enumerate_tilings(region, max_cells) if target in t)
 
 
+def _tally(spec: HexagonSpec, index, later) -> Tuple[int, Dict[int, int]]:
+    """``hexagon_tally`` of the prepared hexagon ``spec``."""
+    pairs = [_index_pair(index, *axis_rhombus_cells(spec, l)) for l in range(1, spec.n + 1)]
+    if not pairs:
+        return _frontier_count(later), {}
+    lows = [i for i, _ in pairs]
+    first = min(lows)
+    _, before = _frontier(later[: max(lows) + 1], keep=set(lows))
+    after = _completions(later, {first, *(i + 1 for i in lows)})
+    total = sum(ways * after[first].get(mask, 0) for mask, ways in before[first].items())
+    fixed = {}
+    for l, (i, j) in enumerate(pairs, start=1):
+        bit = 1 << (j - i)
+        placed = after[i + 1].get
+        fixed[l] = sum(ways * placed((mask | bit) >> 1, 0)
+                       for mask, ways in before[i].items() if not mask & (bit | 1))
+    return total, fixed
+
+
+def hexagon_tallies(
+    specs: Iterable[HexagonSpec], max_cells: int = DEFAULT_CELL_LIMIT
+) -> Dict[HexagonSpec, Tuple[int, Dict[int, int]]]:
+    """``hexagon_tally`` of every hexagon in ``specs``, keyed by spec in that
+    order.  Every hexagon is prepared, and so checked against the cell limit
+    and the state budget, before the first is counted."""
+    scans = [(spec, _prepare_count(build_region(spec, RegionKind.FULL_HEXAGON), max_cells))
+             for spec in specs]
+    return {spec: _tally(spec, index, later) for spec, (_, index, later) in scans}
+
+
 def hexagon_tally(
     spec: HexagonSpec, max_cells: int = DEFAULT_CELL_LIMIT
 ) -> Tuple[int, Dict[int, int]]:
     """Tiling count of the full hexagon, and per axis position l the count of
     its tilings that contain the l-th axis rhombus.
 
-    Every count comes from one prepared copy of the hexagon on the frontier
-    kernel.  The count at l is that of the hexagon with the rhombus's two
-    cells removed, so it agrees with count_with_fixed_rhombus position-wise.
-    A hexagon with no axis rhombus (n == 0) has no positions.
+    Every count comes from one forward-backward pass over one prepared copy
+    of the hexagon.  The count at l agrees position-wise with
+    count_with_fixed_rhombus, and with the count of the hexagon less the
+    rhombus's two cells.  A hexagon with no axis rhombus (n == 0) has no
+    positions.
     """
-    _, index, later = _prepare(build_region(spec, RegionKind.FULL_HEXAGON), max_cells)
-    fixed = {
-        l: _frontier_count(
-            later, removed=[index[c] for c in axis_rhombus_cells(spec, l)]
-        )
-        for l in range(1, spec.n + 1)
-    }
-    return _frontier_count(later), fixed
-
+    return hexagon_tallies([spec], max_cells)[spec]

@@ -53,10 +53,11 @@ def _grid(max_a, max_m) -> List[HexagonSpec]:
 
 
 def _tallies(max_a, max_m, max_cells, parities=(Parity.EVEN, Parity.ODD)):
-    """``oracle.hexagon_tally`` of every grid hexagon with its parity in
-    ``parities``, keyed by spec in grid order."""
-    return {spec: oracle.hexagon_tally(spec, max_cells)
-            for spec in _grid(max_a, max_m) if spec.parity in parities}
+    """``oracle.hexagon_tallies`` of the grid hexagons with their parity in
+    ``parities``, keyed by spec in grid order; every hexagon is checked
+    against the oracle's limits before the first is counted."""
+    return oracle.hexagon_tallies(
+        [spec for spec in _grid(max_a, max_m) if spec.parity in parities], max_cells)
 
 
 def _total_cases(tallies, box_limit, max_cells) -> List[CaseResult]:
@@ -85,8 +86,7 @@ def _fixed_cases(tallies) -> List[CaseResult]:
     out: List[CaseResult] = []
     for spec, (_, fixed) in tallies.items():
         a, m = spec
-        for l, got in fixed.items():
-            want = formulas.fixed_count(spec, l)
+        for (l, got), want in zip(fixed.items(), formulas.fixed_counts(spec, fixed)):
             _case(out, f"hexagon({a},{m}) fixed l={l}", got == want,
                   f"oracle {got} vs formula {want}")
     return out
@@ -345,10 +345,12 @@ def check_oracle_vs_theorems(max_a: int = 3, max_m: int = 4,
                              max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Totals plus fixed-rhombus counts for both parities on one grid.
 
-    The grid is walked once: one ``oracle.hexagon_tally`` per hexagon gives
-    its total and its fixed counts, and box(a, b, a) reuses hexagon(a, b)'s
-    total.  Box totals stop at sides of _BOX_LIMIT whatever max_a is; a
-    larger max_a is reported on stderr as bounding the hexagons only.
+    The grid is walked once: ``oracle.hexagon_tallies`` gives every
+    hexagon's total and fixed counts, one ``formulas.fixed_counts`` per
+    hexagon the closed forms of all its positions, and box(a, b, a) reuses
+    hexagon(a, b)'s total.  Box totals stop at sides of _BOX_LIMIT whatever
+    max_a is; a larger max_a is reported on stderr as bounding the hexagons
+    only.
     """
     if max_a > _BOX_LIMIT:
         side = _BOX_LIMIT

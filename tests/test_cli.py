@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,20 @@ def test_deep_search_passes_under_low_recursion_limit():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "oracle-vs-theorems: 181/181 checks passed"
+
+
+def test_request_past_the_state_budget_exits_2_at_once(capsys):
+    # hexagon(10, 9) is the first hexagon of this grid past the oracle's
+    # state budget; every hexagon is checked before any is counted, so the
+    # run stops at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle-vs-theorems",
+                             "--max-a", "10", "--max-m", "10", "--max-cells", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "exceeding the budget of" in errors[0]
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_runs_the_readme_commands():

@@ -188,8 +188,8 @@ def test_polynomial_algebra():
     p = Polynomial([1, 2])        # 1 + 2x
     q = Polynomial([0, 0, 3])     # 3x^2
     assert (p + q).coeffs == (1, 2, 3)
-    # the product is by scalars only
-    with pytest.raises(TypeError):
+    # the product is by scalars only, and the error says so
+    with pytest.raises(TypeError, match="only products with a rational scalar"):
         p * q
     assert (p - p).is_zero
     assert p.degree() == 1 and Polynomial().degree() == -1

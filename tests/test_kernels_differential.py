@@ -11,11 +11,13 @@ builds the same value another way.
   ``determinant`` of each.
 - The oracle's iterative search against the three recursive searches it
   replaced, kept here as the references.
-- The oracle's neighbor lists against ``cell_neighbors`` below, which lists
-  all three neighbors of a cell from its coordinates alone.
+- The oracle's neighbor lists, in both of the counters' scan orders,
+  against ``cell_neighbors`` below, which lists all three neighbors of a
+  cell from its coordinates alone; and its counts, weighted counts and
+  hexagon tallies in each scan order against the other and the references.
 - The per-column hexagon builder against the row-by-row parity loop it
-  replaced, and the oracle's one-pass hexagon tally against a separate
-  count per axis position.
+  replaced, and the oracle's forward-backward hexagon tally against the
+  count of the hexagon less each axis rhombus's two cells.
 
 The references build on nothing that was rewritten: only ``Fraction``
 (the polynomial references work on plain lists of ``Fraction``
@@ -29,8 +31,10 @@ also kept here.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hextiling import oracle
@@ -48,6 +52,7 @@ from hextiling.formulas import (
     _reduced_poly_closed_constant,
     axis_sum,
     lower_weighted_closed_forms,
+    macmahon_count,
     proportion_balanced_form,
     proportion_nm,
     proportion_series_form,
@@ -58,6 +63,7 @@ from hextiling.hexagon import (
     HexagonSpec,
     Region,
     RegionKind,
+    axis_rhombus_cells,
     box_region,
     build_region,
     hexagon_cells,
@@ -406,8 +412,8 @@ def cell_neighbors(cell: Cell) -> tuple:
     )
 
 
-def _prepare(region: Region, max_cells: int):
-    cells = sorted(region.cells)
+def _prepare(region: Region, max_cells: int, order=None):
+    cells = sorted(region.cells, key=order)
     if len(cells) > max_cells:
         raise RegionTooLargeError(
             f"region has {len(cells)} cells, exceeding the limit of {max_cells}"
@@ -824,6 +830,61 @@ def test_oracle_search_matches_recursive_reference(region):
     assert list(enumerate_tilings(region)) == list(_reference_enumerate_tilings(region))
 
 
+# The counters' candidate scan orders, as sort keys of cells: row-major
+# (row2, col, orient), which the enumeration keeps, and column-major.
+_ORDERS = [None, lambda cell: (cell.col, cell.row2, cell.orient)]
+
+
+@contextmanager
+def _scanning(order):
+    """The oracle's counters scan in ``order`` instead of choosing."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_scan_order", lambda cells, max_cells: order)
+        yield
+
+
+def _in_every_order(count, region):
+    """``count(region)`` with the counters held to each candidate order."""
+    values = []
+    for order in _ORDERS:
+        with _scanning(order):
+            values.append(count(region))
+    return values
+
+
+@given(_punctured_regions())
+def test_counts_agree_in_every_scan_order_on_punctured_regions(region):
+    count = _reference_count_tilings(region)
+    assert _in_every_order(count_tilings, region) == [count] * len(_ORDERS)
+    weighted = _reference_weighted_count(region)
+    assert _in_every_order(weighted_count, region) == [weighted] * len(_ORDERS)
+
+
+def test_box_counts_agree_in_every_scan_order():
+    # 125 boxes, degenerate ones included; the product is the reference,
+    # since the recursive search is too slow for box(4, 4, 4)
+    for a in range(5):
+        for b in range(5):
+            for c in range(5):
+                got = _in_every_order(count_tilings, box_region(a, b, c))
+                assert got == [macmahon_count(a, b, c)] * len(_ORDERS), (a, b, c)
+
+
+def test_lower_half_weighted_counts_agree_in_every_scan_order():
+    # every lower half of every hexagon with a <= 3 and side_m <= 5
+    for a in range(1, 4):
+        for m_side in range(0, 6):
+            spec = HexagonSpec(a, m_side)
+            for l in range(1, spec.n + 1):
+                region = build_region(spec, RegionKind.LOWER_HALF, l)
+                want = _reference_weighted_count(region)
+                got = _in_every_order(weighted_count, region)
+                assert got == [want] * len(_ORDERS), (spec, l)
+                # a weighted pair counts in whichever order its cells come
+                flipped = Region(region.cells, frozenset((b, a) for a, b in region.weighted_pairs))
+                assert _in_every_order(weighted_count, flipped) == got, (spec, l)
+
+
 def _lower_halves():
     return [build_region(HexagonSpec(a, m_side), RegionKind.LOWER_HALF, 2)
             for a, m_side in [(3, 4), (4, 3)]]
@@ -840,12 +901,13 @@ def test_enumeration_matches_recursive_reference_past_the_draws():
 
 
 def _assert_later_matches_cell_neighbors(region):
-    cells, index, later = oracle._prepare(region, DEFAULT_CELL_LIMIT)
-    ref_cells, neighbors = _prepare(region, DEFAULT_CELL_LIMIT)
-    assert cells == ref_cells
-    assert index == {c: i for i, c in enumerate(cells)}
-    assert later == [tuple((i, j) for j in near if j > i)
-                     for i, near in enumerate(neighbors)]
+    for order in _ORDERS:
+        cells, index, later = oracle._prepare(region, DEFAULT_CELL_LIMIT, order)
+        ref_cells, neighbors = _prepare(region, DEFAULT_CELL_LIMIT, order)
+        assert cells == ref_cells
+        assert index == {c: i for i, c in enumerate(cells)}
+        assert later == [tuple((i, j) for j in near if j > i)
+                         for i, near in enumerate(neighbors)]
 
 
 def test_later_matches_cell_neighbors():
@@ -899,13 +961,32 @@ def test_hexagon_cells_match_parity_loop():
                 assert hexagon_cells(a, b, c) == _reference_hexagon_cells(a, b, c), (a, b, c)
 
 
+def _count_without(spec, l, max_cells=DEFAULT_CELL_LIMIT):
+    """Tilings of the hexagon that contain the l-th axis rhombus, as the
+    count of the hexagon less the rhombus's two cells."""
+    cells = build_region(spec, RegionKind.FULL_HEXAGON).cells
+    return count_tilings(Region(cells - set(axis_rhombus_cells(spec, l))), max_cells)
+
+
 def test_hexagon_tally_matches_count_per_position():
     # every hexagon with a <= 3 and side_m <= 5 (18 of them), so no draw is
     # needed; a = 1 with odd side_m has no axis position
     for a in range(1, 4):
         for m_side in range(0, 6):
             spec = HexagonSpec(a, m_side)
-            total, fixed = hexagon_tally(spec)
-            assert total == count_tilings(build_region(spec, RegionKind.FULL_HEXAGON)), spec
-            assert fixed == {l: count_with_fixed_rhombus(spec, l)
-                             for l in range(1, spec.n + 1)}, spec
+            want = (count_tilings(build_region(spec, RegionKind.FULL_HEXAGON)),
+                    {l: _count_without(spec, l) for l in range(1, spec.n + 1)})
+            assert _in_every_order(hexagon_tally, spec) == [want] * len(_ORDERS), spec
+            assert want[1] == {l: count_with_fixed_rhombus(spec, l)
+                               for l in range(1, spec.n + 1)}, spec
+
+
+def test_hexagon_tally_matches_count_per_position_past_the_default_limit():
+    # hexagons wider than they are tall scan column-major, the others
+    # row-major; the count of the hexagon less the rhombus stays the
+    # reference in whatever order it scans
+    for spec in [HexagonSpec(5, 2), HexagonSpec(4, 5), HexagonSpec(5, 5), HexagonSpec(6, 3)]:
+        total, fixed = hexagon_tally(spec, max_cells=200)
+        assert total == macmahon_count(spec.side_a, spec.side_a, spec.side_m), spec
+        assert fixed == {l: _count_without(spec, l, 200)
+                         for l in range(1, spec.n + 1)}, spec

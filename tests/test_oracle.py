@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from hextiling import verify
+from hextiling import oracle, verify
 from hextiling.formulas import (
     fixed_count,
     macmahon_count,
@@ -21,10 +22,13 @@ from hextiling.hexagon import (
 )
 from hextiling.matrices import determinant, path_matrix
 from hextiling.oracle import (
+    STATE_BUDGET,
     RegionTooLargeError,
+    StateBudgetError,
     count_tilings,
     count_with_fixed_rhombus,
     enumerate_tilings,
+    hexagon_tallies,
     hexagon_tally,
     weighted_count,
 )
@@ -133,6 +137,54 @@ def test_counters_reach_past_enumeration():
         assert total == macmahon_count(a, a, m_side)
         assert tally == {l: fixed_count(spec, l)
                          for l in range(1, spec.n + 1)}, (a, m_side)
+
+
+def test_counters_scan_along_the_narrower_order():
+    column_major = oracle._COLUMN_MAJOR
+    for region, order in [
+        # a row of box(10, 2, 10) holds 20 cells, all of which can wait at
+        # once; a column 23, of which 12 can
+        (box_region(10, 2, 10), column_major),
+        # the same hexagon turned by 120 degrees: rows of 12 beat columns
+        (box_region(2, 10, 10), None),
+        # hexagon(a, side_m) has rows of 2a and columns of side_m + a
+        (build_region(HexagonSpec(5, 3), RegionKind.FULL_HEXAGON), column_major),
+        (build_region(HexagonSpec(5, 6), RegionKind.FULL_HEXAGON), None),
+        # a tie keeps the row-major scan
+        (build_region(HexagonSpec(5, 5), RegionKind.FULL_HEXAGON), None),
+        # so do 8 columns or fewer, whatever the columns hold
+        (build_region(HexagonSpec(4, 1), RegionKind.FULL_HEXAGON), None),
+        (Region(frozenset()), None),
+    ]:
+        assert oracle._scan_order(region.cells, 1000) is order
+
+
+def test_wide_box_counts_in_milliseconds():
+    # about 170 000 states row-major, 66 column-major
+    start = time.perf_counter()
+    assert count_tilings(box_region(10, 2, 10), max_cells=300) == macmahon_count(10, 2, 10)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_state_budget_enforced_before_counting(monkeypatch):
+    # hexagon(10, 10): 600 cells, a frontier 20 cells wide in either order
+    spec = HexagonSpec(10, 10)
+    region = build_region(spec, RegionKind.FULL_HEXAGON)
+    assert issubclass(StateBudgetError, RegionTooLargeError)
+    monkeypatch.setattr(oracle, "_frontier", None)  # any counting would fail
+    start = time.perf_counter()
+    for count in (count_tilings, weighted_count):
+        with pytest.raises(StateBudgetError, match=f"exceeding the budget of {STATE_BUDGET}"):
+            count(region, max_cells=1000)
+    with pytest.raises(StateBudgetError, match="20 cells wide, so counting it may take 184756"):
+        hexagon_tally(spec, max_cells=1000)
+    # every hexagon is checked before the first is counted
+    with pytest.raises(StateBudgetError):
+        hexagon_tallies([HexagonSpec(2, 2), spec], max_cells=1000)
+    assert time.perf_counter() - start < 1.0
+    # the cell limit is checked first, with its own message
+    with pytest.raises(RegionTooLargeError, match="region has 600 cells, exceeding the limit of 120"):
+        count_tilings(region)
 
 
 def test_pentagon_counts_match_determinants():
