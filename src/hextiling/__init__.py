@@ -17,7 +17,6 @@ from .exact import (
     hypergeometric_sum,
     lagrange_basis,
     lagrange_combine,
-    lagrange_interpolate,
     shifted_factorial,
 )
 from .hexagon import (

@@ -24,8 +24,8 @@ Interpolation is split in two steps: ``lagrange_basis`` does all the work
 that depends only on the abscissae, optionally with a rational scale per
 abscissa folded into its weight, and ``lagrange_combine`` builds each
 interpolating ``Polynomial`` from a list of ordinates by integer dot
-products.  ``lagrange_interpolate`` is the two in a row; a caller with
-many ordinate lists on the same abscissae builds the basis once.
+products, so a caller with many ordinate lists on the same abscissae
+builds the basis once.
 """
 
 from __future__ import annotations
@@ -291,19 +291,6 @@ def lagrange_combine(basis: tuple, ys: Sequence) -> Polynomial:
         raise ValueError("need one ordinate per abscissa")
     nums, v = _over_common_denominator(ys)
     return Polynomial([sum(map(operator.mul, column, nums)) for column in columns], v * den)
-
-
-def lagrange_interpolate(points: Sequence[tuple]) -> Polynomial:
-    """Exact interpolating polynomial through (x, y) pairs with distinct x.
-
-    Returns the unique polynomial of degree < len(points) passing through all
-    of them; raises ValueError on duplicate abscissae.  It is
-    :func:`lagrange_combine` of the ordinates on :func:`lagrange_basis` of
-    the abscissae, so callers that interpolate many ordinate lists on one
-    set of abscissae build the basis once.
-    """
-    return lagrange_combine(lagrange_basis([x for x, _ in points]),
-                            [y for _, y in points])
 
 
 def hypergeometric_sum(

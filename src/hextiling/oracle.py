@@ -33,21 +33,20 @@ wait, about half the longest column.  Both orders share one neighbor rule.
 A region of at most 8 columns keeps row-major without counting its lines.
 
 Every axis position in one pass.  ``hexagon_tally`` runs the frontier
-forward to the last axis rhombus, keeping the states reached just before
-each one's lower cell, and backward (``_completions``) from the top to the
-first, keeping the number of ways to complete each state just after it.
-The count at position l sums, over the forward states in which both cells
-of the l-th rhombus are free, their ways times the completions once the
-rhombus is placed; the total joins the two passes at the first rhombus.
-This is the transfer-matrix method (Stanley, *Enumerative Combinatorics I*,
-section 4.7).
+once over the full hexagon.  Each state's value packs fixed-width fields:
+field 0 counts the partial matchings that reach the state, and field l
+those among them that hold the l-th axis rhombus.  Placing that rhombus
+adds field 0 into field l, and every other step moves all fields alike, so
+mask 0 past the last cell holds the total and every axis-position count.
+The fields are ``cells // 2 + 1`` bits wide, read off the cell count
+alone; ``_frontier`` says why that is enough.
 
 Tilings are yielded as frozensets of cell pairs, each pair sorted, so the
 pair ``hexagon.axis_rhombus_cells`` returns is tested by membership.
 Fixed-rhombus counts come in two shapes: ``count_with_fixed_rhombus``
 filters one enumeration per axis position, and ``hexagon_tally`` counts
-every axis position in one forward-backward pass; ``hexagon_tallies`` gives
-the ``oracle-vs-theorems`` suite one tally per hexagon of its grid.  The
+every axis position in one frontier pass; ``hexagon_tallies`` gives the
+``oracle-vs-theorems`` suite one tally per hexagon of its grid.  The
 ``factorization`` suite of :mod:`hextiling.verify` reads the filtered
 enumeration per position and kernel counts of the two halves from here,
 and compares them itself.
@@ -268,8 +267,10 @@ def _joined_tilings(cells, later) -> Iterator[frozenset]:
                 yield head | tail
 
 
-def _frontier(later, weight=None, keep=()):
-    """The frontier dynamic program over the cells of ``later``.
+def _frontier(later, weight=None, axis=()) -> list:
+    """The frontier dynamic program over the cells of ``later``: the weighted
+    number of perfect matchings, and the number of them holding each pair of
+    ``axis``.
 
     Cells are scanned in index order.  A state is a bitmask, relative to the
     scan cell ``lo``, of the cells at or above ``lo`` already paired with a
@@ -280,17 +281,25 @@ def _frontier(later, weight=None, keep=()):
     of ``_matchings`` that reaches the same frontier is one state here, so
     the kernel never visits more states than the search visits nodes.
 
-    Returns the states past the last cell, whose mask 0 holds the weighted
-    count of perfect matchings, and the states reached just before each
-    scan step in ``keep``, keyed by step.
+    Each value packs fields of ``cells // 2 + 1`` bits: field 0 holds the
+    summed weight, and field l the part of it from partial matchings that
+    hold ``axis[l - 1]``.  Placing that pair adds field 0 into field l,
+    which is still 0 then, since a pair is placed only at the step of its
+    lower cell.  The width is enough for unweighted counts: a free scan cell
+    has at most two later partners, and a partial matching makes at most
+    ``cells // 2`` such choices, so no count exceeds 2^(cells // 2) and no
+    field carries into the next.  The top field is read unmasked, so with no
+    ``axis`` a weighted sum of any size comes back whole.
+
+    Returns fields 0 to ``len(axis)`` of mask 0 past the last cell.
     """
+    width = len(later) // 2 + 1
+    low = (1 << width) - 1
+    shifts = {pair: l * width for l, pair in enumerate(axis, start=1)}
     states = {0: 1}
-    kept = {}
     for lo, choices in enumerate(later):
-        if lo in keep:
-            kept[lo] = states
         moves = [
-            (1 << (pair[1] - lo), 1 if weight is None else weight[pair])
+            (1 << (pair[1] - lo), 1 if weight is None else weight[pair], shifts.get(pair, 0))
             for pair in choices
         ]
         nxt = {}
@@ -299,62 +308,23 @@ def _frontier(later, weight=None, keep=()):
                 key = mask >> 1
                 nxt[key] = nxt.get(key, 0) + ways
                 continue
-            for bit, w in moves:
+            for bit, w, shift in moves:
                 if not mask & bit:
                     key = (mask | bit) >> 1
-                    nxt[key] = nxt.get(key, 0) + ways * w
+                    add = ways * w
+                    if shift:
+                        add += (add & low) << shift
+                    nxt[key] = nxt.get(key, 0) + add
         states = nxt
-    return states, kept
-
-
-def _frontier_count(later, weight=None) -> int:
-    """Weighted number of perfect matchings of the cells of ``later``."""
-    return _frontier(later, weight)[0].get(0, 0)
-
-
-def _completions(later, keep):
-    """For each scan step t in ``keep``, the number of ways to complete a
-    matching from each frontier state of ``_frontier`` reached just before
-    t, as ``{t: {mask: ways}}``; unweighted.
-
-    The scan runs from the top down to the lowest step in ``keep``, from
-    the one empty state past the last cell.  Going down past cell t, a state
-    either marks t as paired with a lower cell, or pairs t with a partner
-    the state marks and clears that mark.  A mark stands only while the
-    marked cell has a neighbor below the scan, so a state keeping the mark
-    of a cell whose lowest neighbor is t (a bit of ``due``) is dropped at t;
-    that keeps these states as few as the forward ones.
-    """
-    # read from the top down, so the lowest neighbor of each cell is kept
-    lowest = {j: i for i in range(len(later) - 1, -1, -1) for _, j in later[i]}
-    states = {0: 1}
-    kept = {}
-    for t in range(len(later) - 1, min(keep) - 1, -1):
-        choices = later[t]
-        moves = [1 << (j - t) for _, j in choices]
-        due = sum([1 << (j - t) for _, j in choices if lowest[j] == t])
-        below = t in lowest
-        prev = {}
-        for mask, ways in states.items():
-            mask <<= 1
-            if below and not mask & due:
-                key = mask | 1
-                prev[key] = prev.get(key, 0) + ways
-            for bit in moves:
-                if mask & bit:
-                    key = mask ^ bit
-                    if not key & due:
-                        prev[key] = prev.get(key, 0) + ways
-        states = prev
-        if t in keep:
-            kept[t] = states
-    return kept
+    packed = states.get(0, 0)
+    top = len(axis)
+    return [packed >> (l * width) & low for l in range(top)] + [packed >> (top * width)]
 
 
 def count_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
     """Number of tilings of ``region``, from the frontier kernel."""
     _, _, later = _prepare_count(region, max_cells)
-    return _frontier_count(later)
+    return _frontier(later)[0]
 
 
 def weighted_count(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> Fraction:
@@ -374,7 +344,7 @@ def weighted_count(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> Fract
     weight = {
         pair: 1 if pair in weighted else 2 for choices in later for pair in choices
     }
-    return Fraction(_frontier_count(later, weight), 2 ** (len(cells) // 2))
+    return Fraction(_frontier(later, weight)[0], 2 ** (len(cells) // 2))
 
 
 def count_with_fixed_rhombus(
@@ -388,21 +358,9 @@ def count_with_fixed_rhombus(
 
 def _tally(spec: HexagonSpec, index, later) -> Tuple[int, Dict[int, int]]:
     """``hexagon_tally`` of the prepared hexagon ``spec``."""
-    pairs = [_index_pair(index, *axis_rhombus_cells(spec, l)) for l in range(1, spec.n + 1)]
-    if not pairs:
-        return _frontier_count(later), {}
-    lows = [i for i, _ in pairs]
-    first = min(lows)
-    _, before = _frontier(later[: max(lows) + 1], keep=set(lows))
-    after = _completions(later, {first, *(i + 1 for i in lows)})
-    total = sum(ways * after[first].get(mask, 0) for mask, ways in before[first].items())
-    fixed = {}
-    for l, (i, j) in enumerate(pairs, start=1):
-        bit = 1 << (j - i)
-        placed = after[i + 1].get
-        fixed[l] = sum(ways * placed((mask | bit) >> 1, 0)
-                       for mask, ways in before[i].items() if not mask & (bit | 1))
-    return total, fixed
+    axis = [_index_pair(index, *axis_rhombus_cells(spec, l)) for l in range(1, spec.n + 1)]
+    total, *fixed = _frontier(later, axis=axis)
+    return total, dict(enumerate(fixed, start=1))
 
 
 def hexagon_tallies(
@@ -422,8 +380,9 @@ def hexagon_tally(
     """Tiling count of the full hexagon, and per axis position l the count of
     its tilings that contain the l-th axis rhombus.
 
-    Every count comes from one forward-backward pass over one prepared copy
-    of the hexagon.  The count at l agrees position-wise with
+    Every count comes from one frontier pass over one prepared copy of the
+    hexagon, whose values pack the total and the n position counts side by
+    side.  The count at l agrees position-wise with
     count_with_fixed_rhombus, and with the count of the hexagon less the
     rhombus's two cells.  A hexagon with no axis rhombus (n == 0) has no
     positions.

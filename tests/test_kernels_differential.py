@@ -16,8 +16,8 @@ builds the same value another way.
   cell from its coordinates alone; and its counts, weighted counts and
   hexagon tallies in each scan order against the other and the references.
 - The per-column hexagon builder against the row-by-row parity loop it
-  replaced, and the oracle's forward-backward hexagon tally against the
-  count of the hexagon less each axis rhombus's two cells.
+  replaced, and the oracle's one-pass hexagon tally against the count of
+  the hexagon less each axis rhombus's two cells.
 
 The references build on nothing that was rewritten: only ``Fraction``
 (the polynomial references work on plain lists of ``Fraction``
@@ -45,7 +45,6 @@ from hextiling.exact import (
     hypergeometric_sum,
     lagrange_basis,
     lagrange_combine,
-    lagrange_interpolate,
     shifted_factorial,
 )
 from hextiling.formulas import (
@@ -558,19 +557,19 @@ def test_shifted_factorial_matches_reference(a, k):
     assert shifted_factorial(a, k) == _reference_shifted_factorial(a, k)
 
 
-def _split_matches_reference(points, scales):
-    """The basis/combine split, each ordinate scaled at its abscissa, against
-    the reference through the scaled points."""
+def _split_matches_reference(points, scales=()):
+    """The basis/combine split, each ordinate scaled at its abscissa (by 1
+    with no ``scales``), against the reference through the scaled points."""
     basis = lagrange_basis([x for x, _ in points], scales)
     got = lagrange_combine(basis, [y for _, y in points])
     return got.coeffs == _reference_lagrange(
-        [(x, F(c) * y) for (x, y), c in zip(points, scales)])
+        [(x, F(c) * y) for (x, y), c in zip(points, scales or [1] * len(points))])
 
 
 @given(st.lists(st.tuples(_rationals, _rationals), max_size=8,
                 unique_by=lambda pt: pt[0]), st.data())
 def test_lagrange_matches_reference(points, data):
-    assert lagrange_interpolate(points).coeffs == _reference_lagrange(points)
+    assert _split_matches_reference(points)
     scales = data.draw(st.lists(_params, min_size=len(points), max_size=len(points)))
     assert _split_matches_reference(points, scales)
 
@@ -583,7 +582,7 @@ _non_integers = st.fractions(min_value=-20, max_value=20, max_denominator=12).fi
 @given(st.lists(st.tuples(_non_integers, _rationals), min_size=1, max_size=8,
                 unique_by=lambda pt: pt[0]), st.data())
 def test_lagrange_matches_reference_on_non_integer_abscissae(points, data):
-    assert lagrange_interpolate(points).coeffs == _reference_lagrange(points)
+    assert _split_matches_reference(points)
     scales = data.draw(st.lists(_params, min_size=len(points), max_size=len(points)))
     assert _split_matches_reference(points, scales)
 
@@ -866,8 +865,18 @@ def test_box_counts_agree_in_every_scan_order():
     for a in range(5):
         for b in range(5):
             for c in range(5):
-                got = _in_every_order(count_tilings, box_region(a, b, c))
+                region = box_region(a, b, c)
+                got = _in_every_order(count_tilings, region)
                 assert got == [macmahon_count(a, b, c)] * len(_ORDERS), (a, b, c)
+                assert got[0] <= 2 ** (len(region.cells) // 2), (a, b, c)
+
+
+@given(_punctured_regions())
+def test_count_is_at_most_two_to_the_half_cell_count(region):
+    # the field width of the packed tally rests on this bound: each scan
+    # cell has at most two later partners, and a tiling makes one such
+    # choice per pair (boxes are checked in the test above)
+    assert count_tilings(region) <= 2 ** (len(region.cells) // 2)
 
 
 def test_lower_half_weighted_counts_agree_in_every_scan_order():

@@ -275,13 +275,15 @@ def test_reduced_determinant_degree_bound():
     # every expansion term takes degree j from column j except degree j-1
     # from the marked row.  One spare point lets a higher degree show, and
     # the bound is attained, so the symmetries suite needs all its points.
-    from hextiling.exact import lagrange_interpolate
+    from hextiling.exact import lagrange_basis, lagrange_combine
 
     for n in range(1, 8):
         bound = reduced_degree_bound(n)
-        samples = [(F(m), reduced_determinants(m, n)) for m in range(bound + 2)]
+        ms = range(bound + 2)
+        basis = lagrange_basis(ms)
+        samples = [reduced_determinants(m, n) for m in ms]
         for l in range(n):
-            poly = lagrange_interpolate([(m, dets[l]) for m, dets in samples])
+            poly = lagrange_combine(basis, [dets[l] for dets in samples])
             assert poly.degree() == bound, (n, l + 1)
 
 

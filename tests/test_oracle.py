@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,26 @@ def test_state_budget_enforced_before_counting(monkeypatch):
     # the cell limit is checked first, with its own message
     with pytest.raises(RegionTooLargeError, match="region has 600 cells, exceeding the limit of 120"):
         count_tilings(region)
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tally_memory_stays_near_a_plain_count():
+    # one pass whose values pack the total and every position count keeps
+    # about as many states alive as the plain count of the same hexagon
+    spec = HexagonSpec(6, 6)
+    plain = _traced_peak(
+        lambda: count_tilings(build_region(spec, RegionKind.FULL_HEXAGON), max_cells=1000))
+    tally = _traced_peak(lambda: hexagon_tally(spec, max_cells=1000))
+    assert tally <= 3 * plain, (tally, plain)
 
 
 def test_pentagon_counts_match_determinants():

@@ -1,5 +1,6 @@
 """The verification suites reach the library only through its public names,
-so each identity they compare can take its quantities from any route."""
+so each identity they compare can take its quantities from any route; and
+each route builds only on the shared layers, not on another route."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,38 @@ def test_private_read_detection():
 
 def test_verify_reads_no_private_name_of_another_module():
     assert _private_reads(Path(verify.__file__).read_text()) == []
+
+
+# Each route may build on the exact primitives and the cell geometry only,
+# so no cross-check compares a route with code it borrowed from another.
+ROUTE_IMPORTS = {
+    "formulas": {"exact", "hexagon"},
+    "matrices": {"exact", "hexagon"},
+    "oracle": {"hexagon"},
+}
+# formulas takes two factors of Lemma 6 from matrices; the one known
+# exception, until its own product for them cuts the edge
+KNOWN_CROSSINGS = {"formulas": {"matrices"}}
+
+
+def _sibling_imports(source: str) -> set:
+    """Every sibling module ``source`` imports, by ``from .x import ...`` or
+    ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found
+
+
+def test_sibling_import_detection():
+    source = ("import math\n"
+              "from . import formulas, verify\n"
+              "from .exact import binomial\n")
+    assert _sibling_imports(source) == {"formulas", "verify", "exact"}
+
+
+def test_routes_import_only_the_shared_layers():
+    for route, allowed in ROUTE_IMPORTS.items():
+        imported = _sibling_imports((PACKAGE / f"{route}.py").read_text())
+        assert imported - allowed == KNOWN_CROSSINGS.get(route, set()), route
