@@ -42,7 +42,6 @@ from .matrices import (
     marked_row_determinants,
     path_matrix,
     reduced_prefactor,
-    row_scale_product,
 )
 from .formulas import (
     arcsine_limit,

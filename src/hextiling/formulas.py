@@ -11,10 +11,10 @@ Counts that must be integers are computed over rationals and asserted
 integral, so any transcription error in a formula surfaces immediately.
 The kernels are integer-first: each builds its value from integer
 numerators over one denominator and makes one ``Fraction`` at the end.
-That covers Lemma 5's product for the trimmed upper count, the closed
-forms of the reduced determinant (the weighted lower count, its constant
-and the special values, which gather their powers of 2 in one exponent),
-the axis sum (nested Horner from its last term), the proportion (the
+That covers Lemma 5's product for the trimmed upper count, Lemma 6's
+product for the weighted lower count and the special values of the
+reduced determinant (both gather their powers of 2 in one exponent), the
+axis sum (nested Horner from its last term), the proportion (the
 axis sum's numerator and denominator times the binomial prefactor) and
 the prefactors of both hypergeometric forms.  The weighted lower count is
 given for every marked position l of one (n, m) at once, because only
@@ -37,7 +37,6 @@ from .exact import (
     hypergeometric_sum,
 )
 from .hexagon import HexagonSpec
-from .matrices import reduced_prefactor, row_scale_product
 
 
 def _as_integer(value: Fraction, what: str) -> int:
@@ -136,7 +135,7 @@ def fixed_count_odd(n: int, m: int, l: int) -> int:
     return fixed_count(HexagonSpec(n + 1, 2 * m - 1), l)
 
 
-def upper_count_closed_form(n: int, m: int) -> Fraction:
+def upper_count_closed_form(n: int, m: int) -> int:
     """Product formula for the trimmed-upper-pentagon tiling count.
 
     prod_{i=1}^{n} (n+m-i+1)! (i-1)! (2m+i+1)_{i-1} / ((m+i-1)! (2n-2i+1)!)
@@ -146,35 +145,29 @@ def upper_count_closed_form(n: int, m: int) -> Fraction:
         num *= (math.factorial(n + m - i + 1) * math.factorial(i - 1)
                 * _rising_product(2 * m + i + 1, 1, i - 1))
         den *= math.factorial(m + i - 1) * math.factorial(2 * n - 2 * i + 1)
-    return Fraction(num, den)
-
-
-def _reduced_poly_closed_constant(n: int) -> Fraction:
-    """2^((n-1)(n-2)/2) prod_j (2j-1)! / (n! prod_i (2i)_{2n-4i+1})."""
-    num = 2 ** ((n - 1) * (n - 2) // 2)
-    for j in range(1, n + 1):
-        num *= math.factorial(2 * j - 1)
-    den = math.factorial(n)
-    for i in range(1, n // 2 + 1):
-        den *= _rising_product(2 * i, 1, 2 * n - 4 * i + 1)
-    return Fraction(num, den)
+    return _as_integer(Fraction(num, den), "Lemma 5 product")
 
 
 def lower_weighted_closed_forms(n: int, m: int) -> list[Fraction]:
-    """Closed form for the weighted lower-half count (determinant identity)
-    at each marked position l = 1..n in turn.
+    """Closed form for the weighted lower-half count (Lemma 6) at each
+    marked position l = 1..n in turn.
 
-    Row-scale product times the forced prefactor times the polynomial part,
-    the latter written as a constant times (m)_{n+1} times the axis sum.
+    2^C(n-1,2) (m)_{n+1} prod_i (m+i)_{n-2i+1} (m+i+1/2)_{n-2i}
+    / (n! prod_i (2i)_{2n-4i+1}) times the axis sum, i from 1 to floor(n/2).
     Only the axis sum depends on l, so the rest is one integer quotient,
     built once for all n positions.
     """
     _check_axis_domain(n, m, 1)
-    num, den = _rising_product(m, 1, n + 1), 1
-    for factor in (row_scale_product(n, m), reduced_prefactor(m, n),
-                   _reduced_poly_closed_constant(n)):
-        num *= factor.numerator
-        den *= factor.denominator
+    # (m+i+1/2)_{n-2i} = (2m+2i+1)(2m+2i+3)... / 2^(n-2i); the powers of 2
+    # never outweigh 2^C(n-1,2), so they leave a nonnegative exponent
+    twos = (n - 1) * (n - 2) // 2
+    num, den = _rising_product(m, 1, n + 1), math.factorial(n)
+    for i in range(1, n // 2 + 1):
+        num *= (_rising_product(m + i, 1, n - 2 * i + 1)
+                * _rising_product(2 * m + 2 * i + 1, 2, n - 2 * i))
+        den *= _rising_product(2 * i, 1, 2 * n - 4 * i + 1)
+        twos -= n - 2 * i
+    num *= 2**twos
     out = []
     for l in range(1, n + 1):
         s = axis_sum(n, m, l)

@@ -173,8 +173,8 @@ def axis_rhombus_cells(spec: HexagonSpec, l: int) -> tuple:
 
     The left cell lies one strip left of the right one, so the pair is sorted
     in ``(row2, col, orient)`` order, which is how enumerated tilings store
-    their pairs.  This single definition is shared by the counting formulas
-    and by the brute-force oracle, so the two can never disagree on indexing.
+    their pairs.  This single definition is shared by ``build_region`` and
+    by the brute-force oracle, so the two can never disagree on indexing.
     """
     _validate_axis(spec, l)
     m_side = spec.side_m

@@ -173,17 +173,6 @@ def path_matrix(family: PathFamilySpec) -> Matrix:
     return rows
 
 
-def row_scale_product(n: int, m: int) -> Fraction:
-    """Product of the factors pulled out of each row to pass from the
-    weighted path counts to their shifted-factorial version: the reduced
-    determinant times it is the weighted count."""
-    num, den = 1, 1
-    for i in range(1, n + 1):
-        num *= math.factorial(n + m - i)
-        den *= math.factorial(m + i - 1) * math.factorial(2 * n - 2 * i + 1)
-    return Fraction(num, den)
-
-
 def reduced_rows(m, n: int) -> tuple:
     """Integer rows of the reduced lower matrix at m, in both versions.
 

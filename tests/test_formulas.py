@@ -118,6 +118,7 @@ def test_fixed_counts_symmetric_under_reflection():
 
 
 def test_upper_count_closed_form():
+    assert type(upper_count_closed_form(1, 2)) is int
     assert upper_count_closed_form(1, 2) == 3
     assert upper_count_closed_form(2, 1) == 5
     assert upper_count_closed_form(3, 0) == 1

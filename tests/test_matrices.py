@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -24,7 +25,6 @@ from hextiling.matrices import (
     reduced_determinants,
     reduced_prefactor,
     reduced_rows,
-    row_scale_product,
 )
 
 F = Fraction
@@ -208,10 +208,12 @@ def test_reduced_determinant_validation():
 
 def test_reduced_times_row_scale_equals_weighted():
     for n in range(1, 6):
+        # the row scale prod_i (n+m-i)! / ((m+i-1)! (2n-2i+1)!), free of m
+        row_scale = F(1, math.prod(math.factorial(2 * j - 1) for j in range(1, n + 1)))
         for m in range(1, 5):
             dets = reduced_determinants(m, n)
             for l in range(1, n + 1):
-                lhs = dets[l - 1] * row_scale_product(n, m)
+                lhs = dets[l - 1] * row_scale
                 rhs = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
                 assert lhs == rhs, (n, m, l)
 

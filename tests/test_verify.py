@@ -38,15 +38,16 @@ def test_verify_reads_no_private_name_of_another_module():
 
 
 # Each route may build on the exact primitives and the cell geometry only,
-# so no cross-check compares a route with code it borrowed from another.
+# so no cross-check compares a route with code it borrowed from another;
+# those two shared layers import no sibling at all.
 ROUTE_IMPORTS = {
+    "exact": set(),
+    "hexagon": set(),
     "formulas": {"exact", "hexagon"},
     "matrices": {"exact", "hexagon"},
     "oracle": {"hexagon"},
 }
-# formulas takes two factors of Lemma 6 from matrices; the one known
-# exception, until its own product for them cuts the edge
-KNOWN_CROSSINGS = {"formulas": {"matrices"}}
+ROUTES = {"formulas", "matrices", "oracle"}
 
 
 def _sibling_imports(source: str) -> set:
@@ -69,4 +70,11 @@ def test_sibling_import_detection():
 def test_routes_import_only_the_shared_layers():
     for route, allowed in ROUTE_IMPORTS.items():
         imported = _sibling_imports((PACKAGE / f"{route}.py").read_text())
-        assert imported - allowed == KNOWN_CROSSINGS.get(route, set()), route
+        assert imported <= allowed, (route, imported - allowed)
+
+
+def test_only_verify_and_cli_import_several_routes():
+    # __init__ only re-exports, and SIBLINGS leaves it out
+    for module in SIBLINGS - {"verify", "cli"}:
+        routes = _sibling_imports((PACKAGE / f"{module}.py").read_text()) & ROUTES
+        assert len(routes) <= 1, (module, routes)
