@@ -22,15 +22,17 @@ joined with the completions of the upper half, which are searched once per
 set of upper cells the lower fill already paired and kept for the rest of
 that enumeration, so the order stays the search order.
 
-Scan orders.  The enumerator always scans row-major, by (row2, col,
-orient), so its canonical order never changes.  The counters scan each
-region row-major or column-major, by (col, row2, orient), whichever keeps
-the frontier narrower, and choose before any counting (``_scan_order``).
-A row holds at most one cell per column, and all of them can wait for a
-partner at once, so the row-major frontier is as wide as the longest row.
-Column-major, only the right cells of the scan column and the next one can
-wait, about half the longest column.  Both orders share one neighbor rule.
-A region of at most 8 columns keeps row-major without counting its lines.
+Scan orders.  Every kernel scans a region in the one order
+``_scan_order`` picks for it before any work: row-major, by (row2, col,
+orient), or column-major, by (col, row2, orient), whichever keeps the
+frontier narrower.  A row holds at most one cell per column, and all of
+them can wait for a partner at once, so the row-major frontier is as wide
+as the longest row.  Column-major, only the right cells of the scan column
+and the next one can wait, about half the longest column.  Both orders
+share one neighbor rule.  A region of at most 8 columns keeps row-major
+without counting its lines, so the enumeration of every hexagon with
+a <= 4 comes in row-major order; wider regions enumerate, like they count,
+along their narrower direction.
 
 Every axis position in one pass.  ``hexagon_tally`` runs the frontier
 once over the full hexagon.  Each state's value packs fixed-width fields:
@@ -53,11 +55,12 @@ and compares them itself.
 
 Everything is exact; weighted counts run the kernel on integer pair weights
 and divide once at the end.  Regions larger than the configurable cell limit
-are rejected outright instead of being truncated.  The counters also reject
-a region whose frontier, w cells wide in the chosen order, could hold more
-than ``STATE_BUDGET`` states by the bound C(w, floor(w/2)); both limits are
-checked before any counting, and ``hexagon_tallies`` checks every hexagon it
-is given before it counts the first, so an oversized request fails at once.
+are rejected outright instead of being truncated.  Every kernel also rejects
+a region whose frontier, w cells wide in its scan order, could hold more
+than ``STATE_BUDGET`` states by the bound C(w, floor(w/2)).  Both limits are
+checked once per region, before any work; ``check_limits`` runs the same
+check alone, and ``hexagon_tallies`` checks every hexagon it is given before
+it counts the first, so an oversized request fails at once.
 """
 
 from __future__ import annotations
@@ -90,19 +93,12 @@ class RegionTooLargeError(ValueError):
 
 
 class StateBudgetError(RegionTooLargeError):
-    """Raised when a region's counting frontier could outgrow STATE_BUDGET
-    states."""
-
-
-def _check_cell_limit(cells: int, max_cells: int) -> None:
-    if cells > max_cells:
-        raise RegionTooLargeError(
-            f"region has {cells} cells, exceeding the limit of {max_cells}"
-        )
+    """Raised when a region's frontier, in its scan order, could outgrow
+    STATE_BUDGET states."""
 
 
 def _scan_order(cells: frozenset, max_cells: int):
-    """The sort key of the counters' scan order: column-major when its
+    """The sort key of every kernel's scan order: column-major when its
     frontier is narrower than row-major's, else row-major (``None``).
 
     The row-major frontier is as wide as the longest row, the column-major
@@ -110,11 +106,22 @@ def _scan_order(cells: frozenset, max_cells: int):
     counts, without building either order.  A row holds at most one cell
     per column, so a region of at most ``_FEW_COLUMNS`` columns keeps the
     row-major scan without counting lines: its frontier holds at most
-    C(8, 4) = 70 states, which no order can improve on by much.  The cell
-    limit is checked first, then the peak state count C(w, floor(w/2)) of
-    the narrower width w against ``STATE_BUDGET``.
+    C(8, 4) = 70 states.  Column-major can still be faster there: it counts
+    the lower halves of hexagon(3, M), M = 1-8, 1.2-2.0 times as fast.  But
+    counting the lines of every small region costs more than that gains on
+    the oracle suites' small grids: without the shortcut, their max-a 2
+    requests ran 2-11 % slower and max-a 3 ``oracle-vs-theorems`` 2-6 %
+    slower, while max-a 3 ``factorization`` went from 1 % slower to 11 %
+    faster (in-process medians, 2-vCPU Xeon VM, CPython 3.11).
+
+    The cell limit is checked first, then the peak state count
+    C(w, floor(w/2)) of the narrower width w against ``STATE_BUDGET``;
+    ``_prepare`` calls this once per region, so every kernel checks both.
     """
-    _check_cell_limit(len(cells), max_cells)
+    if len(cells) > max_cells:
+        raise RegionTooLargeError(
+            f"region has {len(cells)} cells, exceeding the limit of {max_cells}"
+        )
     if len(set(map(_COL, cells))) <= _FEW_COLUMNS:
         return _ROW_MAJOR
     by_row = max(Counter(map(_ROW, cells)).values())
@@ -129,9 +136,16 @@ def _scan_order(cells: frozenset, max_cells: int):
     return _COLUMN_MAJOR if by_column < by_row else _ROW_MAJOR
 
 
-def _prepare(region: Region, max_cells: int, order=_ROW_MAJOR):
-    """Sort the cells by the key ``order`` and list each cell's
-    higher-indexed neighbors.
+def check_limits(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> None:
+    """Raise what every kernel raises on ``region`` before it starts:
+    ``RegionTooLargeError`` past the cell limit, else ``StateBudgetError``
+    past the state budget."""
+    _scan_order(region.cells, max_cells)
+
+
+def _prepare(region: Region, max_cells: int):
+    """Check the limits of ``region``, sort its cells by the key
+    ``_scan_order`` picks and list each cell's higher-indexed neighbors.
 
     Row-major and column-major alike, the only higher neighbor of a right
     cell ``(r2, s)`` is ``(r2 + 1, s, "left")``, and those of a left cell
@@ -142,8 +156,7 @@ def _prepare(region: Region, max_cells: int, order=_ROW_MAJOR):
     compare equal to ``Cell``, so they look up the index directly, once
     each.
     """
-    cells = sorted(region.cells, key=order)
-    _check_cell_limit(len(cells), max_cells)
+    cells = sorted(region.cells, key=_scan_order(region.cells, max_cells))
     index = dict(zip(cells, range(len(cells))))
     get = index.get
     later = []
@@ -160,11 +173,6 @@ def _prepare(region: Region, max_cells: int, order=_ROW_MAJOR):
         else:
             later.append(((i, j), (i, k)) if j < k else ((i, k), (i, j)))
     return cells, index, later
-
-
-def _prepare_count(region: Region, max_cells: int):
-    """``_prepare`` in the order ``_scan_order`` picks for ``region``."""
-    return _prepare(region, max_cells, _scan_order(region.cells, max_cells))
 
 
 def _index_pair(index, a, b) -> tuple:
@@ -221,13 +229,17 @@ def _matchings(later, start: int, stop: int, taken: bytearray) -> Iterator[list]
 def enumerate_tilings(
     region: Region, max_cells: int = DEFAULT_CELL_LIMIT
 ) -> Iterator[frozenset]:
-    """Yield every tiling of ``region`` exactly once, in canonical order.
+    """Yield every tiling of ``region`` exactly once, in canonical order:
+    the lexicographic order of the pairing choices in the region's scan
+    order.
 
     A tiling is the frozenset of its rhombi, each a sorted 2-tuple of cells,
     covering every cell of the region exactly once.
 
     A region with an odd number of cells yields nothing; the empty region
-    yields the single empty tiling.
+    yields the single empty tiling.  The limits are checked at the call:
+    ``RegionTooLargeError`` past the cell limit, ``StateBudgetError`` past
+    the state budget.
     """
     cells, _, later = _prepare(region, max_cells)
     return _joined_tilings(cells, later)
@@ -323,7 +335,7 @@ def _frontier(later, weight=None, axis=()) -> list:
 
 def count_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
     """Number of tilings of ``region``, from the frontier kernel."""
-    _, _, later = _prepare_count(region, max_cells)
+    _, _, later = _prepare(region, max_cells)
     return _frontier(later)[0]
 
 
@@ -336,7 +348,7 @@ def weighted_count(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> Fract
     so every tiling of the ``cells // 2`` pairs contributes
     2^(cells // 2 - k), and one division at the end gives the sum.
     """
-    cells, index, later = _prepare_count(region, max_cells)
+    cells, index, later = _prepare(region, max_cells)
     weighted = {
         _index_pair(index, a, b) for a, b in region.weighted_pairs
         if a in index and b in index
@@ -369,7 +381,7 @@ def hexagon_tallies(
     """``hexagon_tally`` of every hexagon in ``specs``, keyed by spec in that
     order.  Every hexagon is prepared, and so checked against the cell limit
     and the state budget, before the first is counted."""
-    scans = [(spec, _prepare_count(build_region(spec, RegionKind.FULL_HEXAGON), max_cells))
+    scans = [(spec, _prepare(build_region(spec, RegionKind.FULL_HEXAGON), max_cells))
              for spec in specs]
     return {spec: _tally(spec, index, later) for spec, (_, index, later) in scans}
 

@@ -123,13 +123,15 @@ def check_factorization(max_a: int = 3, max_m: int = 4,
                         max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Ciucu's factorization on oracle counts: the left side a filtered
     enumeration per position, the upper half counted once per hexagon on
-    the frontier kernel and the lower half once per l.  Every left side of
-    a hexagon comes first, so a hexagon past ``max_cells`` is reported as
-    itself, not as one of its halves."""
+    the frontier kernel and the lower half once per l.  Every hexagon is
+    checked against the oracle's limits before the first enumeration, so an
+    oversized request fails at once, on the first hexagon past them; a half
+    is never larger or wider than its hexagon, so no half fails first."""
     out: List[CaseResult] = []
-    for spec in _grid(max_a, max_m):
-        if spec.n == 0:
-            continue
+    specs = [spec for spec in _grid(max_a, max_m) if spec.n > 0]
+    for spec in specs:
+        oracle.check_limits(build_region(spec, RegionKind.FULL_HEXAGON), max_cells)
+    for spec in specs:
         a, m = spec
         positions = range(1, spec.n + 1)
         fixed = [oracle.count_with_fixed_rhombus(spec, l, max_cells) for l in positions]

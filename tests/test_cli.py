@@ -284,6 +284,18 @@ def test_request_past_the_state_budget_exits_2_at_once(capsys):
     assert "Traceback" not in err
 
 
+def test_factorization_past_the_cell_limit_exits_2_at_once(capsys):
+    # hexagon(4, 6), 128 cells, is the first hexagon of this grid past the
+    # default cell limit; every hexagon is checked before the first
+    # enumeration, so the run stops at once, on the same line
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "factorization",
+                             "--max-a", "4", "--max-m", "6")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: region has 128 cells, exceeding the limit of 120\n"
+
+
 def test_module_entry_point_runs_the_readme_commands():
     env = dict(os.environ, PYTHONPATH=SRC)
 

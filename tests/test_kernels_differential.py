@@ -423,13 +423,16 @@ def _prepare(region: Region, max_cells: int, order=None):
     return cells, neighbors
 
 
-def _reference_enumerate_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT):
-    """Yield every tiling of ``region`` exactly once, in canonical order.
+def _reference_enumerate_tilings(region: Region, max_cells: int = DEFAULT_CELL_LIMIT,
+                                 order=None):
+    """Yield every tiling of ``region`` exactly once, in the lexicographic
+    order of its pairing choices with the cells sorted by the key ``order``
+    (row-major by default).
 
     A region with an odd number of cells yields nothing; the empty region
     yields the single empty tiling.
     """
-    cells, neighbors = _prepare(region, max_cells)
+    cells, neighbors = _prepare(region, max_cells, order)
     total = len(cells)
     if total % 2 == 1:
         return iter(())
@@ -822,24 +825,28 @@ def test_proportion_forms_match_reference(nl, m):
 def test_oracle_search_matches_recursive_reference(region):
     assert count_tilings(region) == _reference_count_tilings(region)
     assert weighted_count(region) == _reference_weighted_count(region)
-    assert list(enumerate_tilings(region)) == list(_reference_enumerate_tilings(region))
+    for order in _ORDERS:
+        with _scanning(order):
+            got = list(enumerate_tilings(region))
+        assert got == list(_reference_enumerate_tilings(region, order=order))
 
 
-# The counters' candidate scan orders, as sort keys of cells: row-major
-# (row2, col, orient), which the enumeration keeps, and column-major.
+# The candidate scan orders of every kernel, as sort keys of cells:
+# row-major (row2, col, orient) and column-major.
 _ORDERS = [None, lambda cell: (cell.col, cell.row2, cell.orient)]
 
 
 @contextmanager
 def _scanning(order):
-    """The oracle's counters scan in ``order`` instead of choosing."""
+    """Every oracle kernel scans in ``order`` instead of choosing one (and
+    checks no limit, which choosing does)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_scan_order", lambda cells, max_cells: order)
         yield
 
 
 def _in_every_order(count, region):
-    """``count(region)`` with the counters held to each candidate order."""
+    """``count(region)`` with the kernels held to each candidate order."""
     values = []
     for order in _ORDERS:
         with _scanning(order):
@@ -905,9 +912,21 @@ def test_enumeration_matches_recursive_reference_past_the_draws():
         assert len(got) == count_tilings(region)
 
 
+def test_wide_hexagon_enumerates_in_column_major_order():
+    # hexagon(5, 1) has 10 columns, each of at most 6 cells, and rows of
+    # 10, so it scans column-major, and its tilings come in that order
+    region = build_region(HexagonSpec(5, 1), RegionKind.FULL_HEXAGON)
+    column_major = _ORDERS[1]
+    got = list(enumerate_tilings(region))
+    assert got == list(_reference_enumerate_tilings(region, order=column_major))
+    assert got != list(_reference_enumerate_tilings(region))
+    assert len(got) == macmahon_count(5, 1, 5)
+
+
 def _assert_later_matches_cell_neighbors(region):
     for order in _ORDERS:
-        cells, index, later = oracle._prepare(region, DEFAULT_CELL_LIMIT, order)
+        with _scanning(order):
+            cells, index, later = oracle._prepare(region, DEFAULT_CELL_LIMIT)
         ref_cells, neighbors = _prepare(region, DEFAULT_CELL_LIMIT, order)
         assert cells == ref_cells
         assert index == {c: i for i, c in enumerate(cells)}

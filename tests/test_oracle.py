@@ -188,6 +188,18 @@ def test_state_budget_enforced_before_counting(monkeypatch):
         count_tilings(region)
 
 
+def test_enumeration_checks_the_state_budget_at_the_call():
+    # the enumeration prepares in the counters' scan order, so it rejects
+    # hexagon(10, 10) as they do, at the call, not at the first tiling
+    region = build_region(HexagonSpec(10, 10), RegionKind.FULL_HEXAGON)
+    with pytest.raises(StateBudgetError, match="20 cells wide, so counting it may take 184756"):
+        enumerate_tilings(region, max_cells=1000)
+    with pytest.raises(StateBudgetError):
+        oracle.check_limits(region, max_cells=1000)
+    with pytest.raises(RegionTooLargeError, match="region has 600 cells, exceeding the limit of 120"):
+        oracle.check_limits(region)
+
+
 def _traced_peak(run) -> int:
     """Peak bytes that tracemalloc sees allocated while ``run()`` runs."""
     tracemalloc.start()
