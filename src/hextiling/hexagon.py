@@ -31,7 +31,7 @@ lower half.  All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class Cell(NamedTuple):
@@ -148,8 +148,8 @@ def axis_positions(spec: HexagonSpec) -> int:
     return spec.n
 
 
-def _validate_axis(spec: HexagonSpec, l: int) -> None:
-    n = axis_positions(spec)
+def _validate_axis(n: int, l: int) -> None:
+    """The one rule for an axis position or path mark: 1 <= l <= n."""
     if not 1 <= l <= n:
         raise ValueError(f"axis position must satisfy 1 <= l <= {n}, got {l}")
 
@@ -165,7 +165,7 @@ def _check_mark(spec: HexagonSpec, kind: RegionKind, axis: Optional[int]) -> Non
     elif axis is None:
         raise ValueError("lower regions require the marked axis position")
     else:
-        _validate_axis(spec, axis)
+        _validate_axis(axis_positions(spec), axis)
 
 
 def axis_rhombus_cells(spec: HexagonSpec, l: int) -> tuple:
@@ -176,7 +176,7 @@ def axis_rhombus_cells(spec: HexagonSpec, l: int) -> tuple:
     their pairs.  This single definition is shared by ``build_region`` and
     by the brute-force oracle, so the two can never disagree on indexing.
     """
-    _validate_axis(spec, l)
+    _validate_axis(axis_positions(spec), l)
     m_side = spec.side_m
     col = 2 * l - 1 if m_side % 2 == 0 else 2 * l
     return (Cell(m_side, col - 1, "left"), Cell(m_side, col, "right"))
@@ -239,20 +239,26 @@ def pentagon_path_family(n: int, m: int) -> PathFamilySpec:
     return PathFamilySpec(starts, ends, (False,) * n)
 
 
-def marked_path_family(n: int, m: int, l: int) -> PathFamilySpec:
-    """Path endpoints for the lower half-region with marked position l.
+def marked_path_family(n: int, m: int, marks: Iterable[int]) -> PathFamilySpec:
+    """Path endpoints for the lower half-region whose axis rhombi at the
+    positions in ``marks`` are fixed: path i runs from (i, i) to
+    (i+m, 2i-n-1), i = 1..n.
 
-    Path l ends one row higher, at (l+m, 2l-n); every other path carries
-    weight 1/2 when it ends with a vertical step.
+    ``marks`` is a collection of path indices, each in 1..n.  A marked path
+    ends one row higher, at (i+m, 2i-n), unweighted; every other path
+    carries weight 1/2 when it ends with a vertical step.  One mark gives
+    the lower half of :func:`path_family`; no marks and all n marks give
+    the plain and the marked rows that every single-mark matrix draws on.
     """
-    if not 1 <= l <= n:
-        raise ValueError("marked path index out of range")
+    marks = frozenset(marks)
+    for l in sorted(marks):
+        _validate_axis(n, l)
     starts = tuple((i, i) for i in range(1, n + 1))
     ends = tuple(
-        (i + m, 2 * i - n) if i == l else (i + m, 2 * i - n - 1)
+        (i + m, 2 * i - n) if i in marks else (i + m, 2 * i - n - 1)
         for i in range(1, n + 1)
     )
-    flags = tuple(i != l for i in range(1, n + 1))
+    flags = tuple(i not in marks for i in range(1, n + 1))
     return PathFamilySpec(starts, ends, flags)
 
 
@@ -279,7 +285,8 @@ def path_family(
 ) -> PathFamilySpec:
     """Lattice-path translation of ``build_region(spec, kind, axis)``: the
     full hexagon, the trimmed upper half and the marked lower half each have
-    one, and take the axis mark by the same rule."""
+    one, and take the axis mark by the same rule.  The lower half is
+    ``marked_path_family(n, m, {axis})``, its one marked path."""
     _check_mark(spec, kind, axis)
     if kind is RegionKind.FULL_HEXAGON:
         return box_path_family(spec.side_a, spec.side_a, spec.side_m)
@@ -287,4 +294,4 @@ def path_family(
         if spec.parity is Parity.EVEN:
             return pentagon_path_family(spec.n - 1, spec.m)
         return pentagon_path_family(spec.n + 1, spec.m - 1)
-    return marked_path_family(spec.n, spec.m, axis)
+    return marked_path_family(spec.n, spec.m, {axis})

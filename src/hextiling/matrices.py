@@ -19,16 +19,17 @@ out of the same pass, :func:`reduced_rows`.  The ``column-relation`` suite
 of :mod:`hextiling.verify` tests its column relations on those rows.
 
 Both marked matrices, the weighted lower path matrix and the reduced lower
-matrix, come as n matrices, one per marked row l, that differ from each
-other only in their marked rows.  :func:`marked_row_determinants` is the
-one way to take the determinants of such a set, given as its n plain rows
-and its n marked rows: the plain rows are eliminated once, with the
-marked rows carried through the same Bareiss steps, and matrix l is
-finished from that shared state.  The ``lemma6`` suite calls it on the
-rows of the path matrices, and :func:`reduced_determinants` on the reduced
-rows at m, for every l from one build and with one division by the
-product of the row denominators; the polynomial extraction and the other
-verification suites read the reduced determinant only through it.
+matrix, come as two row sets: n plain rows and n marked rows, matrix l
+being the plain rows with row l taken from the marked ones.
+:func:`marked_row_determinants` is the one way to take the determinants
+of such a set: the plain rows are eliminated once, with the marked rows
+carried through the same Bareiss steps, and matrix l is finished from
+that shared state.  The ``lemma6`` suite calls it on the path matrices of
+the lower family with no marks and with every mark, and
+:func:`reduced_determinants` on the reduced rows at m, for every l from
+one build and with one division by the product of the row denominators;
+the polynomial extraction and the other verification suites read the
+reduced determinant only through it.
 Determinants are computed by fraction-free Bareiss elimination on
 integers, with a deterministic pivot rule; one private loop does every
 elimination, and it can resume from the divisor that earlier steps left.

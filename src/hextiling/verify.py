@@ -157,18 +157,18 @@ def check_lemma6(max_n: int = 7, max_m: int = 5) -> List[CaseResult]:
     """Weighted lower determinant against its closed form.
 
     For each (n, m) the n path matrices, one per marked position l, differ
-    only in the marked row, so ``matrices.marked_row_determinants`` shares
-    their elimination: row i of matrix i is marked, and row i of matrix
-    i - 1 (of matrix n for i = 1) is the plain row i of every other matrix.
-    ``formulas.lower_weighted_closed_forms`` builds the l-independent
-    factors of the closed form once for every l.
+    only in the marked row, so two path matrices hold all their rows: the
+    family with no marks gives the plain rows and the family with every
+    mark the marked ones, and ``matrices.marked_row_determinants`` shares
+    the elimination across l.  ``formulas.lower_weighted_closed_forms``
+    builds the l-independent factors of the closed form once for every l.
     """
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
         for m in range(1, max_m + 1):
-            paths = [matrices.path_matrix(marked_path_family(n, m, l)) for l in range(1, n + 1)]
-            dets = matrices.marked_row_determinants([paths[i - 1][i] for i in range(n)],
-                                                    [paths[i][i] for i in range(n)])
+            plain = matrices.path_matrix(marked_path_family(n, m, ()))
+            marked = matrices.path_matrix(marked_path_family(n, m, range(1, n + 1)))
+            dets = matrices.marked_row_determinants(plain, marked)
             wants = formulas.lower_weighted_closed_forms(n, m)
             for l, (det, want) in enumerate(zip(dets, wants), start=1):
                 det = Fraction(det, 2 ** (n - 1))
@@ -295,7 +295,7 @@ def check_corollary(max_n: int = 10) -> List[CaseResult]:
         p = formulas.proportion_nm(big_n, m, l)
         _case(out, f"centre proportion n={n}", p == third, f"{p}")
         even, odd = HexagonSpec(big_n, 2 * m), HexagonSpec(big_n + 1, 2 * m - 1)
-        # both hexagons have the lower half marked_path_family(big_n, m, l)
+        # both hexagons have the lower half marked_path_family(big_n, m, {l})
         lower = _path_det(even, RegionKind.LOWER_HALF, l)
         _case(out, f"centre even count n={n}", _centre_third_by_determinants(even, lower))
         _case(out, f"centre odd count n={n}", _centre_third_by_determinants(odd, lower))

@@ -133,7 +133,7 @@ def test_lower_weighted_closed_form():
         assert lower_weighted_closed_forms(1, m) == [1]
     # the matrix determinant is 2^(n-1) times the weighted count
     for n, m, l in [(2, 1, 1), (4, 3, 2)]:
-        det = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
+        det = F(determinant(path_matrix(marked_path_family(n, m, {l}))), 2 ** (n - 1))
         assert lower_weighted_closed_forms(n, m)[l - 1] == det
     for n, m in [(0, 1), (2, 0)]:
         with pytest.raises(ValueError):
@@ -146,7 +146,7 @@ def test_lower_weighted_closed_form_grid():
             closed = lower_weighted_closed_forms(n, m)
             assert len(closed) == n
             for l in range(1, n + 1):
-                det = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
+                det = F(determinant(path_matrix(marked_path_family(n, m, {l}))), 2 ** (n - 1))
                 assert det == closed[l - 1], (n, m, l)
 
 

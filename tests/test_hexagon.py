@@ -272,24 +272,35 @@ def test_pentagon_paths():
 
 
 def test_marked_paths():
-    fam = marked_path_family(1, 2, 1)
+    fam = marked_path_family(1, 2, {1})
     assert fam.starts == ((1, 1),)
     assert fam.ends == ((3, 1),)
 
-    fam = marked_path_family(3, 1, 2)
+    fam = marked_path_family(3, 1, {2})
     assert fam.ends == ((2, -2), (3, 1), (4, 2))
     assert fam.half_weight_if_vertical_end == (True, False, True)
-    with pytest.raises(ValueError):
-        marked_path_family(3, 1, 0)
+    # marks are a collection: no marks, several, or every path
+    assert marked_path_family(3, 1, []).ends == ((2, -2), (3, 0), (4, 2))
+    fam = marked_path_family(3, 1, (3, 1))
+    assert fam.ends == ((2, -1), (3, 0), (4, 3))
+    assert fam.half_weight_if_vertical_end == (False, True, False)
+    assert marked_path_family(3, 1, range(1, 4)).half_weight_if_vertical_end == (False,) * 3
+    assert marked_path_family(0, 2, ()) == ((), (), ())
+    with pytest.raises(ValueError, match="axis position must satisfy 1 <= l <= 3, got 0"):
+        marked_path_family(3, 1, {0, 2})
+    with pytest.raises(ValueError, match="1 <= l <= 3, got 4"):
+        marked_path_family(3, 1, [1, 4])
+    with pytest.raises(TypeError):
+        marked_path_family(3, 1, 2)
 
 
 def test_path_family_from_params():
     even = HexagonSpec(3, 2)
     assert path_family(even, RegionKind.UPPER_TRIMMED) == pentagon_path_family(2, 1)
-    assert path_family(even, RegionKind.LOWER_HALF, 2) == marked_path_family(3, 1, 2)
+    assert path_family(even, RegionKind.LOWER_HALF, 2) == marked_path_family(3, 1, {2})
     odd = HexagonSpec(3, 3)
     assert path_family(odd, RegionKind.UPPER_TRIMMED) == pentagon_path_family(3, 1)
-    assert path_family(odd, RegionKind.LOWER_HALF, 1) == marked_path_family(2, 2, 1)
+    assert path_family(odd, RegionKind.LOWER_HALF, 1) == marked_path_family(2, 2, {1})
     assert path_family(even, RegionKind.FULL_HEXAGON) == box_path_family(3, 3, 2)
     assert path_family(odd, RegionKind.FULL_HEXAGON) == box_path_family(3, 3, 3)
 

@@ -740,7 +740,7 @@ def test_upper_count_matrix_matches_reference(n, m):
 @given(_n_and_l(6), st.integers(1, 12))
 def test_lower_weighted_matrix_matches_reference(nl, m):
     n, l = nl
-    assert path_matrix(marked_path_family(n, m, l)) == _reference_lower_weighted(n, m, l)
+    assert path_matrix(marked_path_family(n, m, {l})) == _reference_lower_weighted(n, m, l)
 
 
 @given(st.integers(1, 6), st.fractions(min_value=-10, max_value=10, max_denominator=9))

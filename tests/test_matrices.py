@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -118,7 +118,7 @@ def test_path_matrix_matches_walked_paths():
             family = pentagon_path_family(n, m)
             assert path_matrix(family) == _walked_matrix(family), (n, m)
             for l in range(1, n + 1):
-                family = marked_path_family(n, m, l)
+                family = marked_path_family(n, m, {l})
                 assert path_matrix(family) == _walked_matrix(family), (n, m, l)
     for a in range(0, 5):
         for b in range(0, 5):
@@ -145,28 +145,29 @@ def test_upper_count_matrix_values():
 
 
 def test_lower_weighted_matrix_values():
-    assert path_matrix(marked_path_family(1, 5, 1)) == [[1]]
+    assert path_matrix(marked_path_family(1, 5, {1})) == [[1]]
     # the unmarked rows hold twice their weighted counts, so each
     # determinant is 2^(n-1) times the weighted count (2 and 15/4 here)
-    mat = path_matrix(marked_path_family(2, 1, 1))
+    mat = path_matrix(marked_path_family(2, 1, {1}))
     assert mat == [[2, 1], [2, 3]]
     assert determinant(mat) == 2 * 2
-    assert determinant(path_matrix(marked_path_family(3, 1, 1))) == 2 ** 2 * F(15, 4)
+    assert determinant(path_matrix(marked_path_family(3, 1, {1}))) == 2 ** 2 * F(15, 4)
 
 
 def test_marked_path_matrices_differ_only_in_their_marked_rows():
-    # the lemma6 suite shares the elimination of these matrices across l,
-    # reading the plain row i from matrix i - 1
+    # the lemma6 suite reads every single-mark matrix from two path
+    # matrices: the family with no marks and the family with every mark
     for n in range(1, 9):
         for m in range(1, 9):
-            mats = [path_matrix(marked_path_family(n, m, l)) for l in range(1, n + 1)]
-            for l, mat in enumerate(mats):
-                for l2, other in enumerate(mats):
-                    assert [row for i, row in enumerate(mat) if i not in (l, l2)] == [
-                        row for i, row in enumerate(other) if i not in (l, l2)], (n, m, l, l2)
-            plain = [mats[i - 1][i] for i in range(n)]
-            marked = [mats[i][i] for i in range(n)]
-            assert marked_row_determinants(plain, marked) == [determinant(mat) for mat in mats]
+            plain = path_matrix(marked_path_family(n, m, ()))
+            marked = path_matrix(marked_path_family(n, m, range(1, n + 1)))
+            for k in range(3):
+                for marks in combinations(range(1, n + 1), k):
+                    want = [marked[i] if i + 1 in marks else row for i, row in enumerate(plain)]
+                    assert path_matrix(marked_path_family(n, m, marks)) == want, (n, m, marks)
+            singles = [determinant(path_matrix(marked_path_family(n, m, {l})))
+                       for l in range(1, n + 1)]
+            assert marked_row_determinants(plain, marked) == singles, (n, m)
 
 
 def test_marked_row_determinants_validation():
@@ -214,7 +215,7 @@ def test_reduced_times_row_scale_equals_weighted():
             dets = reduced_determinants(m, n)
             for l in range(1, n + 1):
                 lhs = dets[l - 1] * row_scale
-                rhs = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
+                rhs = F(determinant(path_matrix(marked_path_family(n, m, {l}))), 2 ** (n - 1))
                 assert lhs == rhs, (n, m, l)
 
 
@@ -389,6 +390,26 @@ def test_factorization_of_determinants_gives_fixed_counts():
                         == 2 ** (spec.n - 1) * fixed_count(spec, l)), (spec, l)
                 cases += 1
     assert cases == 256
+
+
+def test_unmarked_factorization_of_determinants_gives_total_counts():
+    # Ciucu's factorization with no fixed rhombus, on determinants alone:
+    # the total is 2^side_a times the upper count times the weighted lower
+    # count with every axis pair at 1/2, and the unmarked lower matrix has
+    # determinant 2^n times the latter
+    cases = 0
+    for side_a in range(1, 7):
+        for side_m in range(1, 8):
+            spec = HexagonSpec(side_a, side_m)
+            n = spec.n
+            if n == 0:
+                continue
+            total = _path_det(spec, RegionKind.FULL_HEXAGON)
+            upper = _path_det(spec, RegionKind.UPPER_TRIMMED)
+            lower = determinant(path_matrix(marked_path_family(n, spec.m, ())))
+            assert total * 2 ** n == 2 ** side_a * upper * lower, spec
+            cases += 1
+    assert cases == 38
 
 
 def test_corollary_counts_need_no_macmahon_product(monkeypatch):

@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from hextiling.hexagon import (
     Region,
     RegionKind,
     axis_positions,
+    axis_rhombus_cells,
     box_region,
     build_region,
     marked_path_family,
@@ -241,7 +243,7 @@ def test_weighted_counts_match_determinants_even():
             for l in range(1, n + 1):
                 lower = build_region(spec, RegionKind.LOWER_HALF, l)
                 got = weighted_count(lower)
-                want = F(determinant(path_matrix(marked_path_family(n, m, l))), 2 ** (n - 1))
+                want = F(determinant(path_matrix(marked_path_family(n, m, {l}))), 2 ** (n - 1))
                 assert got == want, (n, m, l)
 
 
@@ -255,8 +257,35 @@ def test_weighted_counts_match_determinants_odd():
         for l in range(1, spec.n + 1):
             lower = build_region(spec, RegionKind.LOWER_HALF, l)
             got = weighted_count(lower)
-            want = F(determinant(path_matrix(marked_path_family(spec.n, spec.m, l))), 2 ** (spec.n - 1))
+            want = F(determinant(path_matrix(marked_path_family(spec.n, spec.m, {l}))), 2 ** (spec.n - 1))
             assert got == want, (a, m_side, l)
+
+
+def test_marked_families_count_the_lower_half_less_their_marks():
+    # det L_S = 2^(n-|S|) times the weighted count of the lower half less
+    # the axis rhombi in S, every other axis pair at weight 1/2; the region
+    # is built here from the hexagon's cells, as build_region takes one mark
+    cases = 0
+    for a in range(1, 5):
+        for m_side in range(1, 6):
+            spec = HexagonSpec(a, m_side)
+            n = spec.n
+            if n == 0:
+                continue
+            cells = build_region(spec, RegionKind.FULL_HEXAGON).cells
+            lower = {c for c in cells if c.row2 <= m_side}
+            pairs = {l: axis_rhombus_cells(spec, l) for l in range(1, n + 1)}
+            for k in range(n + 1):
+                for marks in combinations(range(1, n + 1), k):
+                    region = Region(
+                        frozenset(lower.difference(*(pairs[l] for l in marks))),
+                        frozenset(pairs[l] for l in pairs if l not in marks))
+                    if k == 1:
+                        assert region == build_region(spec, RegionKind.LOWER_HALF, *marks)
+                    det = determinant(path_matrix(marked_path_family(n, spec.m, marks)))
+                    assert det == 2 ** (n - k) * weighted_count(region), (spec, marks)
+                    cases += 1
+    assert cases == 102
 
 
 def _hexagons_up_to(max_cells):
