@@ -113,9 +113,12 @@ def proportion(spec: HexagonSpec, l: int) -> Fraction:
 def fixed_counts(spec: HexagonSpec, positions: Iterable[int]) -> list[int]:
     """Tilings of the hexagon with sides (spec.side_a, spec.side_m) that
     contain the l-th axis rhombus, for each l in ``positions``: the
-    proportion times MacMahon's total, which is computed once."""
+    proportion times MacMahon's total, which is computed once, and not at
+    all when there is no position."""
     # the proportions first: they reject a bad l before the product is taken
     proportions = [proportion(spec, l) for l in positions]
+    if not proportions:
+        return []
     total = macmahon_count(spec.side_a, spec.side_a, spec.side_m)
     return [_as_integer(p * total, "fixed count") for p in proportions]
 

@@ -27,9 +27,12 @@ carried through the same Bareiss steps, and matrix l is finished from
 that shared state.  The ``lemma6`` suite calls it on the path matrices of
 the lower family with no marks and with every mark, and
 :func:`reduced_determinants` on the reduced rows at m, for every l from
-one build and with one division by the product of the row denominators;
-the polynomial extraction and the other verification suites read the
-reduced determinant only through it.
+one build, as n integer numerators over the point's one denominator, the
+product of the row denominators.  It is the one reader of the reduced
+determinant: the polynomial extraction folds that denominator into its
+interpolation weights, and the ``symmetries`` suite compares the
+numerators of one point as integers and those of two points by
+cross-multiplying.
 Determinants are computed by fraction-free Bareiss elimination on
 integers, with a deterministic pivot rule; one private loop does every
 elimination, and it can resume from the divisor that earlier steps left.
@@ -40,7 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import index
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import Polynomial, _ratio, _rising_product, lagrange_basis, lagrange_combine
 from .hexagon import PathFamilySpec
@@ -216,17 +219,15 @@ def reduced_degree_bound(n: int) -> int:
     return n * (n + 1) // 2 - 1
 
 
-def reduced_determinants(m, n: int) -> List[Fraction]:
+def reduced_determinants(m, n: int) -> Tuple[List[int], int]:
     """Determinant of the reduced lower matrix at m for each marked row
-    l = 1..n in turn, all from one build of the integer rows and one
-    :func:`marked_row_determinants`."""
-    dets, den = _reduced_determinant_numerators(m, n)
-    return [Fraction(det, den) for det in dets]
+    l = 1..n in turn, as ``(dets, den)``: n integer numerators over the one
+    denominator of the point, the product of the row denominators.
 
-
-def _reduced_determinant_numerators(m, n: int) -> tuple:
-    """The integer determinants of :func:`reduced_determinants` before the
-    one division by the product of the row denominators, and that product."""
+    All n come from one build of the integer rows and one
+    :func:`marked_row_determinants`, and they share their denominator, so
+    two of them compare as integers; two points compare by cross-multiplying.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     plain, marked, plain_den, marked_den = reduced_rows(m, n)
@@ -266,7 +267,7 @@ def extract_reduced_polynomials(n: int) -> List[Polynomial]:
     scales, samples = [], []
     for m in points:
         pref = reduced_prefactor(m, n)
-        dets, den = _reduced_determinant_numerators(m, n)
+        dets, den = reduced_determinants(m, n)
         scales.append(Fraction(pref.denominator, den * pref.numerator))
         samples.append(dets)
     basis = lagrange_basis(points, scales)

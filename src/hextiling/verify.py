@@ -180,18 +180,29 @@ def check_symmetries(max_n: int = 6) -> List[CaseResult]:
     """Reduced-determinant symmetries in l and in m, for every m.
 
     Both sides of each identity are polynomials in m of degree at most
-    C(n+1, 2) - 1, so agreement at the C(n+1, 2) + 1 distinct points
-    m = (2k+1)/3 proves it, with one point to spare.
+    b = C(n+1, 2) - 1, so agreement at b+1 distinct points proves it.  The
+    sample points are m = (2k+1)/3 and their mirrors -n-m, for
+    k = 0..floor(b/2)+1: 2(floor(b/2)+2) distinct points (the first are
+    positive, the mirrors below -n), each evaluated once for every l.
+    The l-reflection is compared at every point.  The m-reflection is
+    compared once per mirror pair, and that covers both points of the
+    pair: g(m) = det_l(-n-m) - (-1)^b det_l(m) satisfies
+    g(-n-m) = -(-1)^b g(m) identically, so a zero of g at m is also a zero
+    at -n-m.  Either identity thus holds at 2(floor(b/2)+2) >= b+3 points,
+    so the pairs still leave a spare point: two or more beyond the b+1
+    the proof needs.  Within a point the n determinants share one
+    denominator and compare as integers; the two points of a pair are
+    cross-multiplied.
     """
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
         bound = matrices.reduced_degree_bound(n)
-        points = [Fraction(2 * k + 1, 3) for k in range(bound + 2)]
-        dets = [matrices.reduced_determinants(m, n) for m in points]
-        negated = [matrices.reduced_determinants(-n - m, n) for m in points]
+        pairs = [(matrices.reduced_determinants(m, n), matrices.reduced_determinants(-n - m, n))
+                 for m in (Fraction(2 * k + 1, 3) for k in range(bound // 2 + 2))]
         for l in range(n):
-            ok_l = all(det[l] == det[n - 1 - l] for det in dets)
-            ok_m = all(neg[l] == (-1) ** bound * det[l] for det, neg in zip(dets, negated))
+            ok_l = all(dets[l] == dets[n - 1 - l] for pair in pairs for dets, _ in pair)
+            ok_m = all(neg[l] * den == (-1) ** bound * dets[l] * neg_den
+                       for (dets, den), (neg, neg_den) in pairs)
             _case(out, f"reflect-l symmetry n={n} l={l + 1}", ok_l)
             _case(out, f"m -> -n-m symmetry n={n} l={l + 1}", ok_m)
     return out

@@ -413,6 +413,12 @@ _GOLDEN_VERIFY = [
      "1994cba4ab4d3c8d22a3116ed012fe2959545ac2385c5e3ba17e52f78da7f785"),
     (["corollary", "--max-n", "2"],
      "8e8ad9c9ab51e9212a8b15a7f56bf2310f1fa62a9b65bd51054eb030297e7885"),
+    (["symmetries", "--max-n", "3"],
+     "c84e1f0ebff3e5a552a1d12d887449d629bf4becf5349ba3623b7f099d793a06"),
+    (["symmetries", "--max-n", "5"],
+     "0197f32063fe6e7f007ba768b494255fd97b983c423572eb32cc942c7c243e16"),
+    (["symmetries", "--max-n", "8"],
+     "025ebc49282d5e8b912de83682df02764304ceeeb4551451250dc9e11a5d1283"),
 ]
 
 

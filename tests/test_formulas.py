@@ -14,6 +14,7 @@ from hextiling.formulas import (
     fixed_count,
     fixed_count_even,
     fixed_count_odd,
+    fixed_counts,
     lower_weighted_closed_forms,
     macmahon_count,
     proportion,
@@ -115,6 +116,17 @@ def test_fixed_counts_symmetric_under_reflection():
         for m in range(1, 4):
             for l in range(1, n + 1):
                 assert fixed_count_even(n, m, l) == fixed_count_even(n, m, n + 1 - l)
+
+
+def test_fixed_counts_take_no_product_without_positions(monkeypatch):
+    # hexagon(1, 3) has no axis position, so there is nothing to multiply
+    from hextiling import formulas
+
+    def unexpected(*sides):
+        raise AssertionError(f"macmahon_count{sides} taken for no position")
+
+    monkeypatch.setattr(formulas, "macmahon_count", unexpected)
+    assert fixed_counts(HexagonSpec(1, 3), []) == []
 
 
 def test_upper_count_closed_form():

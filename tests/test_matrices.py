@@ -196,7 +196,7 @@ def test_marked_row_determinants_validation():
 def test_reduced_matrix_base_case():
     _, marked, _, marked_den = reduced_rows(F(7, 3), 1)
     assert (marked, marked_den) == ([[1]], 1)
-    assert reduced_determinants(F(7, 3), 1) == [1]
+    assert reduced_determinants(F(7, 3), 1) == ([1], 1)
 
 
 def test_reduced_determinant_validation():
@@ -212,9 +212,9 @@ def test_reduced_times_row_scale_equals_weighted():
         # the row scale prod_i (n+m-i)! / ((m+i-1)! (2n-2i+1)!), free of m
         row_scale = F(1, math.prod(math.factorial(2 * j - 1) for j in range(1, n + 1)))
         for m in range(1, 5):
-            dets = reduced_determinants(m, n)
+            dets, den = reduced_determinants(m, n)
             for l in range(1, n + 1):
-                lhs = dets[l - 1] * row_scale
+                lhs = F(dets[l - 1], den) * row_scale
                 rhs = F(determinant(path_matrix(marked_path_family(n, m, {l}))), 2 ** (n - 1))
                 assert lhs == rhs, (n, m, l)
 
@@ -226,9 +226,10 @@ def test_reduced_determinant_symmetries():
         for l in range(1, n + 1):
             for _ in range(10):
                 m = F(rng.randint(-48, 48), rng.choice([1, 2, 3, 5, 7, 11]))
-                dets = reduced_determinants(m, n)
+                dets, den = reduced_determinants(m, n)
                 assert dets[l - 1] == dets[n - l]
-                assert reduced_determinants(-n - m, n)[l - 1] == sign * dets[l - 1]
+                neg, neg_den = reduced_determinants(-n - m, n)
+                assert F(neg[l - 1], neg_den) == sign * F(dets[l - 1], den)
 
 
 def test_reduced_determinant_integer_roots():
@@ -236,7 +237,7 @@ def test_reduced_determinant_integer_roots():
     # vanishes at m = -1, ..., -floor(n/2)
     for n in range(2, 7):
         for i in range(1, n // 2 + 1):
-            assert reduced_determinants(-i, n) == [0] * n
+            assert reduced_determinants(-i, n)[0] == [0] * n
 
 
 def _column_relation_grid(max_n):
@@ -277,7 +278,7 @@ def test_reduced_determinant_degree_bound():
     # as a polynomial in m the determinant has degree at most C(n+1,2) - 1:
     # every expansion term takes degree j from column j except degree j-1
     # from the marked row.  One spare point lets a higher degree show, and
-    # the bound is attained, so the symmetries suite needs all its points.
+    # the bound is attained, so the symmetries suite needs b + 2 points.
     from hextiling.exact import lagrange_basis, lagrange_combine
 
     for n in range(1, 8):
@@ -286,7 +287,7 @@ def test_reduced_determinant_degree_bound():
         basis = lagrange_basis(ms)
         samples = [reduced_determinants(m, n) for m in ms]
         for l in range(n):
-            poly = lagrange_combine(basis, [dets[l] for dets in samples])
+            poly = lagrange_combine(basis, [F(dets[l], den) for dets, den in samples])
             assert poly.degree() == bound, (n, l + 1)
 
 
@@ -299,13 +300,56 @@ def test_symmetries_check_sees_a_broken_row(monkeypatch):
     determinants = matrices.reduced_determinants
 
     def broken(m, n):
-        dets = determinants(m, n)
-        return [dets[0] + 1] + dets[1:] if n == 3 else dets
+        dets, den = determinants(m, n)
+        return ([dets[0] + den] + dets[1:] if n == 3 else dets), den
 
     monkeypatch.setattr(matrices, "reduced_determinants", broken)
     failed = [r.name for r in verify.check_symmetries(max_n=5) if not r.ok]
     assert failed == ["reflect-l symmetry n=3 l=1", "m -> -n-m symmetry n=3 l=1",
                       "reflect-l symmetry n=3 l=3"]
+
+
+def test_symmetries_sample_each_point_once_on_a_mirror_closed_set(monkeypatch):
+    # the m-reflection is proved from the zeros of a polynomial of degree
+    # at most b, so it needs b + 2 distinct points with one to spare; a
+    # point set closed under m -> -n-m lets each evaluation serve both sides
+    from collections import Counter
+
+    from hextiling import matrices, verify
+
+    calls = Counter()
+    determinants = matrices.reduced_determinants
+
+    def counted(m, n):
+        calls[n, m] += 1
+        return determinants(m, n)
+
+    monkeypatch.setattr(matrices, "reduced_determinants", counted)
+    assert all(r.ok for r in verify.check_symmetries(max_n=8))
+    assert set(calls.values()) == {1}
+    for n in range(1, 9):
+        points = {m for k, m in calls if k == n}
+        assert points == {-n - m for m in points}, n
+        assert len(points) >= reduced_degree_bound(n) + 2, n
+    assert {n for n, _ in calls} == set(range(1, 9))
+
+
+def test_symmetries_check_sees_one_broken_mirror_point(monkeypatch):
+    # one numerator off by one, for l = 1 at the single point m = -4 - 1/3
+    # of n = 4, breaks the reflection in l there (l = 1 against l = 4) and
+    # the reflection in m of its pair; every other check still passes
+    from hextiling import matrices, verify
+
+    determinants = matrices.reduced_determinants
+
+    def broken(m, n):
+        dets, den = determinants(m, n)
+        return ([dets[0] + 1] + dets[1:] if (n, m) == (4, F(-13, 3)) else dets), den
+
+    monkeypatch.setattr(matrices, "reduced_determinants", broken)
+    failed = [r.name for r in verify.check_symmetries(max_n=5) if not r.ok]
+    assert failed == ["reflect-l symmetry n=4 l=1", "m -> -n-m symmetry n=4 l=1",
+                      "reflect-l symmetry n=4 l=4"]
 
 
 def test_extract_reduced_polynomial_base():
@@ -355,8 +399,8 @@ def test_extract_consistency_with_prefactor():
     for n in range(1, 6):
         for l, poly in enumerate(extract_reduced_polynomials(n), start=1):
             for m in [F(1, 3), 7, F(-15, 2)]:
-                det = reduced_determinants(m, n)[l - 1]
-                assert det == reduced_prefactor(m, n) * poly(m)
+                dets, den = reduced_determinants(m, n)
+                assert F(dets[l - 1], den) == reduced_prefactor(m, n) * poly(m)
 
 
 @st.composite
