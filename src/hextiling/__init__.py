@@ -14,9 +14,8 @@ from .exact import (
     SingularParameterError,
     binomial,
     double_factorial,
+    extend_backwards,
     hypergeometric_sum,
-    lagrange_basis,
-    lagrange_combine,
     shifted_factorial,
 )
 from .hexagon import (
@@ -38,10 +37,10 @@ from .hexagon import (
 )
 from .matrices import (
     determinant,
-    extract_reduced_polynomials,
     marked_row_determinants,
     path_matrix,
     reduced_prefactor,
+    reduced_samples,
 )
 from .formulas import (
     arcsine_limit,

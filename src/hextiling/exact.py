@@ -18,22 +18,20 @@ denominator and build each ``Fraction`` once, at the end.  A
 ``Polynomial`` is itself stored that way, as integer numerators over one
 denominator in lowest terms, and evaluation, ``compose_affine``, the
 product by a scalar and equality work on it, with no ``Fraction`` per
-coefficient in between.
+coefficient in between.  No suite builds one; the tests compare against it.
 
-Interpolation is split in two steps: ``lagrange_basis`` does all the work
-that depends only on the abscissae, optionally with a rational scale per
-abscissa folded into its weight, and ``lagrange_combine`` builds each
-interpolating ``Polynomial`` from a list of ordinates by integer dot
-products, so a caller with many ordinate lists on the same abscissae
-builds the basis once.
+Interpolation works on values alone: ``extend_backwards`` reads the degree
+of the interpolant through equally spaced integer samples off their
+forward differences, and its values at the abscissae before the first
+sample off the same difference table, run backwards, with no polynomial
+and no division built.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 
 class SingularParameterError(ValueError):
@@ -226,71 +224,30 @@ def _ratio(x) -> tuple:
     return x.numerator, x.denominator
 
 
-def lagrange_basis(xs: Sequence, scales: Sequence = ()) -> tuple:
-    """Abscissa-only step of Lagrange interpolation through distinct x_i,
-    each ordinate to be multiplied by scales[i] (by 1 if ``scales`` is
-    empty); raises ValueError on duplicate abscissae.
+def extend_backwards(samples: Sequence[int], count: int) -> Tuple[int, List[int]]:
+    """Degree and earlier values of the interpolant through integer samples
+    at equally spaced abscissae x_0, x_0 + h, ..., as ``(degree, values)``.
 
-    The abscissae are written x = t/d over one denominator d, and the basis
-    polynomials are built in integers in t: the node polynomial
-    prod_j (t - t_j), its synthetic quotient by each (t - t_i), and the
-    weights w_i = prod_{j != i} (t_i - t_j).  Coefficient k of the basis
-    polynomial of x_i, in x and times scales[i], is the quotient's
-    coefficient times d^k scales[i] / w_i.  The basis returned is
-    ``(columns, den)``: over the one common denominator ``den``, that
-    coefficient's numerator is entry i of ``columns[k]``.
-    :func:`lagrange_combine` then builds each interpolant from the
-    ordinates with integer dot products only.
+    The leading forward differences D_k of the samples are the Newton
+    coefficients of the interpolant, whose degree is below len(samples):
+    its degree is the last k with D_k nonzero, -1 when every sample is 0 or
+    there are none.  ``values[j]`` is its value at x_0 - (j + 1) h: each
+    step moves the leading diagonal of the difference table one place back,
+    by D_k <- D_k - D_(k+1) from the top order down (the top one is
+    constant), with integer subtractions only.
     """
-    if scales and len(scales) != len(xs):
-        raise ValueError("need one scale per abscissa")
-    ts, d = _over_common_denominator(xs)
-    if len(set(ts)) != len(ts):
-        raise ValueError("interpolation abscissae must be distinct")
-    size = len(ts)
-    # node polynomial prod_j (t - t_j), lowest degree first
-    node = [1]
-    for tj in ts:
-        node = [-tj * node[0]] + [
-            node[k - 1] - tj * node[k] for k in range(1, len(node))
-        ] + [1]
-    quotients, tops, bottoms = [], [], []
-    for i, ti in enumerate(ts):
-        top, bottom = _ratio(scales[i]) if scales else (1, 1)
-        for tj in ts:
-            if tj != ti:
-                bottom *= ti - tj
-        tops.append(top)
-        bottoms.append(bottom)
-        # synthetic division: node / (t - t_i), highest degree first
-        quotient = [0] * size
-        carry = 0
-        for k in range(size, 0, -1):
-            carry = node[k] + ti * carry
-            quotient[k - 1] = carry
-        quotients.append(quotient)
-    den = math.lcm(*bottoms)
-    mults = [top * (den // bottom) for top, bottom in zip(tops, bottoms)]
-    columns, d_power = [], 1
-    for k in range(size):
-        columns.append(tuple(q[k] * d_power * mult for q, mult in zip(quotients, mults)))
-        d_power *= d
-    return tuple(columns), den
-
-
-def lagrange_combine(basis: tuple, ys: Sequence) -> Polynomial:
-    """The polynomial of degree < len(ys) through (x_i, scales[i] y_i), for
-    the abscissae and scales of ``basis``, a :func:`lagrange_basis`.
-
-    The ordinates are put over one common denominator V; coefficient k is
-    then the dot product of ``columns[k]`` with their numerators, over V
-    times the basis denominator.
-    """
-    columns, den = basis
-    if len(ys) != len(columns):
-        raise ValueError("need one ordinate per abscissa")
-    nums, v = _over_common_denominator(ys)
-    return Polynomial([sum(map(operator.mul, column, nums)) for column in columns], v * den)
+    diffs = list(samples) or [0]
+    # pass k leaves the k-th differences from diffs[k] on, so diffs[k] = D_k
+    for k in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    degree = max((k for k, d in enumerate(diffs) if d), default=-1)
+    values = []
+    for _ in range(count):
+        for k in range(len(diffs) - 2, -1, -1):
+            diffs[k] -= diffs[k + 1]
+        values.append(diffs[0])
+    return degree, values
 
 
 def hypergeometric_sum(

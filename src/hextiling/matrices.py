@@ -29,10 +29,12 @@ the lower family with no marks and with every mark, and
 :func:`reduced_determinants` on the reduced rows at m, for every l from
 one build, as n integer numerators over the point's one denominator, the
 product of the row denominators.  It is the one reader of the reduced
-determinant: the polynomial extraction folds that denominator into its
-interpolation weights, and the ``symmetries`` suite compares the
-numerators of one point as integers and those of two points by
-cross-multiplying.
+determinant: the ``symmetries`` suite compares the numerators of one point
+as integers and those of two points by cross-multiplying, and
+:func:`reduced_samples` folds that denominator and the forced prefactor
+into one scale per point, so that the polynomial part comes out as n + 2
+integer samples per l over one denominator, from which the
+``p-polynomial`` suite reads every verdict.
 Determinants are computed by fraction-free Bareiss elimination on
 integers, with a deterministic pivot rule; one private loop does every
 elimination, and it can resume from the divisor that earlier steps left.
@@ -45,7 +47,7 @@ from fractions import Fraction
 from operator import index
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import Polynomial, _ratio, _rising_product, lagrange_basis, lagrange_combine
+from .exact import _over_common_denominator, _ratio, _rising_product
 from .hexagon import PathFamilySpec
 
 Matrix = List[List[int]]
@@ -247,28 +249,26 @@ def reduced_prefactor(m, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def extract_reduced_polynomials(n: int) -> List[Polynomial]:
-    """Interpolate the polynomial part of the reduced determinant, for each
-    marked row l = 1..n in turn.
+def reduced_samples(n: int) -> Tuple[List[List[int]], int]:
+    """The polynomial part P_l of the reduced determinant at m = 1..n+2, for
+    each marked row l = 1..n in turn, as ``(samples, den)``: P_l(m) is
+    ``samples[l-1][m-1] / den`` for one positive integer ``den``.
 
-    Samples the determinant at m = 1..n+2, where the forced prefactor has
-    no roots, divides it out pointwise, and Lagrange interpolates.  The
-    polynomial part has degree at most n - 1, so the two spare samples let
-    a degree check on the result fail.  Each sample point builds its
-    prefactor and its integer determinants once, for all n marked rows.
-    The division by the row denominators and the prefactor does not depend
-    on l, so it is folded into that point's interpolation weight, in one
-    basis for all l, and each polynomial is combined straight from the
-    integer determinants.
+    The prefactor has no roots at these points, and P_l has degree at most
+    n - 1, so the two spare samples let a degree check fail.  Each point
+    builds its prefactor and its integer determinants once, for all l.
+    Dividing by the row denominators and the prefactor does not depend on
+    l, so it is one scale per point; the scales are put over one
+    denominator, and every sample is an integer determinant times its
+    point's scale numerator.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    points = range(1, n + 3)
-    scales, samples = [], []
-    for m in points:
+    scales, columns = [], []
+    for m in range(1, n + 3):
         pref = reduced_prefactor(m, n)
         dets, den = reduced_determinants(m, n)
         scales.append(Fraction(pref.denominator, den * pref.numerator))
-        samples.append(dets)
-    basis = lagrange_basis(points, scales)
-    return [lagrange_combine(basis, [dets[l] for dets in samples]) for l in range(n)]
+        columns.append(dets)
+    nums, den = _over_common_denominator(scales)
+    return [[dets[l] * num for dets, num in zip(columns, nums)] for l in range(n)], den

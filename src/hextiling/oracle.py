@@ -56,8 +56,11 @@ and compares them itself.
 Everything is exact; weighted counts run the kernel on integer pair weights
 and divide once at the end.  Regions larger than the configurable cell limit
 are rejected outright instead of being truncated.  Every kernel also rejects
-a region whose frontier, w cells wide in its scan order, could hold more
-than ``STATE_BUDGET`` states by the bound C(w, floor(w/2)).  Both limits are
+a region whose frontier could hold more than ``STATE_BUDGET`` states in its
+scan order: C(w, floor(w/2)) for a row-major frontier w cells wide, and for
+a column-major one the count the colour balance leaves (``_peak_states``):
+box(20, 2, 20) passes with 231 states, where a bound on its width alone
+would give C(22, 11).  Both limits are
 checked once per region, before any work; ``check_limits`` runs the same
 check alone, and ``hexagon_tallies`` checks every hexagon it is given before
 it counts the first, so an oversized request fails at once.
@@ -114,9 +117,9 @@ def _scan_order(cells: frozenset, max_cells: int):
     slower, while max-a 3 ``factorization`` went from 1 % slower to 11 %
     faster (in-process medians, 2-vCPU Xeon VM, CPython 3.11).
 
-    The cell limit is checked first, then the peak state count
-    C(w, floor(w/2)) of the narrower width w against ``STATE_BUDGET``;
-    ``_prepare`` calls this once per region, so every kernel checks both.
+    The cell limit is checked first, then ``_peak_states`` in the order
+    picked against ``STATE_BUDGET``; ``_prepare`` calls this once per
+    region, so every kernel checks both.
     """
     if len(cells) > max_cells:
         raise RegionTooLargeError(
@@ -126,14 +129,46 @@ def _scan_order(cells: frozenset, max_cells: int):
         return _ROW_MAJOR
     by_row = max(Counter(map(_ROW, cells)).values())
     by_column = max(Counter(map(_COL, cells)).values()) // 2 + 1
-    width = min(by_row, by_column)
-    peak = comb(width, width // 2)
+    order = _COLUMN_MAJOR if by_column < by_row else _ROW_MAJOR
+    peak = _peak_states(cells, order)
     if peak > STATE_BUDGET:
         raise StateBudgetError(
-            f"region's frontier is {width} cells wide, so counting it may take "
-            f"{peak} states, exceeding the budget of {STATE_BUDGET}"
+            f"region's frontier is {min(by_row, by_column)} cells wide, so counting it may "
+            f"take {peak} states, exceeding the budget of {STATE_BUDGET}"
         )
-    return _COLUMN_MAJOR if by_column < by_row else _ROW_MAJOR
+    return order
+
+
+def _peak_states(cells: frozenset, order) -> int:
+    """A bound on the states the frontier holds at once when the kernels
+    scan ``cells`` in ``order``.
+
+    Row-major, every cell of the longest row, w of them, can wait for a
+    partner at once: C(w, floor(w/2)).  Column-major, a right cell's only
+    later neighbor is the next cell of its column, so past any cell every
+    scanned right cell is paired with a scanned left cell, save the last
+    scanned cell if it is a right cell paired with the next.  By the
+    colour balance the scanned left cells then pair with exactly e cells
+    ahead, or e + 1 in that case, for the excess e of scanned left over
+    scanned right cells; and only the w right cells ahead that neighbor a
+    scanned left cell can be those: at most C(w, e) + C(w, e + 1) states.
+    """
+    if order is _ROW_MAJOR:
+        width = max(Counter(map(_ROW, cells)).values(), default=0)
+        return comb(width, width // 2)
+    excess, waiting, peak = 0, set(), 1
+    for cell in sorted(cells, key=_COLUMN_MAJOR):
+        r2, s, orient = cell
+        waiting.discard(cell)
+        if orient == "left":
+            excess += 1
+            waiting.update(c for c in ((r2, s + 1, "right"), (r2 + 1, s, "right")) if c in cells)
+        else:
+            excess -= 1
+        ahead = orient == "right" and (r2 + 1, s, "left") in cells
+        peak = max(peak, sum(comb(len(waiting), k)
+                             for k in range(max(excess, 0), excess + 1 + ahead)))
+    return peak
 
 
 def check_limits(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple
 
 from . import formulas, matrices, oracle
-from .exact import SingularParameterError, binomial, shifted_factorial
+from .exact import SingularParameterError, binomial, extend_backwards, shifted_factorial
 from .hexagon import (
     HexagonSpec,
     Parity,
@@ -242,39 +242,65 @@ def check_column_relations(max_n: int = 8) -> List[CaseResult]:
     return out
 
 
+def _reduced_polynomial_values(n: int):
+    """For each marked row l = 1..n in turn, the degree of the polynomial
+    part P_l of the reduced determinant and its values, all over one
+    denominator: ``(degree, behind, ahead)`` with ``behind[j]`` the
+    numerator of P_l(-j), j = 0..2n+2, and ``ahead[j]`` that of P_l(1 + j),
+    j = 0..n+1; and that denominator.
+
+    ``ahead`` holds the samples of ``matrices.reduced_samples``; ``behind``
+    comes from their difference table run backwards, and reaches the
+    mirror -n-m of every sample point m and every special value point in
+    [-floor(n/2), 0].
+    """
+    samples, den = matrices.reduced_samples(n)
+    return [(*extend_backwards(ahead, 2 * n + 3), ahead) for ahead in samples], den
+
+
 def check_reduced_polynomials(max_n: int = 6) -> List[CaseResult]:
     """Degree bound, signed reflection identity, and special values of the
-    polynomial part of the reduced determinant.
+    polynomial part P of the reduced determinant: the three facts the
+    polynomial method of Lemma 6 rests on.
 
-    The reflection identity is checked in its exact form
-    P(m) = (-1)^(n+1) P(-n-m); see check_reflection_unsigned for the strict
-    sign-free variant.
+    P is read from its n + 2 integer samples at m = 1..n+2 alone (see
+    ``matrices.reduced_samples``), and every verdict is a statement about
+    values: the degree is that of the interpolant through the samples; the
+    reflection P(-n-m) = (-1)^(n+1) P(m) is compared at all n + 2 sample
+    points m, which decides it for the interpolant (degree <= n + 1) even
+    where the degree check fails; the special values at m in
+    [-floor(n/2), 0] are compared with ``formulas.reduced_poly_value`` by
+    cross-multiplying.  See check_reflection_unsigned for the strict
+    sign-free variant of the reflection.
     """
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
-        for l, poly in enumerate(matrices.extract_reduced_polynomials(n), start=1):
-            _case(out, f"poly degree n={n} l={l}", poly.degree() <= n - 1,
-                  f"degree {poly.degree()}")
-            reflected = poly.compose_affine(-n, -1)
-            expected = poly if n % 2 else Fraction(-1) * poly
-            _case(out, f"poly signed reflection n={n} l={l}", reflected == expected)
-            ok_vals = all(poly(m_val) == formulas.reduced_poly_value(m_val, n, l)
-                          for m_val in range(-(n // 2), 1))
+        polys, den = _reduced_polynomial_values(n)
+        sign = 1 if n % 2 else -1
+        for l, (degree, behind, ahead) in enumerate(polys, start=1):
+            _case(out, f"poly degree n={n} l={l}", degree <= n - 1, f"degree {degree}")
+            # behind[n + 1:] holds P(-n-m) for m = 1..n+2
+            _case(out, f"poly signed reflection n={n} l={l}",
+                  behind[n + 1:] == [sign * z for z in ahead])
+            specials = (formulas.reduced_poly_value(-mu, n, l) for mu in range(n // 2 + 1))
+            ok_vals = all(z * value.denominator == value.numerator * den
+                          for z, value in zip(behind, specials))
             _case(out, f"poly special values n={n} l={l}", ok_vals)
     return out
 
 
 def check_reflection_unsigned(max_n: int = 6) -> List[CaseResult]:
-    """Strict reflection identity P(m) = P(-n-m) without the parity sign.
+    """Strict reflection identity P(m) = P(-n-m) without the parity sign,
+    compared at the n + 2 sample points as check_reduced_polynomials does.
 
     Exact computation shows this form holds only for odd n; even n flips the
     sign.  Kept separate so the honest failure is visible in isolation.
     """
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
-        for l, poly in enumerate(matrices.extract_reduced_polynomials(n), start=1):
-            ok = poly.compose_affine(-n, -1) == poly
-            _case(out, f"poly unsigned reflection n={n} l={l}", ok)
+        polys, _ = _reduced_polynomial_values(n)
+        for l, (_, behind, ahead) in enumerate(polys, start=1):
+            _case(out, f"poly unsigned reflection n={n} l={l}", behind[n + 1:] == ahead)
     return out
 
 

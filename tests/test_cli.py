@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hextiling import formulas
+from hextiling import formulas, verify
 from hextiling.cli import (
     SWEEP_HEADER,
     SweepRow,
@@ -419,6 +419,8 @@ _GOLDEN_VERIFY = [
      "0197f32063fe6e7f007ba768b494255fd97b983c423572eb32cc942c7c243e16"),
     (["symmetries", "--max-n", "8"],
      "025ebc49282d5e8b912de83682df02764304ceeeb4551451250dc9e11a5d1283"),
+    (["p-polynomial", "--max-n", "9"],
+     "97393206301136aed4f7985b0a5cbff39ad6ff054bb99f3b5b212b962978912a"),
 ]
 
 
@@ -474,6 +476,16 @@ def _golden_ids(cases):
 @pytest.mark.parametrize("bounds, digest", _GOLDEN_VERIFY, ids=_golden_ids(_GOLDEN_VERIFY))
 def test_lgv_suite_output_matches_recorded_digest(capsys, bounds, digest):
     assert _output_digest(capsys, "verify", "--suite", *bounds) == digest
+
+
+def test_unsigned_reflection_results_match_recorded_digest():
+    # the sign-free reflection has no suite of its own; the red acceptance
+    # check reads its results, which must stay as recorded: 20 of 36 fail
+    results = verify.check_reflection_unsigned(max_n=8)
+    listed = json.dumps([[r.name, r.ok, r.detail] for r in results])
+    assert sum(not r.ok for r in results) == 20
+    assert (hashlib.sha256(listed.encode()).hexdigest()
+            == "b0effc387298266a23981f95dee6e5c0d1fd6c4dc29072713f29b6eeef1088c6")
 
 
 @pytest.mark.parametrize("argv, digest", _GOLDEN_COMMANDS,

@@ -10,9 +10,8 @@ from hextiling.exact import (
     SingularParameterError,
     binomial,
     double_factorial,
+    extend_backwards,
     hypergeometric_sum,
-    lagrange_basis,
-    lagrange_combine,
     shifted_factorial,
 )
 
@@ -97,49 +96,31 @@ def test_fraction_arithmetic_is_exact():
         assert a.denominator > 0
 
 
-def _interpolate(points):
-    """The interpolant through the (x, y) pairs ``points``: the ordinates
-    combined on the basis of the abscissae."""
-    return lagrange_combine(lagrange_basis([x for x, _ in points]), [y for _, y in points])
+def test_extend_backwards_examples():
+    # the constant 1, x^2 sampled from x = 0 and x^3 from x = 1
+    assert extend_backwards([1, 1], 3) == (0, [1, 1, 1])
+    assert extend_backwards([0, 1, 4], 3) == (2, [1, 4, 9])
+    assert extend_backwards([1, 8, 27, 64], 3) == (3, [0, -1, -8])
+    # spare samples: a line through five points
+    assert extend_backwards([5, 7, 9, 11, 13], 2) == (1, [3, 1])
+    # all-zero samples, and none, give the zero polynomial
+    assert extend_backwards([0, 0, 0], 2) == (-1, [0, 0])
+    assert extend_backwards([], 2) == (-1, [0, 0])
+    assert extend_backwards([4], 0) == (0, [])
 
 
-def test_lagrange_examples():
-    const = _interpolate([(0, 1), (1, 1)])
-    assert const == Polynomial([1])
-    square = _interpolate([(0, 0), (1, 1), (2, 4)])
-    assert square == Polynomial([0, 0, 1])
-    half_square = _interpolate([(-1, F(1, 2)), (0, 0), (1, F(1, 2))])
-    assert half_square == Polynomial([0, 0, F(1, 2)])
-
-
-def test_lagrange_duplicate_x_rejected():
-    with pytest.raises(ValueError, match="distinct"):
-        lagrange_basis([1, 1])
-
-
-def test_lagrange_basis_scales_each_ordinate():
-    # the ordinates 0, 1, 8 scaled by 1, 2, 1/2 give the points of 2x
-    basis = lagrange_basis([0, 1, 2], [1, 2, F(1, 2)])
-    assert lagrange_combine(basis, [0, 1, 8]) == Polynomial([0, 2])
-    # one basis serves every list of ordinates
-    assert lagrange_combine(basis, [3, F(3, 2), 6]) == Polynomial([3])
-    assert lagrange_combine(lagrange_basis([]), []) == Polynomial()
-    with pytest.raises(ValueError, match="one scale per abscissa"):
-        lagrange_basis([0, 1], [1])
-    with pytest.raises(ValueError, match="one ordinate per abscissa"):
-        lagrange_combine(basis, [0, 1])
-
-
-def test_lagrange_roundtrip_random():
+def test_extend_backwards_agrees_with_polynomial():
+    # integer polynomials sampled at x0, x0 + h, ..., with samples to
+    # spare: the degree and the values before x0 against Polynomial's own
     rng = random.Random(2024)
     for _ in range(100):
-        deg = rng.randint(0, 8)
-        xs = rng.sample(range(-20, 21), deg + 1)
-        pts = [(F(x), F(rng.randint(-50, 50), rng.randint(1, 6))) for x in xs]
-        poly = _interpolate(pts)
-        assert poly.degree() <= deg
-        for x, y in pts:
-            assert poly(x) == y
+        deg = rng.randint(-1, 8)
+        poly = Polynomial([rng.randint(-50, 50) for _ in range(deg + 1)])
+        x0, h = rng.randint(-20, 20), rng.randint(1, 4)
+        samples = [int(poly(x0 + i * h)) for i in range(rng.randint(max(deg, 0) + 1, 12))]
+        degree, values = extend_backwards(samples, 6)
+        assert degree == poly.degree()
+        assert values == [poly(x0 - j * h) for j in range(1, 7)]
 
 
 _coefficient_lists = st.lists(

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from hextiling import verify
-from hextiling.exact import SingularParameterError
+from hextiling.exact import SingularParameterError, extend_backwards
 from hextiling.formulas import (
     arcsine_limit,
     axis_sum,
@@ -25,7 +25,7 @@ from hextiling.formulas import (
     upper_count_closed_form,
 )
 from hextiling.hexagon import HexagonSpec, marked_path_family, pentagon_path_family
-from hextiling.matrices import determinant, extract_reduced_polynomials, path_matrix
+from hextiling.matrices import determinant, path_matrix, reduced_samples
 
 F = Fraction
 
@@ -168,9 +168,11 @@ def test_reduced_poly_value_base():
 
 def test_reduced_poly_value_matches_interpolation():
     for n in range(1, 7):
-        for l, poly in enumerate(extract_reduced_polynomials(n), start=1):
+        samples, den = reduced_samples(n)
+        for l, row in enumerate(samples, start=1):
+            _, behind = extend_backwards(row, n // 2 + 1)  # P(0), P(-1), ...
             for m_val in range(-(n // 2), 1):
-                assert poly(m_val) == reduced_poly_value(m_val, n, l), (n, l, m_val)
+                assert F(behind[-m_val], den) == reduced_poly_value(m_val, n, l), (n, l, m_val)
 
 
 def test_reduced_poly_value_validation():

@@ -3,7 +3,9 @@ builds the same value another way.
 
 - Each integer-first exact kernel against a term-by-term Fraction
   construction of the same value (polynomial evaluation, the axis sum and
-  the three forms of the proportion among them).
+  the three forms of the proportion among them), and the backward
+  difference table of ``extend_backwards`` against Lagrange interpolation
+  over ``Fraction``.
 - Each path matrix against its entries typed out by hand.
 - The integer Bareiss ``determinant`` against a Gaussian elimination over
   ``Fraction``, and the Bareiss steps shared across row-replaced matrices,
@@ -25,8 +27,8 @@ coefficients, not on ``Polynomial``), ``math``, ``binomial``, the rational
 elimination below and the cell geometry of ``cell_neighbors``.  (The
 determinant is also checked against the permutation expansion in
 ``test_matrices.py``.)  The closed forms, the hypergeometric forms of the
-proportion and the polynomial extraction of the reduced determinant are
-checked against the one-``Fraction``-per-factor versions they replaced,
+proportion and the samples of the reduced determinant's polynomial part
+are checked against the one-``Fraction``-per-factor versions they replaced,
 also kept here.
 """
 
@@ -42,9 +44,8 @@ from hextiling.exact import (
     Polynomial,
     SingularParameterError,
     binomial,
+    extend_backwards,
     hypergeometric_sum,
-    lagrange_basis,
-    lagrange_combine,
     shifted_factorial,
 )
 from hextiling.formulas import (
@@ -71,12 +72,12 @@ from hextiling.hexagon import (
 from hextiling.matrices import (
     _bareiss,
     determinant,
-    extract_reduced_polynomials,
     marked_row_determinants,
     path_matrix,
     reduced_determinants,
     reduced_prefactor,
     reduced_rows,
+    reduced_samples,
 )
 from hextiling.oracle import (
     DEFAULT_CELL_LIMIT,
@@ -382,7 +383,7 @@ def _reference_reduced_poly_value(m_val, n, l):
     return value
 
 
-def _reference_extract_reduced_polynomial(n, l):
+def _reference_reduced_polynomial(n, l):
     """One marked row l at a time: the Fraction matrix typed out by hand at
     m = 1..n, its determinant over the reference prefactor, interpolated
     by the reference Lagrange construction."""
@@ -558,34 +559,25 @@ def test_shifted_factorial_matches_reference(a, k):
     assert shifted_factorial(a, k) == _reference_shifted_factorial(a, k)
 
 
-def _split_matches_reference(points, scales=()):
-    """The basis/combine split, each ordinate scaled at its abscissa (by 1
-    with no ``scales``), against the reference through the scaled points."""
-    basis = lagrange_basis([x for x, _ in points], scales)
-    got = lagrange_combine(basis, [y for _, y in points])
-    return got.coeffs == _reference_lagrange(
-        [(x, F(c) * y) for (x, y), c in zip(points, scales or [1] * len(points))])
+# mostly small samples, so that low degrees and zero runs come up
+_samples = st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12)),
+                    min_size=1, max_size=12)
 
 
-@given(st.lists(st.tuples(_rationals, _rationals), max_size=8,
-                unique_by=lambda pt: pt[0]), st.data())
-def test_lagrange_matches_reference(points, data):
-    assert _split_matches_reference(points)
-    scales = data.draw(st.lists(_params, min_size=len(points), max_size=len(points)))
-    assert _split_matches_reference(points, scales)
+@given(_samples)
+def test_extend_backwards_matches_reference(samples):
+    # n samples at x = 0..n-1: the degree, and the values at x = -1 down
+    # to -(2n+3), against the Fraction interpolant through them
+    coeffs = _reference_lagrange(list(enumerate(samples)))
+    count = 2 * len(samples) + 3
+    assert extend_backwards(samples, count) == (
+        len(coeffs) - 1,
+        [sum(c * x**k for k, c in enumerate(coeffs)) for x in range(-1, -count - 1, -1)])
 
 
-# every abscissa non-integral, so the points are rescaled by x = t/d, d > 1
-_non_integers = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(
-    lambda x: x.denominator > 1)
-
-
-@given(st.lists(st.tuples(_non_integers, _rationals), min_size=1, max_size=8,
-                unique_by=lambda pt: pt[0]), st.data())
-def test_lagrange_matches_reference_on_non_integer_abscissae(points, data):
-    assert _split_matches_reference(points)
-    scales = data.draw(st.lists(_params, min_size=len(points), max_size=len(points)))
-    assert _split_matches_reference(points, scales)
+def test_extend_backwards_of_zero_samples():
+    for size in range(1, 13):
+        assert extend_backwards([0] * size, 2 * size + 3) == (-1, [0] * (2 * size + 3))
 
 
 # x = 0, integers, non-integral rationals and floats, which must be read as
@@ -593,7 +585,8 @@ def test_lagrange_matches_reference_on_non_integer_abscissae(points, data):
 _points = st.one_of(
     st.just(0),
     st.integers(-30, 30),
-    _non_integers,
+    st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(
+        lambda x: x.denominator > 1),
     st.floats(min_value=-30, max_value=30),
 )
 
@@ -771,11 +764,15 @@ def test_prefactor_roots_give_zero_determinants():
             assert reduced_determinants(m, n)[0] == [0] * n
 
 
-def test_extract_reduced_polynomials_match_per_row_reference():
+def test_reduced_samples_match_per_row_reference():
+    # the reference interpolates through m = 1..n only, so the two spare
+    # samples also check that the polynomial part has degree <= n - 1
     for n in range(1, 8):
-        polys = extract_reduced_polynomials(n)
-        assert [p.coeffs for p in polys] == [_reference_extract_reduced_polynomial(n, l)
-                                             for l in range(1, n + 1)]
+        samples, den = reduced_samples(n)
+        for l, row in enumerate(samples, start=1):
+            coeffs = _reference_reduced_polynomial(n, l)
+            assert [F(z, den) for z in row] == [
+                sum(c * m**k for k, c in enumerate(coeffs)) for m in range(1, n + 3)], (n, l)
 
 
 def test_reduced_poly_value_matches_reference_on_its_whole_domain():
@@ -895,6 +892,49 @@ def test_lower_half_weighted_counts_agree_in_every_scan_order():
                 # a weighted pair counts in whichever order its cells come
                 flipped = Region(region.cells, frozenset((b, a) for a, b in region.weighted_pairs))
                 assert _in_every_order(weighted_count, flipped) == got, (spec, l)
+
+
+def _measured_peak(region, order) -> int:
+    """Most states the frontier holds at once when the kernels scan
+    ``region`` in ``order``: the kernel's step on state sets alone."""
+    with _scanning(order):
+        _, _, later = oracle._prepare(region, len(region.cells))
+    states, peak = {0}, 1
+    for lo, choices in enumerate(later):
+        bits = [1 << (j - lo) for _, j in choices]
+        states = {mask >> 1 for mask in states if mask & 1} | {
+            (mask | bit) >> 1 for mask in states if not mask & 1 for bit in bits if not mask & bit}
+        peak = max(peak, len(states))
+    return peak
+
+
+def test_state_estimate_is_never_below_the_measured_peak():
+    # every box with sides up to 5, and every lower half of the hexagons
+    # with a <= 4 and side_m <= 6, in both orders; row-major peaks past
+    # 5000 states are too slow to measure
+    regions = {("box", a, b, c): box_region(a, b, c)
+               for a in range(6) for b in range(6) for c in range(6)}
+    regions.update({("lower half", a, m_side, l): build_region(
+        HexagonSpec(a, m_side), RegionKind.LOWER_HALF, l)
+        for a in range(1, 5) for m_side in range(7)
+        for l in range(1, HexagonSpec(a, m_side).n + 1)})
+    for name, region in regions.items():
+        for order in _ORDERS:
+            estimate = oracle._peak_states(region.cells, order)
+            if estimate <= 5000:
+                assert _measured_peak(region, order) <= estimate, (name, order)
+    # column-major, colour balance makes the estimate exact here; a bound on
+    # the frontier's width alone would give C(22, 11) = 705432 for the first
+    for sides, peak in [((20, 2, 20), 231), ((6, 6, 6), 924), ((2, 9, 7), 220)]:
+        cells = box_region(*sides).cells
+        assert oracle._peak_states(cells, _ORDERS[1]) == peak
+        assert _measured_peak(box_region(*sides), _ORDERS[1]) == peak
+
+
+@given(_punctured_regions())
+def test_column_major_estimate_holds_on_punctured_regions(region):
+    # the colour-balance argument needs no shape: any set of cells will do
+    assert _measured_peak(region, _ORDERS[1]) <= oracle._peak_states(region.cells, _ORDERS[1])
 
 
 def _lower_halves():

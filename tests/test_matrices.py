@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from hextiling.exact import Polynomial
+from hextiling.exact import Polynomial, extend_backwards
 from hextiling.formulas import fixed_count, macmahon_count
 from hextiling.hexagon import (
     HexagonSpec,
@@ -18,16 +18,33 @@ from hextiling.hexagon import (
 )
 from hextiling.matrices import (
     determinant,
-    extract_reduced_polynomials,
     marked_row_determinants,
     path_matrix,
     reduced_degree_bound,
     reduced_determinants,
     reduced_prefactor,
     reduced_rows,
+    reduced_samples,
 )
 
 F = Fraction
+
+
+def _interpolant(samples, den):
+    """The Polynomial through (m, samples[m-1] / den), m = 1, 2, ...: the
+    Lagrange formula over Fraction coefficient lists, the reference for the
+    values ``extend_backwards`` reads off the samples."""
+    xs = range(1, len(samples) + 1)
+    coeffs = [F(0)] * len(samples)
+    for xi, z in zip(xs, samples):
+        basis, scale = [F(1)], F(z, den)
+        for xj in xs:
+            if xj != xi:
+                # times (x - xj) / (xi - xj)
+                basis = [b - xj * a for a, b in zip(basis + [0], [0] + basis)]
+                scale /= xi - xj
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    return Polynomial(coeffs)
 
 
 def _cofactor_det(rows):
@@ -204,7 +221,7 @@ def test_reduced_determinant_validation():
         with pytest.raises(ValueError, match="need n >= 1"):
             reduced_determinants(F(1, 2), n)
         with pytest.raises(ValueError, match="need n >= 1"):
-            extract_reduced_polynomials(n)
+            reduced_samples(n)
 
 
 def test_reduced_times_row_scale_equals_weighted():
@@ -279,16 +296,14 @@ def test_reduced_determinant_degree_bound():
     # every expansion term takes degree j from column j except degree j-1
     # from the marked row.  One spare point lets a higher degree show, and
     # the bound is attained, so the symmetries suite needs b + 2 points.
-    from hextiling.exact import lagrange_basis, lagrange_combine
-
+    # At integer m the denominator is 2^(n-1), so the numerators are the
+    # samples.
     for n in range(1, 8):
         bound = reduced_degree_bound(n)
-        ms = range(bound + 2)
-        basis = lagrange_basis(ms)
-        samples = [reduced_determinants(m, n) for m in ms]
+        samples = [reduced_determinants(m, n) for m in range(bound + 2)]
+        assert {den for _, den in samples} == {2 ** (n - 1)}
         for l in range(n):
-            poly = lagrange_combine(basis, [F(dets[l], den) for dets, den in samples])
-            assert poly.degree() == bound, (n, l + 1)
+            assert extend_backwards([dets[l] for dets, _ in samples], 0)[0] == bound, (n, l + 1)
 
 
 def test_symmetries_check_sees_a_broken_row(monkeypatch):
@@ -352,18 +367,20 @@ def test_symmetries_check_sees_one_broken_mirror_point(monkeypatch):
                       "reflect-l symmetry n=4 l=4"]
 
 
-def test_extract_reduced_polynomial_base():
-    assert extract_reduced_polynomials(1) == [Polynomial([1])]
+def test_reduced_samples_base():
+    assert reduced_samples(1) == ([[1, 1, 1]], 1)
 
 
-def test_extract_reduced_polynomial_degrees():
-    # the extraction interpolates through n + 2 samples, so a quotient of
-    # degree n or n + 1 would show up here instead of being cut to n - 1
+def test_reduced_samples_degrees():
+    # n + 2 samples, so a quotient of degree n or n + 1 would show up here
+    # instead of being cut to n - 1; the Polynomial through them agrees
     for n in range(1, 8):
-        polys = extract_reduced_polynomials(n)
-        assert len(polys) == n
-        for poly in polys:
-            assert poly.degree() <= n - 1
+        samples, den = reduced_samples(n)
+        assert len(samples) == n and den > 0
+        for row in samples:
+            assert len(row) == n + 2
+            degree, _ = extend_backwards(row, 0)
+            assert degree == _interpolant(row, den).degree() <= n - 1
 
 
 def test_poly_degree_check_sees_a_quotient_of_higher_degree(monkeypatch):
@@ -386,21 +403,27 @@ def test_poly_degree_check_sees_a_quotient_of_higher_degree(monkeypatch):
 def test_reduced_polynomial_reflection_carries_parity_sign():
     # P(-n - m) equals P(m) for odd n and -P(m) for even n; the sign is
     # forced by the determinant symmetry in m combined with the behaviour of
-    # the forced prefactor under m -> -n-m.
+    # the forced prefactor under m -> -n-m.  The values extend_backwards
+    # reads at m = 0, -1, ..., -2n-2 are those of the Polynomial.
     for n in range(1, 7):
-        for l, poly in enumerate(extract_reduced_polynomials(n), start=1):
-            reflected = poly.compose_affine(-n, -1)
+        samples, den = reduced_samples(n)
+        for l, row in enumerate(samples, start=1):
+            poly = _interpolant(row, den)
             expected = poly if n % 2 else F(-1) * poly
-            assert reflected == expected, (n, l)
+            assert poly.compose_affine(-n, -1) == expected, (n, l)
+            _, behind = extend_backwards(row, 2 * n + 3)
+            assert [F(z, den) for z in behind] == [poly(-j) for j in range(2 * n + 3)], (n, l)
 
 
-def test_extract_consistency_with_prefactor():
+def test_reduced_samples_consistent_with_prefactor():
     # prefactor * polynomial reproduces the determinant at fresh points
     for n in range(1, 6):
-        for l, poly in enumerate(extract_reduced_polynomials(n), start=1):
+        samples, den = reduced_samples(n)
+        for l, row in enumerate(samples, start=1):
+            poly = _interpolant(row, den)
             for m in [F(1, 3), 7, F(-15, 2)]:
-                dets, den = reduced_determinants(m, n)
-                assert F(dets[l - 1], den) == reduced_prefactor(m, n) * poly(m)
+                dets, det_den = reduced_determinants(m, n)
+                assert F(dets[l - 1], det_den) == reduced_prefactor(m, n) * poly(m)
 
 
 @st.composite

@@ -169,6 +169,16 @@ def test_wide_box_counts_in_milliseconds():
     assert time.perf_counter() - start < 1.0
 
 
+def test_wide_box_passes_the_state_budget():
+    # 22 cells wide column-major, but colour balance leaves at most 2 of
+    # them free at each cut: 231 states, not C(22, 11) = 705432
+    region = box_region(20, 2, 20)
+    oracle.check_limits(region, max_cells=2000)
+    start = time.perf_counter()
+    assert count_tilings(region, max_cells=2000) == macmahon_count(20, 2, 20)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_state_budget_enforced_before_counting(monkeypatch):
     # hexagon(10, 10): 600 cells, a frontier 20 cells wide in either order
     spec = HexagonSpec(10, 10)
