@@ -15,6 +15,7 @@ from .exact import (
     binomial,
     double_factorial,
     extend_backwards,
+    hypergeometric_partial_sums,
     hypergeometric_sum,
     shifted_factorial,
 )
@@ -58,6 +59,8 @@ from .formulas import (
     proportion_balanced_form,
     proportion_nm,
     proportion_series_form,
+    proportion_series_forms,
+    reduced_poly_special_values,
     reduced_poly_value,
     upper_count_closed_form,
 )

@@ -12,9 +12,14 @@ binomials and double factorials are all made from it.  ``_ratio`` is the
 one way a rational is read, as a numerator and a denominator (straight
 from an ``int`` or ``Fraction``, through ``Fraction()`` from anything
 else), and ``_over_common_denominator`` is the one step that puts several
-rationals over one denominator.  ``shifted_factorial`` and
-``hypergeometric_sum`` carry integer numerators over one common
-denominator and build each ``Fraction`` once, at the end.  A
+rationals over one denominator.  ``shifted_factorial`` carries integer
+numerators over one common denominator and builds its ``Fraction`` once,
+at the end.  The hypergeometric kernel, ``hypergeometric_partial_sums``,
+is one forward loop over integer partial sums: each step carries the
+term's numerator, the sum's numerator and their common denominator, three
+multiplications, and yields the sum as an integer pair, so a caller that
+wants every length of one series runs it once; ``hypergeometric_sum``
+makes one ``Fraction`` of its last partial sum.  A
 ``Polynomial`` is itself stored that way, as integer numerators over one
 denominator in lowest terms, and evaluation, ``compose_affine``, the
 product by a scalar and equality work on it, with no ``Fraction`` per
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 class SingularParameterError(ValueError):
@@ -250,23 +255,21 @@ def extend_backwards(samples: Sequence[int], count: int) -> Tuple[int, List[int]
     return degree, values
 
 
-def hypergeometric_sum(
+def hypergeometric_partial_sums(
     numerator_params: Sequence,
     denominator_params: Sequence,
     argument,
     term_count: int,
-) -> Fraction:
-    """Finite hypergeometric sum, evaluated exactly.
+) -> Iterator[Tuple[int, int]]:
+    """Partial sums of a finite hypergeometric series, lazily, each as an
+    integer ``(numerator, denominator)`` pair.
 
-    Computes  sum_{e=0}^{term_count-1}  prod_i (a_i)_e / prod_j (b_j)_e * z^e / e!
-    over rationals.  Terminating series are obtained by choosing term_count at
-    the cutoff forced by a nonpositive-integer numerator parameter; the
-    function itself never inspects convergence.
-
-    Raises SingularParameterError as soon as a denominator parameter
-    contributes a zero factor within the requested range.  The parameters
-    and the argument may be anything ``Fraction()`` accepts; ints and
-    Fractions are read as they are, with no ``Fraction`` built per parameter.
+    Yields the sums of the first 1, 2, ..., term_count terms of
+    sum_e  prod_i (a_i)_e / prod_j (b_j)_e * z^e / e!.  A denominator
+    parameter that contributes a zero factor at step e (the ratio of term e
+    to term e-1) raises SingularParameterError once the sum of length e
+    has been yielded.  The parameters and the argument are read as
+    ``hypergeometric_sum`` reads them.
     """
     if term_count < 0:
         raise ValueError("term_count must be nonnegative")
@@ -275,7 +278,7 @@ def hypergeometric_sum(
     dens = [_ratio(b) for b in denominator_params]
     top, bottom = _ratio(argument)
     if not term_count:
-        return Fraction(0)
+        return
     # Term ratio t_e / t_(e-1) = z prod_i (a_i + e-1) / (e prod_j (b_j + e-1));
     # the parameter denominators are multiplied into one constant ratio
     # top / bottom.
@@ -283,7 +286,9 @@ def hypergeometric_sum(
         top *= q
     for _, q in nums:
         bottom *= q
-    ratios = []
+    # the partial sum is total / den and the last term term / den
+    total = term = den = 1
+    yield total, den
     for e in range(1, term_count):
         den_step = bottom * e
         for p, q in dens:
@@ -296,9 +301,32 @@ def hypergeometric_sum(
         num_step = top
         for p, q in nums:
             num_step *= p + (e - 1) * q
-        ratios.append((num_step, den_step))
-    # nested Horner: 1 + r_1 (1 + r_2 (1 + ... (1 + r_(T-1))))
-    total, den = 1, 1
-    for num_step, den_step in reversed(ratios):
-        total, den = den * den_step + num_step * total, den * den_step
+        term *= num_step
+        total, den = total * den_step + term, den * den_step
+        yield total, den
+
+
+def hypergeometric_sum(
+    numerator_params: Sequence,
+    denominator_params: Sequence,
+    argument,
+    term_count: int,
+) -> Fraction:
+    """Finite hypergeometric sum, evaluated exactly.
+
+    Computes  sum_{e=0}^{term_count-1}  prod_i (a_i)_e / prod_j (b_j)_e * z^e / e!
+    over rationals: the last of ``hypergeometric_partial_sums``.  Terminating
+    series are obtained by choosing term_count at the cutoff forced by a
+    nonpositive-integer numerator parameter; the function itself never
+    inspects convergence.
+
+    Raises SingularParameterError as soon as a denominator parameter
+    contributes a zero factor within the requested range.  The parameters
+    and the argument may be anything ``Fraction()`` accepts; ints and
+    Fractions are read as they are, with no ``Fraction`` built per parameter.
+    """
+    total, den = 0, 1
+    for total, den in hypergeometric_partial_sums(
+            numerator_params, denominator_params, argument, term_count):
+        pass
     return Fraction(total, den)

@@ -16,24 +16,33 @@ product for the weighted lower count and the special values of the
 reduced determinant (both gather their powers of 2 in one exponent), the
 axis sum (nested Horner from its last term), the proportion (the
 axis sum's numerator and denominator times the binomial prefactor) and
-the prefactors of both hypergeometric forms.  The weighted lower count is
-given for every marked position l of one (n, m) at once, because only
-its axis-sum factor depends on l; so are the fixed counts of a hexagon,
-which share one MacMahon product.  The axis sum keeps a loop of its own
-rather than ``hypergeometric_sum``, so that the ``hyp-chain`` cross-check
-compares independent routes.
+the prefactors of both hypergeometric forms.
+
+Several forms are also given for every marked position l at once, each
+from one build of what does not depend on l: the weighted lower count of
+one (n, m), whose only l-dependent factor is the axis sum; the fixed
+counts of a hexagon, which share one MacMahon product; the series form of
+the proportion (``proportion_series_forms``), whose parameters depend on
+(n, m) only, so the form at l is the l-th partial sum of one pass of
+``hypergeometric_partial_sums`` times one prefactor; and the special
+values of the reduced determinant (``reduced_poly_special_values``), one
+factorial product per (n, mu), which l only cuts to zero.  The
+single-position forms read the same loops.  The axis sum keeps a loop of
+its own, one nested Horner per l, rather than the hypergeometric kernel,
+so that the ``hyp-chain`` cross-check compares independent routes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .exact import (
     _rising_product,
     binomial,
     double_factorial,
+    hypergeometric_partial_sums,
     hypergeometric_sum,
 )
 from .hexagon import HexagonSpec
@@ -178,24 +187,46 @@ def lower_weighted_closed_forms(n: int, m: int) -> list[Fraction]:
     return out
 
 
+def reduced_poly_special_values(n: int) -> list[list[Fraction]]:
+    """``reduced_poly_value(-mu, n, l)`` for every marked position
+    l = 1..n in turn, each as the list over mu = 0..floor(n/2).
+
+    The factorial product depends on (n, mu) only, so it is built once per
+    mu and shared by every l; l enters only through the zero cutoff
+    mu >= n+1-max(l, n+1-l) = min(l, n+1-l), which no l lifts above
+    floor((n+1)/2).
+    """
+    products = [_reduced_poly_product(mu, n) for mu in range((n + 1) // 2)]
+    out = []
+    for l in range(1, n + 1):
+        cut = min(l, n + 1 - l)
+        out.append(products[:cut] + [Fraction(0)] * (n // 2 + 1 - cut))
+    return out
+
+
 def reduced_poly_value(m_val: int, n: int, l: int) -> Fraction:
     """Special value of the reduced determinant polynomial at m_val in
     [-floor(n/2), 0].
 
-    With lr = max(l, n+1-l) (the reflection-symmetric representative of l)
-    and mu = -m_val: the value is 0 for mu >= n+1-lr, where the relevant
-    block of the evaluated matrix degenerates; otherwise it is given by the
-    factorial product below, read with mu as the nonnegative index.
+    With mu = -m_val: the value is 0 for mu >= min(l, n+1-l) (that is,
+    n+1-lr for the reflection-symmetric representative lr = max(l, n+1-l)
+    of l), where the relevant block of the evaluated matrix degenerates;
+    otherwise it is the factorial product of ``_reduced_poly_product``,
+    read with mu as the nonnegative index.
     """
     if not 1 <= l <= n:
         raise ValueError("marked position out of range")
     if not -(n // 2) <= m_val <= 0:
         raise ValueError(f"m_val must lie in [{-(n // 2)}, 0], got {m_val}")
-    lr = max(l, n + 1 - l)
     mu = -m_val
-    if mu >= n + 1 - lr:
+    if mu >= min(l, n + 1 - l):
         return Fraction(0)
+    return _reduced_poly_product(mu, n)
 
+
+def _reduced_poly_product(mu: int, n: int) -> Fraction:
+    """The factorial product behind the special value at m = -mu, which
+    depends on (n, mu) only."""
     sign = -1 if (mu * n + (mu * mu - mu) // 2) % 2 else 1
     # the powers of 2, from the prefactor and the half-integer bases, are
     # gathered in one exponent
@@ -249,20 +280,38 @@ def central_sum_recurrence_residue(n: int) -> Fraction:
     return lhs - rhs
 
 
+def _series_form_sums(n: int, m: int, length: int) -> Iterator[tuple]:
+    """The series form at l = 1..length in turn, lazily, as integer
+    (numerator, denominator) pairs: one prefactor times each partial sum
+    of one pass of ``hypergeometric_partial_sums``."""
+    pref_num = math.factorial(2 * n - 1) * _rising_product(m + 1, 1, n - 1) ** 2
+    pref_den = math.factorial(n - 1) ** 2 * _rising_product(2 * m + 1, 1, 2 * n - 1)
+    for num, den in hypergeometric_partial_sums(
+        [-n, Fraction(2 - n, 2), m, -m - n, Fraction(1, 2)],
+        [Fraction(-n, 2), 1 - m - n, 1 + m, Fraction(1 - 2 * n, 2)],
+        1,
+        length,
+    ):
+        yield pref_num * num, pref_den * den
+
+
+def proportion_series_forms(n: int, m: int) -> Iterator[Fraction]:
+    """``proportion_series_form(n, m, l)`` for l = 1..n in turn, lazily,
+    from one pass over the series: its parameters depend on (n, m) only, so
+    the form at l is the l-th partial sum times one prefactor.  Raises
+    SingularParameterError at the first singular l (even n, l = n/2 + 2),
+    after yielding every shorter one."""
+    _check_axis_domain(n, m, 1)
+    return (Fraction(num, den) for num, den in _series_form_sums(n, m, n))
+
+
 def proportion_series_form(n: int, m: int, l: int) -> Fraction:
     """The proportion as a five-parameter hypergeometric partial sum of
     length l.  Raises SingularParameterError where a lower parameter hits
     zero inside the range (even n with l >= n/2 + 2)."""
     _check_axis_domain(n, m, l)
-    pref_num = math.factorial(2 * n - 1) * _rising_product(m + 1, 1, n - 1) ** 2
-    pref_den = math.factorial(n - 1) ** 2 * _rising_product(2 * m + 1, 1, 2 * n - 1)
-    series = hypergeometric_sum(
-        [-n, Fraction(2 - n, 2), m, -m - n, Fraction(1, 2)],
-        [Fraction(-n, 2), 1 - m - n, 1 + m, Fraction(1 - 2 * n, 2)],
-        1,
-        l,
-    )
-    return Fraction(pref_num * series.numerator, pref_den * series.denominator)
+    *_, (num, den) = _series_form_sums(n, m, l)
+    return Fraction(num, den)
 
 
 def proportion_balanced_form(n: int, m: int, l: int) -> Fraction:

@@ -60,7 +60,9 @@ a region whose frontier could hold more than ``STATE_BUDGET`` states in its
 scan order: C(w, floor(w/2)) for a row-major frontier w cells wide, and for
 a column-major one the count the colour balance leaves (``_peak_states``):
 box(20, 2, 20) passes with 231 states, where a bound on its width alone
-would give C(22, 11).  Both limits are
+would give C(22, 11).  A region past the budget in its scan order is
+scanned in the other order instead if its estimate fits there, and
+rejected only when both are past it.  Both limits are
 checked once per region, before any work; ``check_limits`` runs the same
 check alone, and ``hexagon_tallies`` checks every hexagon it is given before
 it counts the first, so an oversized request fails at once.
@@ -118,8 +120,13 @@ def _scan_order(cells: frozenset, max_cells: int):
     faster (in-process medians, 2-vCPU Xeon VM, CPython 3.11).
 
     The cell limit is checked first, then ``_peak_states`` in the order
-    picked against ``STATE_BUDGET``; ``_prepare`` calls this once per
-    region, so every kernel checks both.
+    picked against ``STATE_BUDGET``.  Past the budget, the other order is
+    taken if its estimate fits: line counts only approximate the
+    estimates, so box(14, 13, 5) goes row-major by its lines, with 92378
+    states, and fits column-major, with 8568.  Only when both orders are
+    past the budget is the region rejected, with the picked order's
+    estimate in the message.  ``_prepare`` calls this once per region, so
+    every kernel checks both limits.
     """
     if len(cells) > max_cells:
         raise RegionTooLargeError(
@@ -132,6 +139,9 @@ def _scan_order(cells: frozenset, max_cells: int):
     order = _COLUMN_MAJOR if by_column < by_row else _ROW_MAJOR
     peak = _peak_states(cells, order)
     if peak > STATE_BUDGET:
+        other = _ROW_MAJOR if order is _COLUMN_MAJOR else _COLUMN_MAJOR
+        if _peak_states(cells, other) <= STATE_BUDGET:
+            return other
         raise StateBudgetError(
             f"region's frontier is {min(by_row, by_column)} cells wide, so counting it may "
             f"take {peak} states, exceeding the budget of {STATE_BUDGET}"

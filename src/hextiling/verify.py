@@ -222,22 +222,30 @@ def check_column_relations(max_n: int = 8) -> List[CaseResult]:
     forces (m+e+1/2)^e to divide the determinant.  They are tested on the
     integer rows of ``matrices.reduced_rows``, read once per (n, e): each
     row sits over one denominator, so the relation holds on its numerators.
+    Neither side of a row depends on l, so each row's weighted sum and its
+    col(n-2e) entry are formed once per (n, e, k) and compared per l, with
+    the coefficient cross-multiplied.
     """
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
+        last_l = (n + 1) // 2
         for e in range(1, n // 2):
             plain, marked, _, _ = matrices.reduced_rows(Fraction(-2 * e - 1, 2), n)
             base = n - 2 * e - 1  # 0-based index of col(n-2e)
             for k in range(1, e + 1):
-                for l in range(1, (n + 1) // 2 + 1):
+                weights = [binomial(k, j) for j in range(k + 1)]
+                # each row as (its weighted block of columns, its col(n-2e))
+                plain_sides, marked_sides = (
+                    [(sum(w * x for w, x in zip(weights, row[base + k:])), row[base])
+                     for row in rows]
+                    for rows in (plain, marked[:last_l]))
+                for l in range(1, last_l + 1):
                     coeff = shifted_factorial(n - e - l + Fraction(1, 2), k) / (
                         Fraction(-4) ** k * shifted_factorial(n - e - l + 1, k)
                     )
-                    ok = all(
-                        sum(binomial(k, j) * row[base + k + j] for j in range(k + 1))
-                        == coeff * row[base]
-                        for row in plain[: l - 1] + [marked[l - 1]] + plain[l:]
-                    )
+                    p, q = coeff.numerator, coeff.denominator
+                    ok = all(block * q == p * col for block, col in
+                             plain_sides[: l - 1] + [marked_sides[l - 1]] + plain_sides[l:])
                     _case(out, f"column relation n={n} l={l} e={e} k={k}", ok)
     return out
 
@@ -270,21 +278,23 @@ def check_reduced_polynomials(max_n: int = 6) -> List[CaseResult]:
     points m, which decides it for the interpolant (degree <= n + 1) even
     where the degree check fails; the special values at m in
     [-floor(n/2), 0] are compared with ``formulas.reduced_poly_value`` by
-    cross-multiplying.  See check_reflection_unsigned for the strict
-    sign-free variant of the reflection.
+    cross-multiplying, all l of one n reading one set of factorial
+    products from ``formulas.reduced_poly_special_values``.  See
+    check_reflection_unsigned for the strict sign-free variant of the
+    reflection.
     """
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
         polys, den = _reduced_polynomial_values(n)
         sign = 1 if n % 2 else -1
+        specials = formulas.reduced_poly_special_values(n)
         for l, (degree, behind, ahead) in enumerate(polys, start=1):
             _case(out, f"poly degree n={n} l={l}", degree <= n - 1, f"degree {degree}")
             # behind[n + 1:] holds P(-n-m) for m = 1..n+2
             _case(out, f"poly signed reflection n={n} l={l}",
                   behind[n + 1:] == [sign * z for z in ahead])
-            specials = (formulas.reduced_poly_value(-mu, n, l) for mu in range(n // 2 + 1))
             ok_vals = all(z * value.denominator == value.numerator * den
-                          for z, value in zip(behind, specials))
+                          for z, value in zip(behind, specials[l - 1]))
             _case(out, f"poly special values n={n} l={l}", ok_vals)
     return out
 
@@ -344,22 +354,38 @@ def check_corollary(max_n: int = 10) -> List[CaseResult]:
     return out
 
 
+def _series_forms(n: int, m: int) -> list:
+    """``formulas.proportion_series_forms(n, m)`` as a list of n entries:
+    the series form at each l up to the first singular one, and from there
+    on the SingularParameterError that stopped the pass."""
+    out = []
+    try:
+        for value in formulas.proportion_series_forms(n, m):
+            out.append(value)
+    except SingularParameterError as exc:
+        out += [exc] * (n - len(out))
+    return out
+
+
 def check_hyp_chain(max_n: int = 5, max_m: int = 4) -> List[CaseResult]:
     """Proportion against both hypergeometric re-expressions; cells where the
-    series form is singular are reported as skipped."""
+    series form is singular are reported as skipped.
+
+    The series form's parameters depend on (n, m) only, so one pass over
+    the series gives it at every l; the proportion and the balanced form
+    are computed per l.
+    """
     out: List[CaseResult] = []
     for n in range(1, max_n + 1):
         for m in range(1, max_m + 1):
-            for l in range(1, n + 1):
+            for l, series in enumerate(_series_forms(n, m), start=1):
                 name = f"hyp chain n={n} m={m} l={l}"
-                try:
-                    target = formulas.proportion_nm(n, m, l)
-                    ok = (target == formulas.proportion_series_form(n, m, l)
-                          and target == formulas.proportion_balanced_form(n, m, l))
-                except SingularParameterError as exc:
-                    out.append(CaseResult(name, True, f"skipped: {exc}", skipped=True))
-                else:
-                    _case(out, name, ok)
+                if isinstance(series, SingularParameterError):
+                    out.append(CaseResult(name, True, f"skipped: {series}", skipped=True))
+                    continue
+                target = formulas.proportion_nm(n, m, l)
+                _case(out, name, target == series
+                      and target == formulas.proportion_balanced_form(n, m, l))
     return out
 
 

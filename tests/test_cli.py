@@ -421,6 +421,14 @@ _GOLDEN_VERIFY = [
      "025ebc49282d5e8b912de83682df02764304ceeeb4551451250dc9e11a5d1283"),
     (["p-polynomial", "--max-n", "9"],
      "97393206301136aed4f7985b0a5cbff39ad6ff054bb99f3b5b212b962978912a"),
+    (["p-polynomial", "--max-n", "5"],
+     "c632207b03d0a1ce43840df1f205b088eb1aeb0c8d40029337319b4d566bf54f"),
+    (["hyp-chain", "--max-n", "4", "--max-m", "3"],
+     "525c6e4014fd1ead3167b804e10d7a6556c177836d19d6d1b6b76848e0f03232"),
+    (["hyp-chain", "--max-n", "5", "--max-m", "4"],
+     "d2d1bd11a785f3a52ccc94c46b251225388f97f67d0c7171770897c46213afe4"),
+    (["column-relation", "--max-n", "6"],
+     "085217fdeac15fbb9f633aec43974e2186eb4de80e8f2f2c84b7d2269e800acc"),
 ]
 
 

@@ -21,6 +21,8 @@ from hextiling.formulas import (
     proportion_balanced_form,
     proportion_nm,
     proportion_series_form,
+    proportion_series_forms,
+    reduced_poly_special_values,
     reduced_poly_value,
     upper_count_closed_form,
 )
@@ -175,6 +177,21 @@ def test_reduced_poly_value_matches_interpolation():
                 assert F(behind[-m_val], den) == reduced_poly_value(m_val, n, l), (n, l, m_val)
 
 
+def test_special_values_of_every_position_match_single_values():
+    # one product per (n, mu), cut to zero from mu = min(l, n + 1 - l) on
+    for n in range(1, 13):
+        table = reduced_poly_special_values(n)
+        assert len(table) == n
+        for l, values in enumerate(table, start=1):
+            assert values == [reduced_poly_value(-mu, n, l) for mu in range(n // 2 + 1)]
+            cut = min(l, n + 1 - l)
+            assert all(value == 0 for value in values[cut:]), (n, l)
+            assert all(value != 0 for value in values[:cut]), (n, l)
+    # even n: mu = n/2 is past the cutoff at every l
+    assert [values[-1] for values in reduced_poly_special_values(4)] == [0] * 4
+    assert reduced_poly_special_values(0) == []
+
+
 def test_reduced_poly_value_validation():
     with pytest.raises(ValueError):
         reduced_poly_value(-3, 4, 1)
@@ -212,6 +229,45 @@ def test_hyp_chain_singular_cells():
     with pytest.raises(SingularParameterError):
         proportion_series_form(4, 2, 4)
     assert proportion_balanced_form(4, 2, 4) == proportion_nm(4, 2, 4)
+
+
+def _series_outcomes(n, m):
+    """``proportion_series_forms(n, m)`` up to its end or its first error,
+    and the error's message (None if it ran to the end)."""
+    values = []
+    try:
+        for value in proportion_series_forms(n, m):
+            values.append(value)
+    except SingularParameterError as exc:
+        return values, str(exc)
+    return values, None
+
+
+def test_series_forms_of_every_position_match_single_forms():
+    for n in range(1, 13):
+        for m in range(1, 9):
+            values, error = _series_outcomes(n, m)
+            # the series is singular exactly at even n, l >= n/2 + 2
+            regular = n if n % 2 else min(n, n // 2 + 1)
+            assert len(values) == regular, (n, m)
+            assert (error is None) == (regular == n), (n, m)
+            for l in range(1, n + 1):
+                if l <= regular:
+                    assert values[l - 1] == proportion_series_form(n, m, l) == proportion_nm(n, m, l)
+                else:
+                    with pytest.raises(SingularParameterError) as exc:
+                        proportion_series_form(n, m, l)
+                    assert str(exc.value) == error, (n, m, l)
+    assert _series_outcomes(4, 2)[1] == "denominator parameter -2 vanishes at step 3"
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (3, 0), (4, -1)])
+def test_series_forms_reject_what_axis_sum_rejects(n, m):
+    with pytest.raises(ValueError) as want:
+        axis_sum(n, m, 1)
+    with pytest.raises(ValueError) as got:
+        proportion_series_forms(n, m)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("form", [proportion_series_form, proportion_balanced_form])

@@ -3,7 +3,8 @@ builds the same value another way.
 
 - Each integer-first exact kernel against a term-by-term Fraction
   construction of the same value (polynomial evaluation, the axis sum and
-  the three forms of the proportion among them), and the backward
+  the three forms of the proportion among them, and the hypergeometric
+  partial sums at every length), and the backward
   difference table of ``extend_backwards`` against Lagrange interpolation
   over ``Fraction``.
 - Each path matrix against its entries typed out by hand.
@@ -45,6 +46,7 @@ from hextiling.exact import (
     SingularParameterError,
     binomial,
     extend_backwards,
+    hypergeometric_partial_sums,
     hypergeometric_sum,
     shifted_factorial,
 )
@@ -638,6 +640,65 @@ def test_hypergeometric_sum_singular_step_matches_reference(nums, dens, k, data)
     assert outcomes[1] == (kind, message)
     assert (kind, message) == _outcome(_reference_hypergeometric_sum, nums,
                                        dens[:where] + [F(-k)] + dens[where:], 1, term_count)
+
+
+def _partial_sums(nums, dens, z, term_count):
+    """The kernel's partial sums as Fractions, up to its end or its first
+    error, and the type and message of that error (None if none)."""
+    sums = []
+    try:
+        for num, den in hypergeometric_partial_sums(nums, dens, z, term_count):
+            sums.append(F(num, den))
+    except SingularParameterError as exc:
+        return sums, (type(exc), str(exc))
+    return sums, None
+
+
+@given(st.lists(_params, max_size=4), st.lists(_params, max_size=3),
+       _params, st.integers(0, 10))
+def test_hypergeometric_partial_sums_match_reference(nums, dens, z, term_count):
+    # the sum of every length comes out, up to the first singular step if
+    # one falls inside the range; the next length raises what the
+    # reference and hypergeometric_sum raise
+    sums, error = _partial_sums(nums, dens, z, term_count)
+    assert sums == [_reference_hypergeometric_sum(nums, dens, z, length)
+                    for length in range(1, len(sums) + 1)]
+    if error is None:
+        assert len(sums) == term_count
+    else:
+        assert len(sums) < term_count
+        for fn in (_reference_hypergeometric_sum, hypergeometric_sum):
+            assert _outcome(fn, nums, dens, z, len(sums) + 1) == error
+
+
+@given(st.lists(_params, max_size=4), st.lists(_params, max_size=3), _params,
+       st.integers(0, 6), st.data())
+def test_hypergeometric_partial_sums_stop_at_the_singular_step(nums, dens, z, k, data):
+    # the lower parameter -k vanishes at step k+1 (another one may vanish
+    # earlier): the sums of lengths 1..e come out for the first singular
+    # step e, and length e + 1 raises the message the reference raises
+    where = data.draw(st.integers(0, len(dens)))
+    dens = dens[:where] + [-k] + dens[where:]
+    term_count = data.draw(st.integers(k + 2, 10))
+    sums, error = _partial_sums(nums, dens, z, term_count)
+    assert error is not None and 1 <= len(sums) <= k + 1
+    assert sums == [_reference_hypergeometric_sum(nums, dens, z, length)
+                    for length in range(1, len(sums) + 1)]
+    assert _outcome(_reference_hypergeometric_sum, nums, dens, z, len(sums) + 1) == error
+    assert error[1].endswith(f"vanishes at step {len(sums)}")
+
+
+def test_hypergeometric_partial_sums_examples():
+    # 1 + 1 + 1/2 + 1/6: the partial sums of exp(1), as integer pairs
+    assert [F(p, q) for p, q in hypergeometric_partial_sums([], [], 1, 4)] == [
+        1, 2, F(5, 2), F(8, 3)]
+    assert list(hypergeometric_partial_sums([1], [2], 1, 0)) == []
+    sums = hypergeometric_partial_sums([1], [-1], 1, 5)
+    assert [F(p, q) for p, q in (next(sums), next(sums))] == [1, 0]
+    with pytest.raises(SingularParameterError, match="parameter -1 vanishes at step 2"):
+        next(sums)
+    with pytest.raises(ValueError, match="term_count must be nonnegative"):
+        next(hypergeometric_partial_sums([], [], 1, -1))
 
 
 def test_hypergeometric_sum_reads_float_parameters_exactly():

@@ -516,3 +516,21 @@ def test_corollary_sees_a_broken_determinant(monkeypatch, family, expected):
     monkeypatch.setattr(matrices, "determinant", broken)
     failed = [r.name for r in verify.check_corollary(max_n=16) if not r.ok]
     assert failed == expected
+
+
+def test_column_relation_reads_marked_row_l_at_position_l(monkeypatch):
+    # only marked row 2 taken off its point: exactly the relations of l = 2
+    # fail, so each l reads its own marked row and no other
+    from hextiling import matrices, verify
+
+    rows = matrices.reduced_rows
+
+    def one_marked_row_off(m, n):
+        plain, marked, *rest = rows(m, n)
+        return (plain, [*marked[:1], rows(m + 1, n)[1][1], *marked[2:]], *rest)
+
+    monkeypatch.setattr(matrices, "reduced_rows", one_marked_row_off)
+    results = verify.check_column_relations(max_n=8)
+    assert [r.name for r in results] == _column_relation_grid(8)
+    assert [r.name for r in results if not r.ok] == [
+        name for name in _column_relation_grid(8) if " l=2 " in name]

@@ -179,6 +179,17 @@ def test_wide_box_passes_the_state_budget():
     assert time.perf_counter() - start < 1.0
 
 
+def test_region_past_the_budget_in_its_line_order_takes_the_other_order():
+    # box(14, 13, 5) goes row-major by its line counts, where its frontier
+    # may take C(18, 9) = 92378 states; column-major it takes at most 8568
+    region = box_region(14, 13, 5)
+    assert oracle._peak_states(region.cells, None) == 92378 > STATE_BUDGET
+    assert oracle._peak_states(region.cells, oracle._COLUMN_MAJOR) == 8568
+    oracle.check_limits(region, max_cells=10**6)
+    assert oracle._scan_order(region.cells, 10**6) is oracle._COLUMN_MAJOR
+    assert count_tilings(region, max_cells=10**6) == macmahon_count(14, 13, 5)
+
+
 def test_state_budget_enforced_before_counting(monkeypatch):
     # hexagon(10, 10): 600 cells, a frontier 20 cells wide in either order
     spec = HexagonSpec(10, 10)
