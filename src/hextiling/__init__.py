@@ -58,10 +58,8 @@ from .formulas import (
     proportion,
     proportion_balanced_form,
     proportion_nm,
-    proportion_series_form,
     proportion_series_forms,
     reduced_poly_special_values,
-    reduced_poly_value,
     upper_count_closed_form,
 )
 from .oracle import (

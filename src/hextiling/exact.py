@@ -19,11 +19,9 @@ is one forward loop over integer partial sums: each step carries the
 term's numerator, the sum's numerator and their common denominator, three
 multiplications, and yields the sum as an integer pair, so a caller that
 wants every length of one series runs it once; ``hypergeometric_sum``
-makes one ``Fraction`` of its last partial sum.  A
-``Polynomial`` is itself stored that way, as integer numerators over one
-denominator in lowest terms, and evaluation, ``compose_affine``, the
-product by a scalar and equality work on it, with no ``Fraction`` per
-coefficient in between.  No suite builds one; the tests compare against it.
+makes one ``Fraction`` of its last partial sum.  ``Polynomial`` is the
+exception: a plain reference class over a tuple of ``Fraction``
+coefficients, which no suite builds and the tests compare against.
 
 Interpolation works on values alone: ``extend_backwards`` reads the degree
 of the interpolant through equally spaced integer samples off their
@@ -36,6 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
@@ -90,90 +89,60 @@ def double_factorial(n: int) -> int:
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Stored as integer numerators, lowest degree first with the last one
-    nonzero, over one positive denominator, in lowest terms: no integer
-    above 1 divides the denominator and every numerator.  The zero
-    polynomial has no numerators and denominator 1.  Equal polynomials
-    thus have equal fields, however they were built.  ``coeffs`` gives the
-    coefficients as ``Fraction`` values.  Instances are immutable;
-    arithmetic returns new objects.
+    A plain reference class: no suite builds one; the tests compare against
+    it.  ``coeffs`` holds the coefficients as ``Fraction`` values, lowest
+    degree first with the last one nonzero, so equal polynomials have equal
+    coefficients however they were built, and the zero polynomial has none.
+    Instances are immutable; arithmetic returns new objects.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = (), den: int = 1):
         """The polynomial sum_k coeffs[k] x^k / den, for rational coeffs
+        (each read by ``Fraction()``, so a float is the rational it stores)
         and a nonzero integer den."""
         if den == 0:
             raise ZeroDivisionError("Polynomial denominator is zero")
-        nums, common = _over_common_denominator(coeffs)
-        den *= common
-        while nums and nums[-1] == 0:
-            nums.pop()
-        if not nums:
-            den = 1
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
+        out = [Fraction(c) / den for c in coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        object.__setattr__(self, "coeffs", tuple(out))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @property
-    def coeffs(self) -> tuple:
-        """Coefficients as ``Fraction`` values, lowest degree first."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
-
-    @property
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self.coeffs
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.nums) - 1
+        return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
-        """p(x), exactly (a float x is read as the rational it stores).
-
-        With x = u/w, Horner builds sum_k a_k u^k w^(deg-k) in integers
-        from the numerators a_k, divided by den w^deg once, at the end.
-        """
-        u, w = _ratio(x)
-        if self.is_zero:
-            return Fraction(0)
-        nums = self.nums
-        out = nums[-1]
-        w_power = 1
-        for a in reversed(nums[:-1]):
-            w_power *= w
-            out = out * u + a * w_power
-        return Fraction(out, self.den * w_power)
+        """p(x) by Horner, exactly (a float x is read as the rational it
+        stores)."""
+        x = Fraction(x)
+        out = Fraction(0)
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nums == other.nums and self.den == other.den
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.nums, self.den))
+        return hash(self.coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        den = math.lcm(self.den, other.den)
-        a = [c * (den // self.den) for c in self.nums]
-        b = [c * (den // other.den) for c in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return Polynomial(a, den)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Polynomial([a + b for a, b in pairs])
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.nums], self.den)
+        return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -183,29 +152,20 @@ class Polynomial:
         raises ``TypeError``)."""
         if isinstance(scalar, Polynomial):
             raise TypeError("Polynomial supports only products with a rational scalar")
-        p, q = _ratio(scalar)
-        return Polynomial([c * p for c in self.nums], self.den * q)
+        scalar = Fraction(scalar)
+        return Polynomial([c * scalar for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def compose_affine(self, shift, slope) -> "Polynomial":
-        """p(shift + slope*x), by Horner over integer coefficient lists.
-
-        With shift = u/w and slope = v/w over one denominator w, the Horner
-        steps build sum_k a_k (u + v x)^k w^(deg-k) in integers from the
-        numerators a_k; the result lies over den w^deg.
-        """
-        if self.is_zero:
-            return Polynomial()
-        nums = self.nums
-        (u, v), w = _over_common_denominator((shift, slope))
-        out = [nums[-1]]
-        w_power = 1
-        for a in reversed(nums[:-1]):
-            w_power *= w
-            out = [u * c + v * b for c, b in zip(out + [0], [0] + out)]
-            out[0] += a * w_power
-        return Polynomial(out, self.den * w_power)
+        """p(shift + slope*x), by Horner over coefficient lists."""
+        shift, slope = Fraction(shift), Fraction(slope)
+        out = []
+        for a in reversed(self.coeffs):
+            # out <- out * (shift + slope*x) + a
+            out = [shift * c + slope * b for c, b in zip(out + [0], [0] + out)]
+            out[0] += a
+        return Polynomial(out)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"

@@ -26,10 +26,11 @@ the proportion (``proportion_series_forms``), whose parameters depend on
 (n, m) only, so the form at l is the l-th partial sum of one pass of
 ``hypergeometric_partial_sums`` times one prefactor; and the special
 values of the reduced determinant (``reduced_poly_special_values``), one
-factorial product per (n, mu), which l only cuts to zero.  The
-single-position forms read the same loops.  The axis sum keeps a loop of
-its own, one nested Horner per l, rather than the hypergeometric kernel,
-so that the ``hyp-chain`` cross-check compares independent routes.
+factorial product per (n, mu), which l only cuts to zero.  These two
+have no single-position spelling: the value at one l is entry l - 1.  The
+axis sum keeps a loop of its own, one nested Horner per l, rather than the
+hypergeometric kernel, so that the ``hyp-chain`` cross-check compares
+independent routes.
 """
 
 from __future__ import annotations
@@ -188,13 +189,16 @@ def lower_weighted_closed_forms(n: int, m: int) -> list[Fraction]:
 
 
 def reduced_poly_special_values(n: int) -> list[list[Fraction]]:
-    """``reduced_poly_value(-mu, n, l)`` for every marked position
-    l = 1..n in turn, each as the list over mu = 0..floor(n/2).
+    """Special values of the reduced determinant polynomial at
+    m = -mu, mu = 0..floor(n/2), for every marked position l = 1..n in
+    turn: entry [l-1][mu] is the value at m = -mu.
 
-    The factorial product depends on (n, mu) only, so it is built once per
-    mu and shared by every l; l enters only through the zero cutoff
-    mu >= n+1-max(l, n+1-l) = min(l, n+1-l), which no l lifts above
-    floor((n+1)/2).
+    It is 0 for mu >= min(l, n+1-l) (that is, n+1-lr for the
+    reflection-symmetric representative lr = max(l, n+1-l) of l), where the
+    relevant block of the evaluated matrix degenerates; otherwise it is the
+    factorial product of ``_reduced_poly_product``.  That product depends
+    on (n, mu) only, so it is built once per mu and shared by every l; no
+    l lifts the cutoff above floor((n+1)/2).
     """
     products = [_reduced_poly_product(mu, n) for mu in range((n + 1) // 2)]
     out = []
@@ -202,26 +206,6 @@ def reduced_poly_special_values(n: int) -> list[list[Fraction]]:
         cut = min(l, n + 1 - l)
         out.append(products[:cut] + [Fraction(0)] * (n // 2 + 1 - cut))
     return out
-
-
-def reduced_poly_value(m_val: int, n: int, l: int) -> Fraction:
-    """Special value of the reduced determinant polynomial at m_val in
-    [-floor(n/2), 0].
-
-    With mu = -m_val: the value is 0 for mu >= min(l, n+1-l) (that is,
-    n+1-lr for the reflection-symmetric representative lr = max(l, n+1-l)
-    of l), where the relevant block of the evaluated matrix degenerates;
-    otherwise it is the factorial product of ``_reduced_poly_product``,
-    read with mu as the nonnegative index.
-    """
-    if not 1 <= l <= n:
-        raise ValueError("marked position out of range")
-    if not -(n // 2) <= m_val <= 0:
-        raise ValueError(f"m_val must lie in [{-(n // 2)}, 0], got {m_val}")
-    mu = -m_val
-    if mu >= min(l, n + 1 - l):
-        return Fraction(0)
-    return _reduced_poly_product(mu, n)
 
 
 def _reduced_poly_product(mu: int, n: int) -> Fraction:
@@ -280,38 +264,23 @@ def central_sum_recurrence_residue(n: int) -> Fraction:
     return lhs - rhs
 
 
-def _series_form_sums(n: int, m: int, length: int) -> Iterator[tuple]:
-    """The series form at l = 1..length in turn, lazily, as integer
-    (numerator, denominator) pairs: one prefactor times each partial sum
-    of one pass of ``hypergeometric_partial_sums``."""
+def proportion_series_forms(n: int, m: int) -> Iterator[Fraction]:
+    """The proportion as a five-parameter hypergeometric partial sum of
+    length l, for l = 1..n in turn, lazily, from one pass over the series:
+    its parameters depend on (n, m) only, so the form at l is the l-th
+    partial sum of ``hypergeometric_partial_sums`` times one prefactor.
+    Raises SingularParameterError at the first l where a lower parameter
+    hits zero (even n, l = n/2 + 2), after yielding every shorter one."""
+    _check_axis_domain(n, m, 1)
     pref_num = math.factorial(2 * n - 1) * _rising_product(m + 1, 1, n - 1) ** 2
     pref_den = math.factorial(n - 1) ** 2 * _rising_product(2 * m + 1, 1, 2 * n - 1)
-    for num, den in hypergeometric_partial_sums(
+    sums = hypergeometric_partial_sums(
         [-n, Fraction(2 - n, 2), m, -m - n, Fraction(1, 2)],
         [Fraction(-n, 2), 1 - m - n, 1 + m, Fraction(1 - 2 * n, 2)],
         1,
-        length,
-    ):
-        yield pref_num * num, pref_den * den
-
-
-def proportion_series_forms(n: int, m: int) -> Iterator[Fraction]:
-    """``proportion_series_form(n, m, l)`` for l = 1..n in turn, lazily,
-    from one pass over the series: its parameters depend on (n, m) only, so
-    the form at l is the l-th partial sum times one prefactor.  Raises
-    SingularParameterError at the first singular l (even n, l = n/2 + 2),
-    after yielding every shorter one."""
-    _check_axis_domain(n, m, 1)
-    return (Fraction(num, den) for num, den in _series_form_sums(n, m, n))
-
-
-def proportion_series_form(n: int, m: int, l: int) -> Fraction:
-    """The proportion as a five-parameter hypergeometric partial sum of
-    length l.  Raises SingularParameterError where a lower parameter hits
-    zero inside the range (even n with l >= n/2 + 2)."""
-    _check_axis_domain(n, m, l)
-    *_, (num, den) = _series_form_sums(n, m, l)
-    return Fraction(num, den)
+        n,
+    )
+    return (Fraction(pref_num * num, pref_den * den) for num, den in sums)
 
 
 def proportion_balanced_form(n: int, m: int, l: int) -> Fraction:

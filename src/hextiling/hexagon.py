@@ -31,6 +31,7 @@ lower half.  All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import enum
+from operator import index
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -63,12 +64,15 @@ class HexagonSpec(_Sides):
     side_m = 2m keeps n = side_a, odd side_m = 2m-1 gives n = side_a - 1 (so
     side_a == 1 with odd side_m has no axis rhombus).  Either way there are n
     axis positions.  side_m == 0 is the degenerate hexagon, a parallelogram;
-    the pentagons of offset 0 are cut from it.
+    the pentagons of offset 0 are cut from it.  Both sides are read through
+    ``operator.index``, so a side that is not an integer (a float, say)
+    raises ``TypeError`` and a ``bool`` is stored as an ``int``.
     """
 
     __slots__ = ()
 
     def __new__(cls, side_a: int, side_m: int):
+        side_a, side_m = index(side_a), index(side_m)
         if side_a < 1:
             raise ValueError("side_a must be a positive integer")
         if side_m < 0:

@@ -277,9 +277,9 @@ def check_reduced_polynomials(max_n: int = 6) -> List[CaseResult]:
     reflection P(-n-m) = (-1)^(n+1) P(m) is compared at all n + 2 sample
     points m, which decides it for the interpolant (degree <= n + 1) even
     where the degree check fails; the special values at m in
-    [-floor(n/2), 0] are compared with ``formulas.reduced_poly_value`` by
-    cross-multiplying, all l of one n reading one set of factorial
-    products from ``formulas.reduced_poly_special_values``.  See
+    [-floor(n/2), 0] are compared with
+    ``formulas.reduced_poly_special_values`` by cross-multiplying, all l of
+    one n reading one set of factorial products.  See
     check_reflection_unsigned for the strict sign-free variant of the
     reflection.
     """

@@ -127,25 +127,25 @@ _coefficient_lists = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=7)
 
 
-@given(_coefficient_lists, st.integers(1, 10**6), st.integers(-50, 50).filter(bool))
+@given(_coefficient_lists, st.integers(-10**6, 10**6).filter(bool),
+       st.integers(-50, 50).filter(bool))
 def test_polynomial_normal_form(coeffs, scale, den):
     p = Polynomial(coeffs)
-    # integer numerators over one positive denominator, in lowest terms
-    assert all(type(c) is int for c in p.nums) and type(p.den) is int
-    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
-    assert not p.nums or p.nums[-1] != 0
-    # the same polynomial, its coefficients scaled up and put over a
-    # denominator of either sign, is equal and hashes equal
+    # Fraction coefficients, lowest degree first, the last one nonzero
+    assert type(p.coeffs) is tuple and all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    # the same polynomial, its coefficients scaled and put over a
+    # denominator of either sign, is equal, hashes equal and has the same
+    # coefficients
     scaled = Polynomial([c * scale * den for c in coeffs], scale * den)
     assert scaled == p and hash(scaled) == hash(p)
-    assert (scaled.nums, scaled.den) == (p.nums, p.den)
+    assert scaled.coeffs == p.coeffs
     # coeffs round-trips
     assert Polynomial(p.coeffs) == p
     assert list(p.coeffs) + [0] * (len(coeffs) - len(p.coeffs)) == coeffs
-    assert all(type(c) is Fraction for c in p.coeffs)
-    # the zero polynomial and 0 * p are empty
-    for zero in (Polynomial(), Polynomial([0, F(0)], den), 0 * p, p * F(0)):
-        assert zero.is_zero and (zero.nums, zero.den) == ((), 1) and zero.coeffs == ()
+    # every zero form is empty
+    for zero in (Polynomial(), Polynomial([0, F(0)], den), 0 * p, p * F(0), p - p):
+        assert zero.is_zero and zero.coeffs == () and zero == Polynomial()
 
 
 @given(st.lists(st.one_of(st.integers(-10**6, 10**6),
@@ -155,19 +155,34 @@ def test_polynomial_normal_form(coeffs, scale, den):
        st.integers(-50, 50).filter(bool))
 def test_polynomial_reads_mixed_coefficients_exactly(coeffs, den):
     # ints, Fractions and floats (read as the rationals they store) give the
-    # same fields as the Fractions of the same coefficients
+    # same coefficients as the Fractions of the same values
     mixed = Polynomial(coeffs, den)
     exact = Polynomial([Fraction(c) for c in coeffs], den)
-    assert (mixed.nums, mixed.den) == (exact.nums, exact.den)
-    assert all(type(c) is int for c in mixed.nums) and type(mixed.den) is int
+    assert mixed.coeffs == exact.coeffs and hash(mixed) == hash(exact)
+    assert all(type(c) is Fraction for c in mixed.coeffs)
+    assert Polynomial([1, 0.1, F(1, 3)]).coeffs == (1, F(0.1), F(1, 3))
+    assert F(0.1) != F(1, 10)
 
 
 def test_polynomial_negative_denominator_is_normalised():
     p = Polynomial([2, -4, 6], -8)
-    assert (p.nums, p.den) == ((-1, 2, -3), 4)
+    assert p.coeffs == (F(-1, 4), F(1, 2), F(-3, 4))
     assert p == Polynomial([F(-1, 4), F(1, 2), F(-3, 4)])
-    with pytest.raises(ZeroDivisionError):
-        Polynomial([1], 0)
+    for coeffs in ([1], []):
+        with pytest.raises(ZeroDivisionError):
+            Polynomial(coeffs, 0)
+
+
+def test_polynomial_is_an_immutable_value():
+    p = Polynomial([2, -4, 6], -8)
+    assert repr(p) == "Polynomial([Fraction(-1, 4), Fraction(1, 2), Fraction(-3, 4)])"
+    with pytest.raises(AttributeError):
+        p.coeffs = (F(1),)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    twin = Polynomial([F(-1, 4), F(1, 2), F(-3, 4)])
+    assert twin == p and hash(twin) == hash(p) and len({p, twin}) == 1
+    assert Polynomial([1]) != p and p != p.coeffs
 
 
 def test_polynomial_algebra():

@@ -20,10 +20,8 @@ from hextiling.formulas import (
     proportion,
     proportion_balanced_form,
     proportion_nm,
-    proportion_series_form,
     proportion_series_forms,
     reduced_poly_special_values,
-    reduced_poly_value,
     upper_count_closed_form,
 )
 from hextiling.hexagon import HexagonSpec, marked_path_family, pentagon_path_family
@@ -164,41 +162,32 @@ def test_lower_weighted_closed_form_grid():
                 assert det == closed[l - 1], (n, m, l)
 
 
-def test_reduced_poly_value_base():
-    assert reduced_poly_value(0, 1, 1) == 1
+def test_reduced_poly_special_value_base():
+    assert reduced_poly_special_values(1) == [[1]]
 
 
-def test_reduced_poly_value_matches_interpolation():
+def test_reduced_poly_special_values_match_interpolation():
     for n in range(1, 7):
         samples, den = reduced_samples(n)
+        specials = reduced_poly_special_values(n)
         for l, row in enumerate(samples, start=1):
             _, behind = extend_backwards(row, n // 2 + 1)  # P(0), P(-1), ...
-            for m_val in range(-(n // 2), 1):
-                assert F(behind[-m_val], den) == reduced_poly_value(m_val, n, l), (n, l, m_val)
+            assert [F(z, den) for z in behind] == specials[l - 1], (n, l)
 
 
-def test_special_values_of_every_position_match_single_values():
+def test_special_values_are_cut_to_zero_per_position():
     # one product per (n, mu), cut to zero from mu = min(l, n + 1 - l) on
     for n in range(1, 13):
         table = reduced_poly_special_values(n)
         assert len(table) == n
         for l, values in enumerate(table, start=1):
-            assert values == [reduced_poly_value(-mu, n, l) for mu in range(n // 2 + 1)]
+            assert len(values) == n // 2 + 1, (n, l)
             cut = min(l, n + 1 - l)
             assert all(value == 0 for value in values[cut:]), (n, l)
             assert all(value != 0 for value in values[:cut]), (n, l)
     # even n: mu = n/2 is past the cutoff at every l
     assert [values[-1] for values in reduced_poly_special_values(4)] == [0] * 4
     assert reduced_poly_special_values(0) == []
-
-
-def test_reduced_poly_value_validation():
-    with pytest.raises(ValueError):
-        reduced_poly_value(-3, 4, 1)
-    with pytest.raises(ValueError):
-        reduced_poly_value(1, 4, 1)
-    with pytest.raises(ValueError):
-        reduced_poly_value(0, 4, 5)
 
 
 def test_central_sum_values():
@@ -226,8 +215,8 @@ def test_hyp_chain_values():
 def test_hyp_chain_singular_cells():
     # even n with l >= n/2 + 2 drives a lower parameter of the series form
     # through zero; nothing upstream of it is singular
-    with pytest.raises(SingularParameterError):
-        proportion_series_form(4, 2, 4)
+    values, error = _series_outcomes(4, 2)
+    assert values == [proportion_nm(4, 2, l) for l in range(1, 4)] and error
     assert proportion_balanced_form(4, 2, 4) == proportion_nm(4, 2, 4)
 
 
@@ -243,21 +232,16 @@ def _series_outcomes(n, m):
     return values, None
 
 
-def test_series_forms_of_every_position_match_single_forms():
+def test_series_forms_match_proportion_up_to_the_singular_position():
     for n in range(1, 13):
         for m in range(1, 9):
             values, error = _series_outcomes(n, m)
-            # the series is singular exactly at even n, l >= n/2 + 2
+            # the series is singular exactly at even n, l >= n/2 + 2: a
+            # lower parameter -n/2 vanishes at step n/2 + 1
             regular = n if n % 2 else min(n, n // 2 + 1)
-            assert len(values) == regular, (n, m)
-            assert (error is None) == (regular == n), (n, m)
-            for l in range(1, n + 1):
-                if l <= regular:
-                    assert values[l - 1] == proportion_series_form(n, m, l) == proportion_nm(n, m, l)
-                else:
-                    with pytest.raises(SingularParameterError) as exc:
-                        proportion_series_form(n, m, l)
-                    assert str(exc.value) == error, (n, m, l)
+            assert values == [proportion_nm(n, m, l) for l in range(1, regular + 1)], (n, m)
+            want = f"denominator parameter {-n // 2} vanishes at step {n // 2 + 1}"
+            assert error == (None if regular == n else want), (n, m)
     assert _series_outcomes(4, 2)[1] == "denominator parameter -2 vanishes at step 3"
 
 
@@ -270,7 +254,7 @@ def test_series_forms_reject_what_axis_sum_rejects(n, m):
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("form", [proportion_series_form, proportion_balanced_form])
+@pytest.mark.parametrize("form", [proportion_balanced_form])
 @pytest.mark.parametrize("n, m, l", [(3, 2, 0), (3, 2, 4), (3, 0, 2), (4, 0, 5)])
 def test_sum_forms_reject_what_axis_sum_rejects(form, n, m, l):
     # l = 0, l = n + 1 and m = 0 fail before any arithmetic, with the

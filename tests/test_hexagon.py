@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -74,6 +75,17 @@ def test_hexagon_spec_validation(side_a, side_m):
             HexagonSpec(side_a, side_m)
     else:
         assert HexagonSpec(side_a, side_m).side_m == side_m
+
+
+def test_hexagon_spec_sides_are_integers():
+    # a side that is not an integer raises at construction instead of
+    # reaching the formulas or the region builder as a fraction of a cell
+    for sides in [(2.5, 3), (3, 4.0), (Fraction(5, 2), 3), ("3", 4)]:
+        with pytest.raises(TypeError):
+            HexagonSpec(*sides)
+    spec = HexagonSpec(True, 2)
+    assert spec == (1, 2) and type(spec.side_a) is int and type(spec.n) is int
+    assert repr(spec) == "HexagonSpec(side_a=1, side_m=2)"
 
 
 def test_hexagon_spec_is_an_immutable_value():

@@ -2,9 +2,11 @@
 builds the same value another way.
 
 - Each integer-first exact kernel against a term-by-term Fraction
-  construction of the same value (polynomial evaluation, the axis sum and
-  the three forms of the proportion among them, and the hypergeometric
-  partial sums at every length), and the backward
+  construction of the same value (the axis sum and the three forms of the
+  proportion among them, the series form at every position of one
+  (n, m), and the hypergeometric partial sums at every length), the
+  reference ``Polynomial``'s evaluation and arithmetic against plain
+  lists of Fraction coefficients, and the backward
   difference table of ``extend_backwards`` against Lagrange interpolation
   over ``Fraction``.
 - Each path matrix against its entries typed out by hand.
@@ -56,8 +58,8 @@ from hextiling.formulas import (
     macmahon_count,
     proportion_balanced_form,
     proportion_nm,
-    proportion_series_form,
-    reduced_poly_value,
+    proportion_series_forms,
+    reduced_poly_special_values,
 )
 from hextiling.hexagon import (
     Cell,
@@ -608,6 +610,17 @@ def test_polynomial_call_edge_cases():
     assert Polynomial([F(1, 2), 0, F(-1, 3)])(F(3, 2)) == F(1, 2) - F(3, 4)
 
 
+@given(st.lists(_rationals, max_size=8), st.lists(_rationals, max_size=8), _rationals)
+def test_polynomial_sums_and_scalar_products_match_reference(a, b, scalar):
+    # coefficient lists of either length, added and subtracted term by term
+    p, q = Polynomial(a), Polynomial(b)
+    padded = [a + [F(0)] * (len(b) - len(a)), b + [F(0)] * (len(a) - len(b))]
+    assert (p + q).coeffs == _trimmed(x + y for x, y in zip(*padded))
+    assert (p - q).coeffs == _trimmed(x - y for x, y in zip(*padded))
+    assert (-p).coeffs == _trimmed(-x for x in a)
+    assert (scalar * p).coeffs == (p * scalar).coeffs == _trimmed(scalar * x for x in a)
+
+
 @given(st.lists(_rationals, max_size=8), _rationals, _rationals)
 def test_compose_affine_matches_reference(coeffs, shift, slope):
     poly = Polynomial(coeffs)
@@ -836,12 +849,14 @@ def test_reduced_samples_match_per_row_reference():
                 sum(c * m**k for k, c in enumerate(coeffs)) for m in range(1, n + 3)], (n, l)
 
 
-def test_reduced_poly_value_matches_reference_on_its_whole_domain():
+def test_reduced_poly_special_values_match_reference_on_their_whole_domain():
     for n in range(1, 10):
-        for l in range(1, n + 1):
-            for m_val in range(-(n // 2), 1):
-                assert (reduced_poly_value(m_val, n, l)
-                        == _reference_reduced_poly_value(m_val, n, l)), (n, l, m_val)
+        table = reduced_poly_special_values(n)
+        assert len(table) == n
+        for l, values in enumerate(table, start=1):
+            assert len(values) == n // 2 + 1, (n, l)
+            for mu, value in enumerate(values):
+                assert value == _reference_reduced_poly_value(-mu, n, l), (n, l, mu)
 
 
 @given(st.integers(1, 12), st.integers(0, 20))
@@ -867,13 +882,22 @@ def test_axis_sum_matches_reference(nl, m):
 
 @given(_n_and_l(14), st.integers(1, 14))
 def test_proportion_forms_match_reference(nl, m):
-    # the series form is singular for even n and l >= n/2 + 2: both sides
-    # must then raise the same error
     n, l = nl
     assert proportion_nm(n, m, l) == _reference_proportion_nm(n, m, l)
-    assert (_outcome(proportion_series_form, n, m, l)
-            == _outcome(_reference_series_form, n, m, l))
     assert proportion_balanced_form(n, m, l) == _reference_balanced_form(n, m, l)
+
+
+@given(st.integers(1, 14), st.integers(1, 14))
+def test_series_forms_match_reference_position_by_position(n, m):
+    # the series form is singular for even n and l >= n/2 + 2: the forms
+    # must stop at the first such l with the reference's error and message
+    forms = proportion_series_forms(n, m)
+    for l in range(1, n + 1):
+        want = _outcome(_reference_series_form, n, m, l)
+        assert _outcome(next, forms) == want, (n, m, l)
+        if isinstance(want, tuple):
+            break
+    assert next(forms, None) is None
 
 
 # A dead end, where every higher neighbor of the lowest uncovered cell is
