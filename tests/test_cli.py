@@ -97,6 +97,12 @@ def test_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_run_suite_rejects_an_unknown_suite():
+    # argparse's choices stop the name above; a library caller reaches this
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'; choose from \\["):
+        verify.run_suite("nonsense")
+
+
 def test_verify_suite_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma5",
                            "--max-n", "4", "--max-m", "4")
@@ -205,6 +211,11 @@ def test_sweep_clamps_tiny_parameters(capsys):
 def test_sweep_rejects_bad_ratios(capsys):
     code, _, err = run_cli(capsys, "sweep", "--a", "0.5", "--b", "1.5", "--n", "4")
     assert code == 2 and "0 < b < 1" in err
+
+
+def test_sweep_rejects_a_negative_a(capsys):
+    assert run_cli(capsys, "sweep", "--a", "-1", "--b", "0.5", "--n", "4") == (
+        2, "", "error: need a >= 0\n")
 
 
 @pytest.mark.parametrize("argv, message", [

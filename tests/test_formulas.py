@@ -38,6 +38,12 @@ def test_macmahon_values():
     assert macmahon_count(0, 7, 9) == 1
 
 
+def test_macmahon_rejects_a_negative_side():
+    for sides in [(-1, 2, 2), (2, -1, 2), (2, 2, -1)]:
+        with pytest.raises(ValueError, match="box dimensions must be nonnegative"):
+            macmahon_count(*sides)
+
+
 def test_macmahon_symmetric_in_all_axes():
     for a in range(0, 6):
         for b in range(a, 6):
@@ -195,6 +201,12 @@ def test_central_sum_values():
     assert central_axis_sum(2) == F(7, 20)
     # closed form at n = 2: 2 * 2! * 1! * 9!! / (6! * 5!!) = 7/20
     assert central_axis_closed_form(2) == F(2 * 2 * 945, 720 * 15)
+
+
+def test_central_closed_form_needs_a_positive_n():
+    # at n = 0 the factorials (n - 1)! and (4n - 3)!! are undefined
+    with pytest.raises(ValueError, match="need n >= 1"):
+        central_axis_closed_form(0)
 
 
 def test_central_sum_identity_and_recurrence():

@@ -31,6 +31,12 @@ def test_hexagon_cell_counts():
     assert hexagon_cells(0, 5, 0) == frozenset()
 
 
+def test_hexagon_cells_rejects_a_negative_side():
+    for sides in [(-1, 2, 2), (2, -1, 2), (2, 2, -1)]:
+        with pytest.raises(ValueError, match="hexagon sides must be nonnegative"):
+            hexagon_cells(*sides)
+
+
 def test_box_a_b_a_is_hexagon_a_b():
     # the oracle-vs-theorems suite takes box(a, b, a)'s count from hexagon(a, b)
     for a in range(1, 5):

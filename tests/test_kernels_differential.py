@@ -1,6 +1,9 @@
 """Differential tests: each rewritten kernel against a reference that
 builds the same value another way.
 
+- ``binomial`` and ``_rising_product`` against the integer loops they
+  replaced: the falling product n(n-1)...(n-k+1) // k! and one
+  multiplication per factor.
 - Each integer-first exact kernel against a term-by-term Fraction
   construction of the same value (the axis sum and the three forms of the
   proportion among them, the series form at every position of one
@@ -26,8 +29,8 @@ builds the same value another way.
 
 The references build on nothing that was rewritten: only ``Fraction``
 (the polynomial references work on plain lists of ``Fraction``
-coefficients, not on ``Polynomial``), ``math``, ``binomial``, the rational
-elimination below and the cell geometry of ``cell_neighbors``.  (The
+coefficients, not on ``Polynomial``), ``math``, ``binomial`` (itself
+checked against its loop first), the rational elimination below and the cell geometry of ``cell_neighbors``.  (The
 determinant is also checked against the permutation expansion in
 ``test_matrices.py``.)  The closed forms, the hypergeometric forms of the
 proportion and the samples of the reduced determinant's polynomial part
@@ -46,6 +49,7 @@ from hextiling import oracle
 from hextiling.exact import (
     Polynomial,
     SingularParameterError,
+    _rising_product,
     binomial,
     extend_backwards,
     hypergeometric_partial_sums,
@@ -94,6 +98,28 @@ from hextiling.oracle import (
 )
 
 F = Fraction
+
+
+def _reference_binomial(n, k):
+    """The falling product n(n-1)...(n-k+1) // k!, which holds for negative
+    n too, over the shorter of k and n - k when n >= 0."""
+    if n >= 0 and 2 * k > n:
+        k = n - k
+    if k < 0:
+        return 0
+    out = 1
+    for t in range(k):
+        out *= n - t
+    # k consecutive integers are always divisible by k!
+    return out // math.factorial(k)
+
+
+def _reference_rising_product(p, q, k):
+    """p(p+q)(p+2q)...(p+(k-1)q), one multiplication per factor."""
+    out = 1
+    for t in range(k):
+        out *= p + t * q
+    return out
 
 
 def _reference_shifted_factorial(a, k):
@@ -555,6 +581,21 @@ def _punctured_regions(draw):
                               draw(st.integers(1, n)))
     deleted = draw(st.sets(st.sampled_from(sorted(region.cells))))
     return Region(region.cells - deleted, region.weighted_pairs)
+
+
+def test_binomial_matches_falling_product():
+    # the grid of test_exact.py's math.comb check, large rows included
+    for n in [*range(-12, 40), 10**5 + 10, 10**6]:
+        for k in [*range(-3, 45), n - 3, n - 1, n, n + 1]:
+            assert binomial(n, k) == _reference_binomial(n, k), (n, k)
+
+
+def test_rising_product_matches_reference():
+    # negative p puts a zero factor inside the product; k <= 0 is empty
+    for p in range(-12, 13):
+        for q in (1, 2, 3):
+            for k in range(-2, 13):
+                assert _rising_product(p, q, k) == _reference_rising_product(p, q, k), (p, q, k)
 
 
 @given(st.one_of(_rationals, st.integers(-12, 12)), st.integers(0, 12))

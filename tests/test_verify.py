@@ -78,3 +78,76 @@ def test_only_verify_and_cli_import_several_routes():
     for module in SIBLINGS - {"verify", "cli"}:
         routes = _sibling_imports((PACKAGE / f"{module}.py").read_text()) & ROUTES
         assert len(routes) <= 1, (module, routes)
+
+
+# No stale artefacts: an import nothing reads, or a private function or
+# class nothing calls, is dead code.  ``__init__`` imports only to re-export,
+# so its imports are exempt from the first rule.
+
+def _unread_imports(source: str) -> list:
+    """Every name ``source`` imports and never reads, in import order;
+    ``from __future__ import ...`` binds no name and is left out."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+def _references(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Every name read, attribute read and name imported in ``tree``,
+    outside the subtree ``skip``."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def _unreferenced_private_definitions(sources: dict) -> list:
+    """Every module-level private function or class of the modules
+    ``sources`` (module name to source) that no module refers to outside
+    its own body, as ``module.name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not any(node.name in _references(other, skip=node)
+                                for other in trees.values())):
+                dead.append(f"{module}.{node.name}")
+    return dead
+
+
+def test_dead_code_detection():
+    assert _unread_imports("from __future__ import annotations\n"
+                           "import math, os.path\n"
+                           "from typing import List, Tuple as T\n"
+                           "x: List[int] = math.pi\n") == ["os", "T"]
+    assert _unreferenced_private_definitions({
+        "a": "def _used(): pass\n"
+             "def _recursive(n): return _recursive(n - 1)\n"
+             "class _Unused: pass\n",
+        "b": "from .a import _used\n_used()\n",
+    }) == ["a._recursive", "a._Unused"]
+
+
+def test_package_has_no_unread_import_or_uncalled_private_definition():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    for module, source in sources.items():
+        if module != "__init__":
+            assert _unread_imports(source) == [], module
+    assert _unreferenced_private_definitions(sources) == []
