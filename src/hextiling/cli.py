@@ -44,44 +44,36 @@ class SweepRow(NamedTuple):
         return cls(n, m, l, exact, prop, limit, _round15(abs(prop - limit)))
 
 
-def _round15(x: float) -> float:
-    return float(f"{x:.15g}")
-
-
 def _fmt15(x: float) -> str:
     return f"{x:.15g}"
+
+
+def _round15(x: float) -> float:
+    return float(_fmt15(x))
 
 
 SWEEP_HEADER = "N,m,l,proportion_exact,proportion_float,arcsine_value,abs_error"
 
 
+def _columns(r: SweepRow) -> tuple:
+    """The values of one row in ``SWEEP_HEADER`` order, the exact proportion
+    as the string p/q (kept for an integral one too) and the floats raw."""
+    exact = r.proportion_exact
+    return (r.n, r.m, r.l, f"{exact.numerator}/{exact.denominator}",
+            r.proportion_float, r.arcsine_value, r.abs_error)
+
+
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.n},{r.m},{r.l},{r.proportion_exact.numerator}/"
-            f"{r.proportion_exact.denominator},{_fmt15(r.proportion_float)},"
-            f"{_fmt15(r.arcsine_value)},{_fmt15(r.abs_error)}"
-        )
-    return "\n".join(lines)
+    lines = [",".join(_fmt15(v) if isinstance(v, float) else str(v) for v in _columns(r))
+             for r in rows]
+    return "\n".join([SWEEP_HEADER, *lines])
 
 
 def rows_to_json(rows: Sequence[SweepRow]) -> str:
     import json  # only this output format needs it; kept off the start-up path
 
-    payload = [
-        {
-            "N": r.n,
-            "m": r.m,
-            "l": r.l,
-            "proportion_exact": f"{r.proportion_exact.numerator}/{r.proportion_exact.denominator}",
-            "proportion_float": r.proportion_float,
-            "arcsine_value": r.arcsine_value,
-            "abs_error": r.abs_error,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2)
+    keys = SWEEP_HEADER.split(",")
+    return json.dumps([dict(zip(keys, _columns(r))) for r in rows], indent=2)
 
 
 def _hexagon(side_a: int, side_m: int) -> HexagonSpec:
@@ -153,10 +145,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"need N >= 1, got N = {n}")
         if not math.isfinite(args.a * n):
             raise ValueError(f"a*N overflows for a = {args.a}, N = {n}")
-    if not 0.0 < args.b < 1.0:
-        raise ValueError("need 0 < b < 1")
-    if args.a < 0.0:
-        raise ValueError("need a >= 0")
+    formulas.arcsine_limit(args.a, args.b)  # raises on b outside (0, 1), then on a < 0
     rows = [SweepRow.compute(n, args.a, args.b) for n in args.n]
     if args.format == "csv":
         print(rows_to_csv(rows))

@@ -6,9 +6,11 @@ pure function of immutable values (thread-safe by construction), and no
 floating point appears anywhere: callers that want a float convert at the
 very end with ``float()``.
 
-The kernels are integer-first and say each arithmetic step once.
-``_rising_product`` is the one product loop: shifted factorials,
-binomials and double factorials are all made from it.  ``_ratio`` is the
+The kernels are integer-first and say each arithmetic step once, and
+leave products and binomials to the standard library:
+``_rising_product`` is ``math.prod`` over an arithmetic progression, the
+one product behind shifted and double factorials, and ``binomial`` is
+``math.comb`` extended to negative n.  ``_ratio`` is the
 one way a rational is read, as a numerator and a denominator (straight
 from an ``int`` or ``Fraction``, through ``Fraction()`` from anything
 else), and ``_over_common_denominator`` is the one step that puts several
@@ -54,27 +56,22 @@ def shifted_factorial(a, k: int) -> Fraction:
 
 
 def _rising_product(p: int, q: int, k: int) -> int:
-    """Integer product p(p+q)(p+2q)...(p+(k-1)q), i.e. q**k (p/q)_k: the
-    one product loop behind every factorial-like value here."""
-    out = 1
-    for t in range(k):
-        out *= p + t * q
-    return out
+    """Integer product p(p+q)(p+2q)...(p+(k-1)q), i.e. q**k (p/q)_k, for a
+    step q > 0 (callers pass 1, 2 or a positive denominator); the empty
+    product 1 for k <= 0."""
+    return math.prod(range(p, p + k * q, q))
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient, total in n via the product (n-k+1)...(n-1)n / k!.
+    """Binomial coefficient, total in n: ``math.comb`` for n >= 0.
 
     Returns 0 for k < 0 and for 0 <= n < k; negative n follows the polynomial
-    definition, so Pascal's recurrence holds on the whole integer grid.  For
-    n >= 0 the product runs over the shorter of k and n - k.
+    definition (-1)^k C(k-n-1, k), so Pascal's recurrence holds on the whole
+    integer grid.
     """
-    if n >= 0 and 2 * k > n:
-        k = n - k
     if k < 0:
         return 0
-    # k consecutive integers are always divisible by k!
-    return _rising_product(n - k + 1, 1, k) // math.factorial(k)
+    return math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
 
 
 def double_factorial(n: int) -> int:
