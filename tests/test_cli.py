@@ -218,6 +218,17 @@ def test_sweep_rejects_a_negative_a(capsys):
         2, "", "error: need a >= 0\n")
 
 
+def test_sweep_checks_its_ratios_before_any_row(capsys, monkeypatch):
+    # a row at large N costs seconds, so a bad ratio must fail before it
+    def no_rows(*_):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(formulas, "proportion_nm", no_rows)
+    for ratios, message in [(("0.5", "1.5"), "need 0 < b < 1"), (("-1", "0.5"), "need a >= 0")]:
+        argv = ["sweep", "--a", ratios[0], "--b", ratios[1], "--n", "4", "10"]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--a", "0.5", "--b", "0.5", "--n", "0"], "need N >= 1, got N = 0"),
     (["--a", "0.5", "--b", "0.5", "--n", "4", "-3"], "need N >= 1, got N = -3"),
