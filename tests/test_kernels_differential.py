@@ -27,15 +27,15 @@ builds the same value another way.
   replaced, and the oracle's one-pass hexagon tally against the count of
   the hexagon less each axis rhombus's two cells.
 
-The references build on nothing that was rewritten: only ``Fraction``
-(the polynomial references work on plain lists of ``Fraction``
-coefficients, not on ``Polynomial``), ``math``, ``binomial`` (itself
-checked against its loop first), the rational elimination below and the cell geometry of ``cell_neighbors``.  (The
-determinant is also checked against the permutation expansion in
-``test_matrices.py``.)  The closed forms, the hypergeometric forms of the
-proportion and the samples of the reduced determinant's polynomial part
-are checked against the one-``Fraction``-per-factor versions they replaced,
-also kept here.
+The references build on nothing rewritten but ``binomial``, which is
+checked here against the loop it replaced: only ``Fraction`` (the
+polynomial references work on plain lists of ``Fraction`` coefficients,
+not on ``Polynomial``), ``math``, ``binomial``, the rational elimination
+below and the cell geometry of ``cell_neighbors``.  (The determinant is
+also checked against the permutation expansion in ``test_matrices.py``.)
+The closed forms, the hypergeometric forms of the proportion and the
+samples of the reduced determinant's polynomial part are checked against
+the one-``Fraction``-per-factor versions they replaced, also kept here.
 """
 
 import math

@@ -1,6 +1,8 @@
 """The verification suites reach the library only through its public names,
 so each identity they compare can take its quantities from any route; and
-each route builds only on the shared layers, not on another route."""
+each route builds only on the shared layers, not on another route.  No
+module holds an import it never reads or a private definition nothing
+refers to."""
 
 import ast
 from pathlib import Path
