@@ -36,8 +36,11 @@ into one scale per point, so that the polynomial part comes out as n + 2
 integer samples per l over one denominator, from which the
 ``p-polynomial`` suite reads every verdict.
 Determinants are computed by fraction-free Bareiss elimination on
-integers, with a deterministic pivot rule; one private loop does every
-elimination, and it can resume from the divisor that earlier steps left.
+integers; one private loop does every elimination, and it can resume from
+the divisor that earlier steps left.  Its one pivot rule swaps a zero
+pivot's column with the first later column that has a nonzero entry in
+the pivot row: matrices that share their columns move alike, so no
+matrix of a marked row set is left to another path.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import index
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exact import _over_common_denominator, _ratio, _rising_product
 from .hexagon import PathFamilySpec
@@ -69,49 +72,47 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     return _bareiss([[index(x) for x in row] for row in rows])[0]
 
 
-def _bareiss(mat: Matrix, prev: int = 1, carried: Matrix = ()) -> List[Optional[int]]:
+def _bareiss(mat: Matrix, prev: int = 1, carried: Matrix = ()) -> List[int]:
     """Fraction-free Bareiss elimination of the square integer rows ``mat``
     in place, resumed with divisor ``prev``.
 
     If ``mat`` is the trailing block that earlier steps left, with ``prev``
     the last of their pivots, the first value returned is the determinant
-    of the whole matrix up to the sign of the earlier row swaps (with
+    of the whole matrix up to the sign of the earlier column swaps (with
     prev = 1, the determinant of ``mat``).  Each step divides by the pivot
-    of the step before, exactly by Sylvester's identity.  Zero pivots are
-    repaired by swapping with the first row below that has a nonzero entry
-    in the pivot column, flipping the tracked sign; if none exists the
-    determinant is zero.
+    of the step before, exactly by Sylvester's identity.  A zero pivot is
+    repaired by swapping its column with the first later column that has a
+    nonzero entry in the pivot row, in every row still being eliminated,
+    flipping the tracked sign; if none exists the pivot row depends on the
+    rows above it and the determinant is zero.
 
     The values after the first are the determinants of ``mat`` with row k
     replaced by ``carried[k-1]``, for k = 1, ..., len(carried).  That
     matrix shares the rows above row k, so its first k steps are those of
     ``mat``: ``carried[k-1]`` goes through them in place with the rows
     below the pivot, and the block it then forms with the rows below it is
-    finished by a recursive call.  A swap would move the rows of those
-    matrices unevenly, so once one is needed the matrices not yet finished
-    get None.
+    finished by a recursive call.  Those matrices share their columns, so
+    a column swap moves them all alike; when a pivot row is zero, every
+    matrix not yet finished holds it with the rows above it, and is 0.
     """
     n = len(mat)
     sign = 1
-    out = [None] * (len(carried) + 1)
+    out = [0] * (len(carried) + 1)
     for k in range(n):
         if 0 < k <= len(carried):
             block = [carried[k - 1][k:]] + [row[k:] for row in mat[k + 1:]]
-            out[k] = _bareiss(block, prev)[0]
+            out[k] = sign * _bareiss(block, prev)[0]
         if k == n - 1:
             break
-        if mat[k][k] == 0:
-            carried = ()
-            for r in range(k + 1, n):
-                if mat[r][k]:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                out[0] = 0
-                return out
-        pivot = mat[k][k]
         row_k = mat[k]
+        if row_k[k] == 0:
+            c = next((j for j in range(k + 1, n) if row_k[j]), None)
+            if c is None:
+                return out
+            for row in (*mat[k:], *carried[k:]):
+                row[k], row[c] = row[c], row[k]
+            sign = -sign
+        pivot = row_k[k]
         for row_i in (*mat[k + 1:], *carried[k:]):
             lead = row_i[k]
             for j in range(k + 1, n):
@@ -132,9 +133,10 @@ def marked_row_determinants(plain: Sequence[Sequence[int]],
     Matrix l shares the plain rows above row l with every later one, so
     the plain rows are eliminated once, carrying each marked row through
     the same Bareiss steps, and matrix l is finished from that shared
-    state after l - 1 steps.  Matrix 1 shares nothing and goes through
-    :func:`determinant`, as does every matrix left unfinished by a zero
-    pivot among the shared plain rows.  Entries go through
+    state after l - 1 steps.  A zero pivot among the shared plain rows is
+    repaired by a column swap, which moves every matrix alike, so the
+    shared elimination always finishes all of them.  Matrix 1 shares
+    nothing and goes through :func:`determinant`.  Entries go through
     ``operator.index``, as in :func:`determinant`.
     """
     n = len(plain)
@@ -150,8 +152,7 @@ def marked_row_determinants(plain: Sequence[Sequence[int]],
             raise ValueError("need rows of length n")
     shared = _bareiss(rows, 1, carried)
     shared[0] = first
-    return [determinant([*plain[:l], marked[l], *plain[l + 1:]]) if det is None else det
-            for l, det in enumerate(shared)]
+    return shared
 
 
 def path_matrix(family: PathFamilySpec) -> Matrix:
@@ -188,6 +189,8 @@ def reduced_rows(m, n: int) -> tuple:
     m = p/q.  Entry j of row i is (m+i-j+1)_{j-1} times
     (n+j-2i+2)_{n-j} (n+2m-j+1)/2 (plain) or (n+j-2i+1)_{n-j+1} (marked).
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     p, q = _ratio(m)
     q_powers = [1]
     for _ in range(n):
@@ -230,8 +233,6 @@ def reduced_determinants(m, n: int) -> Tuple[List[int], int]:
     :func:`marked_row_determinants`, and they share their denominator, so
     two of them compare as integers; two points compare by cross-multiplying.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     plain, marked, plain_den, marked_den = reduced_rows(m, n)
     return marked_row_determinants(plain, marked), plain_den ** (n - 1) * marked_den
 

@@ -51,20 +51,6 @@ def test_binomial_pascal_grid():
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
-def test_binomial_matches_math_comb():
-    # the whole integer grid: k > n gives 0, negative n follows the polynomial
-    # (-1)^k C(k-n-1, k); the large rows need the short side, n - k
-    for n in [*range(-12, 40), 10**5 + 10, 10**6]:
-        for k in [*range(-3, 45), n - 3, n - 1, n, n + 1]:
-            if k < 0:
-                want = 0
-            elif n >= 0:
-                want = math.comb(n, k)
-            else:
-                want = (-1) ** k * math.comb(k - n - 1, k)
-            assert binomial(n, k) == want, (n, k)
-
-
 def test_double_factorial():
     assert double_factorial(1) == 1
     assert double_factorial(3) == 3

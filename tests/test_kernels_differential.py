@@ -13,10 +13,10 @@ builds the same value another way.
   difference table of ``extend_backwards`` against Lagrange interpolation
   over ``Fraction``.
 - Each path matrix against its entries typed out by hand.
-- The integer Bareiss ``determinant`` against a Gaussian elimination over
-  ``Fraction``, and the Bareiss steps shared across row-replaced matrices,
-  directly and through ``marked_row_determinants``, against
-  ``determinant`` of each.
+- The integer Bareiss ``determinant``, and the Bareiss steps shared
+  across row-replaced matrices, directly and through
+  ``marked_row_determinants``, against a Gaussian elimination over
+  ``Fraction`` that swaps rows where they swap columns.
 - The oracle's iterative search against the three recursive searches it
   replaced, kept here as the references.
 - The oracle's neighbor lists, in both of the counters' scan orders,
@@ -584,7 +584,8 @@ def _punctured_regions(draw):
 
 
 def test_binomial_matches_falling_product():
-    # the grid of test_exact.py's math.comb check, large rows included
+    # the whole integer grid: k > n gives 0, negative n follows the polynomial
+    # (-1)^k C(k-n-1, k); the large rows need the short side, n - k
     for n in [*range(-12, 40), 10**5 + 10, 10**6]:
         for k in [*range(-3, 45), n - 3, n - 1, n, n + 1]:
             assert binomial(n, k) == _reference_binomial(n, k), (n, k)
@@ -768,8 +769,8 @@ def test_hypergeometric_sum_reads_float_parameters_exactly():
 @st.composite
 def _integer_matrices(draw):
     """Square integer matrices, small and large entries mixed.  Some draws
-    zero the leading column above a random row, so the first pivot needs a
-    row swap; some replace a row by a combination of the rows, so the
+    zero the leading column above a random row, so the first pivot is 0
+    and needs a swap; some replace a row by a combination of the rows, so the
     matrix is singular."""
     n = draw(st.integers(1, 6))
     entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30))
@@ -815,21 +816,13 @@ def _row_replacements(draw):
 @given(_row_replacements())
 def test_shared_elimination_matches_determinant_of_each_replaced_matrix(case):
     rows, marked = case
-    # the public entry point; zero pivots hand their matrices to determinant
-    assert marked_row_determinants(rows, marked) == [
-        determinant(rows[:k] + [row] + rows[k + 1:]) for k, row in enumerate(marked)]
-    # the private loop, which carries the replacements of every row but the first
-    carried = marked[1:]
-    shared = _bareiss([row[:] for row in rows], 1, [row[:] for row in carried])
-    assert len(shared) == len(rows)
-    assert shared[0] == determinant(rows)
-    for k, det in enumerate(shared[1:], start=1):
-        # matrix k is left unfinished exactly when a leading minor of size
-        # at most k vanishes: the shared steps then need a row swap
-        swapped = any(determinant([row[:s] for row in rows[:s]]) == 0 for s in range(1, k + 1))
-        assert (det is None) == swapped, k
-        if det is not None:
-            assert det == determinant(rows[:k] + [carried[k - 1]] + rows[k + 1:]), k
+    want = [_rational_determinant(rows[:k] + [row] + rows[k + 1:]) for k, row in enumerate(marked)]
+    # the public entry point; zero pivots are repaired by column swaps
+    assert marked_row_determinants(rows, marked) == want
+    # the private loop, which carries the replacements of every row but the
+    # first and finishes every matrix, whatever pivots it meets
+    shared = _bareiss([row[:] for row in rows], 1, [row[:] for row in marked[1:]])
+    assert shared == [_rational_determinant(rows)] + want[1:]
 
 
 @given(st.integers(1, 7), _reduced_m)

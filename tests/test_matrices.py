@@ -88,7 +88,7 @@ def test_determinant_rejects_fraction_entries():
 
 def test_determinant_singular_and_pivoting():
     assert determinant([[0, 0], [1, 1]]) == 0
-    # zero leading pivot forces a row swap
+    # zero leading pivot forces a column swap
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[0, 2, 1], [3, 0, 0], [0, 0, 1]]) == -6
 
@@ -193,7 +193,8 @@ def test_marked_row_determinants_validation():
     # matrix 1 is [[5, 6], [3, 4]] and matrix 2 is [[1, 2], [7, 8]]; rows
     # may be any sequences
     assert marked_row_determinants([[1, 2], [3, 4]], [[5, 6], (7, 8)]) == [2, -6]
-    # a zero pivot among the shared rows hands matrix 2 to determinant
+    # a zero pivot among the shared rows is repaired by a column swap, and
+    # matrix 2 is finished from the shared elimination
     assert marked_row_determinants(((0, 1), (1, 0)), ((2, 3), (4, 5))) == [-3, -4]
     with pytest.raises(ValueError, match="one marked row per plain row"):
         marked_row_determinants([[1, 2], [3, 4]], [[1, 2]])
@@ -210,6 +211,30 @@ def test_marked_row_determinants_validation():
             marked_row_determinants(plain, marked)
 
 
+def test_marked_row_determinants_pivot_by_column(monkeypatch):
+    from hextiling import matrices
+
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return determinant(rows)
+
+    monkeypatch.setattr(matrices, "determinant", counted)
+    marked = [[1, 1, 1], [0, 1, 2], [3, 1, 4]]
+    # a zero pivot at shared step 1, then dependent rows 0-1, which make
+    # every matrix holding both 0; the shared elimination finishes them all
+    # (by a column swap, or a zero pivot row), and only matrix 1 goes
+    # through determinant
+    for plain, want in [([[1, 2, 3], [2, 4, 5], [1, 0, 1]], [3, 2, -5]),
+                        ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [-2, -1, 0])]:
+        calls.clear()
+        assert marked_row_determinants(plain, marked) == want
+        assert len(calls) == 1, plain
+        assert want == [determinant(plain[:l] + [row] + plain[l + 1:])
+                        for l, row in enumerate(marked)]
+
+
 def test_reduced_matrix_base_case():
     _, marked, _, marked_den = reduced_rows(F(7, 3), 1)
     assert (marked, marked_den) == ([[1]], 1)
@@ -218,6 +243,8 @@ def test_reduced_matrix_base_case():
 
 def test_reduced_determinant_validation():
     for n in (-2, -1, 0):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            reduced_rows(F(1, 2), n)
         with pytest.raises(ValueError, match="need n >= 1"):
             reduced_determinants(F(1, 2), n)
         with pytest.raises(ValueError, match="need n >= 1"):
