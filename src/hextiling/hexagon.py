@@ -31,6 +31,7 @@ lower half.  All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from operator import index
 from typing import Iterable, NamedTuple, Optional
 
@@ -201,11 +202,14 @@ def build_region(
       axis except the two forming the marked rhombus ``axis``.  The remaining
       axis rhombi become the weight-1/2 pairs.
 
-    Only LOWER_HALF takes (and requires) the ``axis`` mark.
+    Only LOWER_HALF takes (and requires) the ``axis`` mark.  Every kind and
+    mark of one hexagon is cut from the same ``_cells_of`` result, so a
+    caller that builds a hexagon's regions one after another computes its
+    cells once.
     """
     _check_mark(spec, kind, axis)
     a, m_side = spec.side_a, spec.side_m
-    cells = hexagon_cells(a, m_side, a)
+    cells = _cells_of(a, m_side)
 
     if kind is RegionKind.FULL_HEXAGON:
         return Region(cells)
@@ -223,6 +227,15 @@ def build_region(
         if k != axis
     )
     return Region(frozenset(keep), pairs)
+
+
+@lru_cache(maxsize=1)
+def _cells_of(side_a: int, side_m: int) -> frozenset:
+    """``hexagon_cells(side_a, side_m, side_a)``, kept for the hexagon in
+    hand: the oracle suites build its regions in a row (the full hexagon
+    once per axis position, then its halves), and the next hexagon
+    replaces it."""
+    return hexagon_cells(side_a, side_m, side_a)
 
 
 def box_region(a: int, b: int, c: int) -> Region:

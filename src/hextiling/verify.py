@@ -60,14 +60,23 @@ def _tallies(max_a, max_m, max_cells, parities=(Parity.EVEN, Parity.ODD)):
         [spec for spec in _grid(max_a, max_m) if spec.parity in parities], max_cells)
 
 
-def _total_cases(tallies, box_limit, max_cells) -> List[CaseResult]:
-    """Hexagon totals from the walk, then every box with sides up to
-    box_limit.  box(a, b, a) has the cells of hexagon(a, b), so it takes
-    that hexagon's count when the walk holds it; each box is still compared
-    with the product in its own argument order."""
+def _products(tallies) -> Dict[HexagonSpec, int]:
+    """MacMahon's product of every hexagon of ``tallies``, taken once each:
+    both its total check and its fixed-count checks read it."""
+    return {spec: formulas.macmahon_count(spec.side_a, spec.side_a, spec.side_m)
+            for spec in tallies}
+
+
+def _total_cases(tallies, products, box_limit, max_cells) -> List[CaseResult]:
+    """Hexagon totals from the walk against ``products``, then every box
+    with sides up to box_limit.  box(a, b, a) has the cells of
+    hexagon(a, b), so it takes that hexagon's count when the walk holds it;
+    each box is still compared with the product in its own argument
+    order."""
     out: List[CaseResult] = []
-    for (a, m), (got, _) in tallies.items():
-        want = formulas.macmahon_count(a, a, m)
+    for spec, (got, _) in tallies.items():
+        a, m = spec
+        want = products[spec]
         _case(out, f"hexagon({a},{m}) total", got == want, f"oracle {got} vs product {want}")
     for a in range(1, box_limit + 1):
         for b in range(1, box_limit + 1):
@@ -82,11 +91,16 @@ def _total_cases(tallies, box_limit, max_cells) -> List[CaseResult]:
     return out
 
 
-def _fixed_cases(tallies) -> List[CaseResult]:
+def _fixed_cases(tallies, products) -> List[CaseResult]:
+    """Oracle fixed counts against the proportion times the hexagon's
+    product in ``products``.  The closed form is compared as a fraction, so
+    a product that makes it non-integral fails the check of its position
+    instead of stopping the run."""
     out: List[CaseResult] = []
     for spec, (_, fixed) in tallies.items():
         a, m = spec
-        for (l, got), want in zip(fixed.items(), formulas.fixed_counts(spec, fixed)):
+        for l, got in fixed.items():
+            want = formulas.proportion(spec, l) * products[spec]
             _case(out, f"hexagon({a},{m}) fixed l={l}", got == want,
                   f"oracle {got} vs formula {want}")
     return out
@@ -95,19 +109,22 @@ def _fixed_cases(tallies) -> List[CaseResult]:
 def check_totals(max_a: int = 3, max_m: int = 4, box_limit: int = 3,
                  max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Oracle tiling counts against MacMahon's product, hexagons and boxes."""
-    return _total_cases(_tallies(max_a, max_m, max_cells), box_limit, max_cells)
+    tallies = _tallies(max_a, max_m, max_cells)
+    return _total_cases(tallies, _products(tallies), box_limit, max_cells)
 
 
 def check_fixed_even(max_a: int = 3, max_m: int = 4,
                      max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Oracle fixed-rhombus counts against the even-side closed form."""
-    return _fixed_cases(_tallies(max_a, max_m, max_cells, {Parity.EVEN}))
+    tallies = _tallies(max_a, max_m, max_cells, {Parity.EVEN})
+    return _fixed_cases(tallies, _products(tallies))
 
 
 def check_fixed_odd(max_a: int = 3, max_m: int = 3,
                     max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Oracle fixed-rhombus counts against the odd-side closed form."""
-    return _fixed_cases(_tallies(max_a, max_m, max_cells, {Parity.ODD}))
+    tallies = _tallies(max_a, max_m, max_cells, {Parity.ODD})
+    return _fixed_cases(tallies, _products(tallies))
 
 
 def _ciucu(spec: HexagonSpec, upper, lower):
@@ -126,7 +143,12 @@ def check_factorization(max_a: int = 3, max_m: int = 4,
     the frontier kernel and the lower half once per l.  Every hexagon is
     checked against the oracle's limits before the first enumeration, so an
     oversized request fails at once, on the first hexagon past them; a half
-    is never larger or wider than its hexagon, so no half fails first."""
+    is never larger or wider than its hexagon, so no half fails first.
+
+    A hexagon's regions are built in a row, so each hexagon's cells are
+    computed once for its check and once for the limit check, and its
+    n enumerations share one sorted and indexed scan (see
+    :mod:`hextiling.oracle`)."""
     out: List[CaseResult] = []
     specs = [spec for spec in _grid(max_a, max_m) if spec.n > 0]
     for spec in specs:
@@ -411,11 +433,13 @@ def check_oracle_vs_theorems(max_a: int = 3, max_m: int = 4,
     """Totals plus fixed-rhombus counts for both parities on one grid.
 
     The grid is walked once: ``oracle.hexagon_tallies`` gives every
-    hexagon's total and fixed counts, one ``formulas.fixed_counts`` per
-    hexagon the closed forms of all its positions, and box(a, b, a) reuses
-    hexagon(a, b)'s total.  Box totals stop at sides of _BOX_LIMIT whatever
-    max_a is; a larger max_a is reported on stderr as bounding the hexagons
-    only.
+    hexagon's total and fixed counts, and MacMahon's product is taken once
+    per hexagon, for its total and, times the proportion at each position,
+    for its fixed counts.  A product that is wrong shows as FAIL lines,
+    also where it leaves a fixed count non-integral.  box(a, b, a) reuses
+    hexagon(a, b)'s total but takes its own product, in its own argument
+    order.  Box totals stop at sides of _BOX_LIMIT whatever max_a is; a
+    larger max_a is reported on stderr as bounding the hexagons only.
     """
     if max_a > _BOX_LIMIT:
         side = _BOX_LIMIT
@@ -423,7 +447,9 @@ def check_oracle_vs_theorems(max_a: int = 3, max_m: int = 4,
               f"{side}x{side}x{side}; max_a={max_a} bounds the hexagons only",
               file=sys.stderr)
     tallies = _tallies(max_a, max_m, max_cells)
-    return _total_cases(tallies, min(max_a, _BOX_LIMIT), max_cells) + _fixed_cases(tallies)
+    products = _products(tallies)
+    return (_total_cases(tallies, products, min(max_a, _BOX_LIMIT), max_cells)
+            + _fixed_cases(tallies, products))
 
 
 SUITES: Dict[str, Callable[..., List[CaseResult]]] = {

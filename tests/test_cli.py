@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hextiling import formulas, verify
+from hextiling import formulas, hexagon, oracle, verify
 from hextiling.cli import (
     SWEEP_HEADER,
     SweepRow,
@@ -163,6 +163,56 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "FAIL forced failure" in out
     assert "FAILED" in err
+
+
+def test_wrong_product_is_a_route_failure_not_a_usage_error(capsys, monkeypatch):
+    # the product plus 1 leaves the fixed counts non-integral (4/3 first);
+    # that must read as FAIL lines and exit 1, not as "error:" and exit 2
+    product = formulas.macmahon_count
+    monkeypatch.setattr(formulas, "macmahon_count", lambda a, b, c: product(a, b, c) + 1)
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle-vs-theorems",
+                             "--max-a", "3", "--max-m", "4")
+    assert code == 1
+    assert "error:" not in err
+    checks = out.splitlines()[:-1]
+    assert len(checks) == 12 + 27 + 18
+    assert all(line.startswith("FAIL ") for line in checks)
+    assert "FAIL hexagon(1,2) fixed l=1 (oracle 1 vs formula 4/3)" in checks
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends each call's
+    positional arguments to ``calls``."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_oracle_suites_do_each_hexagons_work_once(capsys, monkeypatch):
+    # factorization 3/4 has 10 hexagons and 37 distinct regions (the
+    # trimmed upper halves of hexagon(1, 2) and (1, 4) are both empty); it
+    # used to build the cells 56 times and prepare 46 scans.  The kernels
+    # receive each scan as its ``later`` lists; holding them keeps ids apart
+    cells, counts, enumerations = [], [], []
+    _counting(monkeypatch, hexagon, "hexagon_cells", cells)
+    _counting(monkeypatch, oracle, "_frontier", counts)
+    _counting(monkeypatch, oracle, "_joined_tilings", enumerations)
+    factorization = ["verify", "--suite", "factorization", "--max-a", "3", "--max-m", "4"]
+    assert run_cli(capsys, *factorization)[0] == 0
+    assert len(cells) <= 20
+    scans = [args[0] for args in counts] + [args[1] for args in enumerations]
+    assert len({id(later) for later in scans}) <= 38
+    # oracle-vs-theorems 3/4: 12 hexagon products and 27 box products; the
+    # fixed counts of the 10 hexagons with axis rhombi used to take 10 more
+    products = []
+    _counting(monkeypatch, formulas, "macmahon_count", products)
+    assert run_cli(capsys, "verify", "--suite", "oracle-vs-theorems",
+                   "--max-a", "3", "--max-m", "4")[0] == 0
+    assert len(products) == 39
 
 
 def test_verify_hyp_chain_reports_skips(capsys):
@@ -454,6 +504,12 @@ _GOLDEN_COMMANDS = [
      "3ffea6b1966d45f4e2b317e41f5bc81595bc52e7e0ad99a249dc1b9e0e7c8f60"),
     (["verify", "--suite", "factorization", "--max-a", "3", "--max-m", "4"],
      "12bcab4c377173d6859e5c6c20efb805fdac34afe1d6d5254bf8caf84cf794b8"),
+    (["verify", "--suite", "oracle-vs-theorems", "--max-a", "2", "--max-m", "5"],
+     "c2978ebd385f7b121cceef26a0ddb9a624ec24797767010b432fc4b7876249e3"),
+    (["verify", "--suite", "factorization", "--max-a", "2", "--max-m", "5"],
+     "0dd1bdc0531e438b2faa20cc711e1ee453afe3b7578d174ef48c813a9c135dca"),
+    (["verify", "--suite", "factorization", "--max-a", "3", "--max-m", "3"],
+     "eb5bc88e82ee145a6d9599da07f017bb90246bc23da3951a16759fbdf4cf8bf1"),
     (["count", "--sides", "12", "9"],
      "6c010f936f094e2004a0d31aafc37bafeec251165c218505801ba080a55426a5"),
     (["fixed", "--sides", "24", "25", "--l", "7"],
