@@ -52,7 +52,6 @@ from .formulas import (
     fixed_count,
     fixed_count_even,
     fixed_count_odd,
-    fixed_counts,
     lower_weighted_closed_forms,
     macmahon_count,
     proportion,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .exact import (
     _rising_product,
@@ -120,22 +120,12 @@ def proportion(spec: HexagonSpec, l: int) -> Fraction:
     return proportion_nm(spec.n, spec.m, l)
 
 
-def fixed_counts(spec: HexagonSpec, positions: Iterable[int]) -> list[int]:
-    """Tilings of the hexagon with sides (spec.side_a, spec.side_m) that
-    contain the l-th axis rhombus, for each l in ``positions``: the
-    proportion times MacMahon's total, which is computed once, and not at
-    all when there is no position."""
-    # the proportions first: they reject a bad l before the product is taken
-    proportions = [proportion(spec, l) for l in positions]
-    if not proportions:
-        return []
-    total = macmahon_count(spec.side_a, spec.side_a, spec.side_m)
-    return [_as_integer(p * total, "fixed count") for p in proportions]
-
-
 def fixed_count(spec: HexagonSpec, l: int) -> int:
-    """``fixed_counts`` at the single position l."""
-    return fixed_counts(spec, [l])[0]
+    """Tilings of the hexagon with sides (spec.side_a, spec.side_m) that
+    contain the l-th axis rhombus: the proportion times MacMahon's total."""
+    # the proportion first: it rejects a bad l before the product is taken
+    p = proportion(spec, l)
+    return _as_integer(p * macmahon_count(spec.side_a, spec.side_a, spec.side_m), "fixed count")
 
 
 def fixed_count_even(n: int, m: int, l: int) -> int:

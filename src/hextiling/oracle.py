@@ -210,7 +210,8 @@ def _prepare(region: Region, max_cells: int):
     The limits are checked and the order picked on every call; the scan of
     the last (cells, order) is kept, so the n filtered enumerations that
     ``count_with_fixed_rhombus`` runs over one hexagon sort and index it
-    once.
+    once.  Every caller of that region gets the same objects: the cells and
+    the neighbor lists are tuples, and the index must only be read.
     """
     return _scan(region.cells, _scan_order(region.cells, max_cells))
 
@@ -227,8 +228,7 @@ def _scan(cells: frozenset, order):
     second (the differential tests check these lists against a reference
     that lists all three neighbors of every cell).  Plain tuples hash and
     compare equal to ``Cell``, so they look up the index directly, once
-    each.  One slot, keyed on the order as well as the cells: the callers
-    only read what it returns.
+    each.  One slot, keyed on the order as well as the cells.
     """
     cells = sorted(cells, key=order)
     index = dict(zip(cells, range(len(cells))))
@@ -246,7 +246,7 @@ def _scan(cells: frozenset, order):
             later.append(((i, j),))
         else:
             later.append(((i, j), (i, k)) if j < k else ((i, k), (i, j)))
-    return cells, index, later
+    return tuple(cells), index, tuple(later)
 
 
 def _index_pair(index, a, b) -> tuple:
@@ -375,10 +375,7 @@ def _frontier(later, weight=None, axis=()) -> list:
     has at most two later partners, and a partial matching makes at most
     ``cells // 2`` such choices, so no count exceeds 2^(cells // 2) and no
     field carries into the next.  The top field is read unmasked, so with no
-    ``axis`` a weighted sum of any size comes back whole.  With no ``axis``
-    (``count_tilings``, ``weighted_count``) the moves carry no field shift
-    and the step tests none: 5-9 % of the kernel's time on hexagons with
-    a <= 3 (2-vCPU VM, CPython 3.11).
+    ``axis`` a weighted sum of any size comes back whole.
 
     Returns fields 0 to ``len(axis)`` of mask 0 past the last cell.
     """
@@ -387,25 +384,11 @@ def _frontier(later, weight=None, axis=()) -> list:
     shifts = {pair: l * width for l, pair in enumerate(axis, start=1)}
     states = {0: 1}
     for lo, choices in enumerate(later):
-        nxt = {}
-        if not shifts:
-            moves = [(1 << (pair[1] - lo), 1 if weight is None else weight[pair])
-                     for pair in choices]
-            for mask, ways in states.items():
-                if mask & 1:
-                    key = mask >> 1
-                    nxt[key] = nxt.get(key, 0) + ways
-                    continue
-                for bit, w in moves:
-                    if not mask & bit:
-                        key = (mask | bit) >> 1
-                        nxt[key] = nxt.get(key, 0) + ways * w
-            states = nxt
-            continue
         moves = [
             (1 << (pair[1] - lo), 1 if weight is None else weight[pair], shifts.get(pair, 0))
             for pair in choices
         ]
+        nxt = {}
         for mask, ways in states.items():
             if mask & 1:
                 key = mask >> 1

@@ -60,23 +60,21 @@ def _tallies(max_a, max_m, max_cells, parities=(Parity.EVEN, Parity.ODD)):
         [spec for spec in _grid(max_a, max_m) if spec.parity in parities], max_cells)
 
 
-def _products(tallies) -> Dict[HexagonSpec, int]:
-    """MacMahon's product of every hexagon of ``tallies``, taken once each:
-    both its total check and its fixed-count checks read it."""
-    return {spec: formulas.macmahon_count(spec.side_a, spec.side_a, spec.side_m)
-            for spec in tallies}
+def _product(spec: HexagonSpec) -> int:
+    """MacMahon's product for the hexagon ``spec``."""
+    return formulas.macmahon_count(spec.side_a, spec.side_a, spec.side_m)
 
 
-def _total_cases(tallies, products, box_limit, max_cells) -> List[CaseResult]:
-    """Hexagon totals from the walk against ``products``, then every box
-    with sides up to box_limit.  box(a, b, a) has the cells of
+def _total_cases(tallies, box_limit, max_cells, product=_product) -> List[CaseResult]:
+    """Hexagon totals from the walk against ``product(spec)``, then every
+    box with sides up to box_limit.  box(a, b, a) has the cells of
     hexagon(a, b), so it takes that hexagon's count when the walk holds it;
     each box is still compared with the product in its own argument
     order."""
     out: List[CaseResult] = []
     for spec, (got, _) in tallies.items():
         a, m = spec
-        want = products[spec]
+        want = product(spec)
         _case(out, f"hexagon({a},{m}) total", got == want, f"oracle {got} vs product {want}")
     for a in range(1, box_limit + 1):
         for b in range(1, box_limit + 1):
@@ -91,16 +89,19 @@ def _total_cases(tallies, products, box_limit, max_cells) -> List[CaseResult]:
     return out
 
 
-def _fixed_cases(tallies, products) -> List[CaseResult]:
-    """Oracle fixed counts against the proportion times the hexagon's
-    product in ``products``.  The closed form is compared as a fraction, so
-    a product that makes it non-integral fails the check of its position
-    instead of stopping the run."""
+def _fixed_cases(tallies, product=_product) -> List[CaseResult]:
+    """Oracle fixed counts against the proportion times ``product(spec)``,
+    taken once per hexagon with an axis position.  The closed form is
+    compared as a fraction, so a product that makes it non-integral fails
+    the check of its position instead of stopping the run."""
     out: List[CaseResult] = []
     for spec, (_, fixed) in tallies.items():
+        if not fixed:
+            continue
         a, m = spec
+        total = product(spec)
         for l, got in fixed.items():
-            want = formulas.proportion(spec, l) * products[spec]
+            want = formulas.proportion(spec, l) * total
             _case(out, f"hexagon({a},{m}) fixed l={l}", got == want,
                   f"oracle {got} vs formula {want}")
     return out
@@ -109,22 +110,19 @@ def _fixed_cases(tallies, products) -> List[CaseResult]:
 def check_totals(max_a: int = 3, max_m: int = 4, box_limit: int = 3,
                  max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Oracle tiling counts against MacMahon's product, hexagons and boxes."""
-    tallies = _tallies(max_a, max_m, max_cells)
-    return _total_cases(tallies, _products(tallies), box_limit, max_cells)
+    return _total_cases(_tallies(max_a, max_m, max_cells), box_limit, max_cells)
 
 
 def check_fixed_even(max_a: int = 3, max_m: int = 4,
                      max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Oracle fixed-rhombus counts against the even-side closed form."""
-    tallies = _tallies(max_a, max_m, max_cells, {Parity.EVEN})
-    return _fixed_cases(tallies, _products(tallies))
+    return _fixed_cases(_tallies(max_a, max_m, max_cells, {Parity.EVEN}))
 
 
 def check_fixed_odd(max_a: int = 3, max_m: int = 3,
                     max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Oracle fixed-rhombus counts against the odd-side closed form."""
-    tallies = _tallies(max_a, max_m, max_cells, {Parity.ODD})
-    return _fixed_cases(tallies, _products(tallies))
+    return _fixed_cases(_tallies(max_a, max_m, max_cells, {Parity.ODD}))
 
 
 def _ciucu(spec: HexagonSpec, upper, lower):
@@ -447,9 +445,9 @@ def check_oracle_vs_theorems(max_a: int = 3, max_m: int = 4,
               f"{side}x{side}x{side}; max_a={max_a} bounds the hexagons only",
               file=sys.stderr)
     tallies = _tallies(max_a, max_m, max_cells)
-    products = _products(tallies)
-    return (_total_cases(tallies, products, min(max_a, _BOX_LIMIT), max_cells)
-            + _fixed_cases(tallies, products))
+    product = {spec: _product(spec) for spec in tallies}.__getitem__
+    return (_total_cases(tallies, min(max_a, _BOX_LIMIT), max_cells, product)
+            + _fixed_cases(tallies, product))
 
 
 SUITES: Dict[str, Callable[..., List[CaseResult]]] = {

@@ -14,7 +14,6 @@ from hextiling.formulas import (
     fixed_count,
     fixed_count_even,
     fixed_count_odd,
-    fixed_counts,
     lower_weighted_closed_forms,
     macmahon_count,
     proportion,
@@ -124,15 +123,18 @@ def test_fixed_counts_symmetric_under_reflection():
                 assert fixed_count_even(n, m, l) == fixed_count_even(n, m, n + 1 - l)
 
 
-def test_fixed_counts_take_no_product_without_positions(monkeypatch):
-    # hexagon(1, 3) has no axis position, so there is nothing to multiply
+def test_fixed_count_rejects_a_bad_position_before_the_product(monkeypatch):
+    # hexagon(1, 3) has no axis position and hexagon(3, 4) three, so the
+    # proportion rejects these positions and no product is taken
     from hextiling import formulas
 
     def unexpected(*sides):
-        raise AssertionError(f"macmahon_count{sides} taken for no position")
+        raise AssertionError(f"macmahon_count{sides} taken for a bad position")
 
     monkeypatch.setattr(formulas, "macmahon_count", unexpected)
-    assert fixed_counts(HexagonSpec(1, 3), []) == []
+    for spec, l in [(HexagonSpec(1, 3), 1), (HexagonSpec(3, 4), 0), (HexagonSpec(3, 4), 4)]:
+        with pytest.raises(ValueError, match="need 1 <= l"):
+            fixed_count(spec, l)
 
 
 def test_upper_count_closed_form():

@@ -43,7 +43,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hextiling import oracle
 from hextiling.exact import (
@@ -978,37 +978,6 @@ def test_counts_agree_in_every_scan_order_on_punctured_regions(region):
     assert _in_every_order(weighted_count, region) == [weighted] * len(_ORDERS)
 
 
-def _with_dominoes(later, weight, count):
-    """``later`` and ``weight`` with ``count`` separate dominoes appended,
-    each one forced pair of weight 1: the weighted sum stays, and the
-    fields of ``oracle._frontier`` widen by one bit per domino."""
-    dominoes = [(i, i + 1) for i in range(len(later), len(later) + 2 * count, 2)]
-    return (later + [lists for pair in dominoes for lists in ((pair,), ())],
-            {**weight, **dict.fromkeys(dominoes, 1)})
-
-
-@given(_punctured_regions(), st.data())
-def test_plain_counts_match_field_zero_of_an_axis_run(region, data):
-    # count_tilings and weighted_count run the frontier with no axis pairs,
-    # on a step that shifts no field; with axis pairs, field 0 must still
-    # hold the same sum.  A weighted sum can reach 2^cells, past a field of
-    # cells // 2 + 1 bits, so the weighted run is widened by dominoes
-    for order in _ORDERS:
-        with _scanning(order):
-            cells, index, later = oracle._prepare(region, len(region.cells))
-            count, weighted = count_tilings(region), weighted_count(region)
-        pairs = sorted(pair for choices in later for pair in choices)
-        assume(pairs)
-        axis = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
-        assert oracle._frontier(later, axis=axis)[0] == count
-        halves = {tuple(sorted((index[a], index[b]))) for a, b in region.weighted_pairs
-                  if a in index and b in index}
-        weight = {pair: 1 if pair in halves else 2 for pair in pairs}
-        wide, wide_weight = _with_dominoes(later, weight, len(cells) // 2 + 1)
-        raw = oracle._frontier(wide, wide_weight, axis)[0]
-        assert Fraction(raw, 2 ** (len(cells) // 2)) == weighted
-
-
 def test_box_counts_agree_in_every_scan_order():
     # 125 boxes, degenerate ones included; the product is the reference,
     # since the recursive search is too slow for box(4, 4, 4)
@@ -1118,10 +1087,10 @@ def _assert_later_matches_cell_neighbors(region):
         with _scanning(order):
             cells, index, later = oracle._prepare(region, DEFAULT_CELL_LIMIT)
         ref_cells, neighbors = _prepare(region, DEFAULT_CELL_LIMIT, order)
-        assert cells == ref_cells
+        assert cells == tuple(ref_cells)
         assert index == {c: i for i, c in enumerate(cells)}
-        assert later == [tuple((i, j) for j in near if j > i)
-                         for i, near in enumerate(neighbors)]
+        assert later == tuple(tuple((i, j) for j in near if j > i)
+                              for i, near in enumerate(neighbors))
 
 
 def test_later_matches_cell_neighbors():

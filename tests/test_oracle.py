@@ -162,6 +162,20 @@ def test_counters_scan_along_the_narrower_order():
         assert oracle._scan_order(region.cells, 1000) is order
 
 
+def test_repeated_prepare_matches_a_fresh_scan():
+    # the n enumerations of one hexagon share its kept scan; every one of
+    # them must see what a scan made afresh would give, and cannot change it
+    region = build_region(HexagonSpec(3, 4), RegionKind.FULL_HEXAGON)
+    first = oracle._prepare(region, 1000)
+    again = oracle._prepare(region, 1000)
+    assert again is first
+    fresh = oracle._scan.__wrapped__(region.cells, oracle._scan_order(region.cells, 1000))
+    assert again == fresh
+    cells, _, later = again
+    assert type(cells) is tuple and type(later) is tuple
+    assert all(type(choices) is tuple for choices in later)
+
+
 def test_wide_box_counts_in_milliseconds():
     # about 170 000 states row-major, 66 column-major
     start = time.perf_counter()
