@@ -24,15 +24,12 @@ that enumeration, so the order stays the search order.
 
 Scan orders.  Every kernel scans a region in the one order
 ``_scan_order`` picks for it before any work: row-major, by (row2, col,
-orient), or column-major, by (col, row2, orient), whichever keeps the
-frontier narrower.  A row holds at most one cell per column, and all of
-them can wait for a partner at once, so the row-major frontier is as wide
-as the longest row.  Column-major, only the right cells of the scan column
-and the next one can wait, about half the longest column.  Both orders
-share one neighbor rule.  A region of at most 8 columns keeps row-major
-without counting its lines, so the enumeration of every hexagon with
-a <= 4 comes in row-major order; wider regions enumerate, like they count,
-along their narrower direction.
+orient), or column-major, by (col, row2, orient), whichever has the
+smaller state bound (``_peak_states``), row-major on a tie.  Both orders
+share one neighbor rule, so one colour-balance walk bounds either.  A
+region of at most 8 columns keeps row-major without walking, so the
+enumeration of every hexagon with a <= 4 comes in row-major order; wider
+regions enumerate, like they count, in the order of the smaller bound.
 
 Every axis position in one pass.  ``hexagon_tally`` runs the frontier
 once over the full hexagon.  Each state's value packs fixed-width fields:
@@ -70,20 +67,19 @@ Everything is exact; weighted counts run the kernel on integer pair weights
 and divide once at the end.  Regions larger than the configurable cell limit
 are rejected outright instead of being truncated.  Every kernel also rejects
 a region whose frontier could hold more than ``STATE_BUDGET`` states in its
-scan order: C(w, floor(w/2)) for a row-major frontier w cells wide, and for
-a column-major one the count the colour balance leaves (``_peak_states``):
-box(20, 2, 20) passes with 231 states, where a bound on its width alone
-would give C(22, 11).  A region past the budget in its scan order is
-scanned in the other order instead if its estimate fits there, and
-rejected only when both are past it.  Both limits are
-checked once per region, before any work; ``check_limits`` runs the same
-check alone, and ``hexagon_tallies`` checks every hexagon it is given before
-it counts the first, so an oversized request fails at once.
+scan order, by the bound the colour balance leaves (``_peak_states``):
+box(20, 2, 20) passes with 231 states column-major, where a bound on its
+width alone would give C(22, 11), and box(14, 13, 5) with 11628 row-major
+and 8568 column-major, where its longest row alone would give C(19, 9).  A
+region is rejected only when the smaller of its two bounds is past the
+budget.  Both limits are checked once per region, before any work;
+``check_limits`` runs the same check alone, and ``hexagon_tallies`` checks
+every hexagon it is given before it counts the first, so an oversized
+request fails at once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -101,7 +97,7 @@ from .hexagon import (
 DEFAULT_CELL_LIMIT = 120
 STATE_BUDGET = 50_000
 
-_ROW, _COL = itemgetter(0), itemgetter(1)
+_COL = itemgetter(1)
 _FEW_COLUMNS = 8
 _ROW_MAJOR = None  # sorted()'s own order of cells, (row2, col, orient)
 _COLUMN_MAJOR = itemgetter(1, 0, 2)  # (col, row2, orient)
@@ -118,29 +114,22 @@ class StateBudgetError(RegionTooLargeError):
 
 def _scan_order(cells: frozenset, max_cells: int):
     """The sort key of every kernel's scan order: column-major when its
-    frontier is narrower than row-major's, else row-major (``None``).
+    ``_peak_states`` bound is below row-major's, else row-major (``None``).
 
-    The row-major frontier is as wide as the longest row, the column-major
-    one half the longest column plus the scan cell; both are read off line
-    counts, without building either order.  A row holds at most one cell
-    per column, so a region of at most ``_FEW_COLUMNS`` columns keeps the
-    row-major scan without counting lines: its frontier holds at most
-    C(8, 4) = 70 states.  Column-major can still be faster there: it counts
-    the lower halves of hexagon(3, M), M = 1-8, 1.2-2.0 times as fast.  But
-    counting the lines of every small region costs more than that gains on
-    the oracle suites' small grids: without the shortcut, their max-a 2
-    requests ran 2-11 % slower and max-a 3 ``oracle-vs-theorems`` 2-6 %
-    slower, while max-a 3 ``factorization`` went from 1 % slower to 11 %
-    faster (in-process medians, 2-vCPU Xeon VM, CPython 3.11).
+    A row holds at most one cell per column, so a region of at most
+    ``_FEW_COLUMNS`` columns keeps the row-major scan without walking
+    either order: its frontier holds at most C(8, 4) = 70 states.
+    Column-major can still be faster there: it counts the lower halves of
+    hexagon(3, M), M = 1-8, 1.2-2.0 times as fast.  But the shortcut spares
+    the oracle suites' small regions two walks that cost about as much as
+    their count: on hexagon(3, 4) they take 0.14 ms together, two thirds of
+    its 0.21 ms frontier pass (2-vCPU Xeon VM, CPython 3.11).
 
-    The cell limit is checked first, then ``_peak_states`` in the order
-    picked against ``STATE_BUDGET``.  Past the budget, the other order is
-    taken if its estimate fits: line counts only approximate the
-    estimates, so box(14, 13, 5) goes row-major by its lines, with 92378
-    states, and fits column-major, with 8568.  Only when both orders are
-    past the budget is the region rejected, with the picked order's
-    estimate in the message.  ``_prepare`` calls this once per region, so
-    every kernel checks both limits.
+    The cell limit is checked first, then the smaller bound against
+    ``STATE_BUDGET``; a region past it in both orders is rejected, with
+    that bound and the frontier's width at its peak in the message.
+    ``_prepare`` calls this once per region, so every kernel checks both
+    limits.
     """
     if len(cells) > max_cells:
         raise RegionTooLargeError(
@@ -148,50 +137,46 @@ def _scan_order(cells: frozenset, max_cells: int):
         )
     if len(set(map(_COL, cells))) <= _FEW_COLUMNS:
         return _ROW_MAJOR
-    by_row = max(Counter(map(_ROW, cells)).values())
-    by_column = max(Counter(map(_COL, cells)).values()) // 2 + 1
-    order = _COLUMN_MAJOR if by_column < by_row else _ROW_MAJOR
-    peak = _peak_states(cells, order)
+    row, column = _peak_states(cells, _ROW_MAJOR), _peak_states(cells, _COLUMN_MAJOR)
+    order, (peak, wide) = (_COLUMN_MAJOR, column) if column[0] < row[0] else (_ROW_MAJOR, row)
     if peak > STATE_BUDGET:
-        other = _ROW_MAJOR if order is _COLUMN_MAJOR else _COLUMN_MAJOR
-        if _peak_states(cells, other) <= STATE_BUDGET:
-            return other
         raise StateBudgetError(
-            f"region's frontier is {min(by_row, by_column)} cells wide, so counting it may "
+            f"region's frontier is {wide} cells wide, so counting it may "
             f"take {peak} states, exceeding the budget of {STATE_BUDGET}"
         )
     return order
 
 
-def _peak_states(cells: frozenset, order) -> int:
+def _peak_states(cells: frozenset, order) -> Tuple[int, int]:
     """A bound on the states the frontier holds at once when the kernels
-    scan ``cells`` in ``order``.
+    scan ``cells`` in ``order``, and the number of cells that can wait for
+    a partner at that step (the widest such step, on a tie).
 
-    Row-major, every cell of the longest row, w of them, can wait for a
-    partner at once: C(w, floor(w/2)).  Column-major, a right cell's only
-    later neighbor is the next cell of its column, so past any cell every
-    scanned right cell is paired with a scanned left cell, save the last
-    scanned cell if it is a right cell paired with the next.  By the
-    colour balance the scanned left cells then pair with exactly e cells
-    ahead, or e + 1 in that case, for the excess e of scanned left over
-    scanned right cells; and only the w right cells ahead that neighbor a
-    scanned left cell can be those: at most C(w, e) + C(w, e + 1) states.
+    In either order a left cell's later neighbors are the right cells
+    ``(r2, s + 1)`` and ``(r2 + 1, s)``, and a right cell's is the left
+    cell ``(r2 + 1, s)`` (``_scan``).  Past any cell, a state pairs a set X
+    of right cells ahead with scanned left cells, and a set Y of left cells
+    ahead with scanned right cells.  X lies among the WR right cells ahead
+    that neighbor a scanned left cell, Y among the WL left cells ahead that
+    neighbor a scanned right cell, and by the colour balance |X| - |Y| is
+    the excess e of scanned left over scanned right cells.  By Vandermonde
+    that leaves at most C(WR + WL, WL + e) states, none when WL + e < 0.
+    No shape is assumed.
     """
-    if order is _ROW_MAJOR:
-        width = max(Counter(map(_ROW, cells)).values(), default=0)
-        return comb(width, width // 2)
-    excess, waiting, peak = 0, set(), 1
-    for cell in sorted(cells, key=_COLUMN_MAJOR):
+    excess, right, left, peak = 0, set(), set(), (1, 0)
+    for cell in sorted(cells, key=order):
         r2, s, orient = cell
-        waiting.discard(cell)
         if orient == "left":
+            left.discard(cell)
             excess += 1
-            waiting.update(c for c in ((r2, s + 1, "right"), (r2 + 1, s, "right")) if c in cells)
+            right.update(c for c in ((r2, s + 1, "right"), (r2 + 1, s, "right")) if c in cells)
         else:
+            right.discard(cell)
             excess -= 1
-        ahead = orient == "right" and (r2 + 1, s, "left") in cells
-        peak = max(peak, sum(comb(len(waiting), k)
-                             for k in range(max(excess, 0), excess + 1 + ahead)))
+            left.update(c for c in ((r2 + 1, s, "left"),) if c in cells)
+        wide, free = len(right) + len(left), len(left) + excess
+        if free >= 0:
+            peak = max(peak, (comb(wide, free), wide))
     return peak
 
 

@@ -1039,21 +1039,33 @@ def test_state_estimate_is_never_below_the_measured_peak():
         for l in range(1, HexagonSpec(a, m_side).n + 1)})
     for name, region in regions.items():
         for order in _ORDERS:
-            estimate = oracle._peak_states(region.cells, order)
+            estimate, _ = oracle._peak_states(region.cells, order)
             if estimate <= 5000:
                 assert _measured_peak(region, order) <= estimate, (name, order)
-    # column-major, colour balance makes the estimate exact here; a bound on
-    # the frontier's width alone would give C(22, 11) = 705432 for the first
-    for sides, peak in [((20, 2, 20), 231), ((6, 6, 6), 924), ((2, 9, 7), 220)]:
-        cells = box_region(*sides).cells
-        assert oracle._peak_states(cells, _ORDERS[1]) == peak
-        assert _measured_peak(box_region(*sides), _ORDERS[1]) == peak
+    # colour balance makes the estimate exact here in either order; a bound
+    # on the longest line alone would give C(22, 11) = 705432 for
+    # box(20, 2, 20) column-major, and C(12, 6) = 924 for box(2, 10, 10)
+    # row-major
+    lower_half = build_region(HexagonSpec(6, 17), RegionKind.LOWER_HALF, 1)
+    for order, region, peak in [
+        (_ORDERS[1], box_region(20, 2, 20), 231),
+        (_ORDERS[1], box_region(6, 6, 6), 924),
+        (_ORDERS[1], box_region(2, 9, 7), 220),
+        (_ORDERS[0], box_region(2, 10, 10), 66),
+        (_ORDERS[0], box_region(2, 14, 14), 120),
+        (_ORDERS[0], box_region(1, 8, 8), 9),
+        (_ORDERS[0], lower_half, 924),
+    ]:
+        assert oracle._peak_states(region.cells, order)[0] == peak
+        assert _measured_peak(region, order) == peak
 
 
 @given(_punctured_regions())
-def test_column_major_estimate_holds_on_punctured_regions(region):
-    # the colour-balance argument needs no shape: any set of cells will do
-    assert _measured_peak(region, _ORDERS[1]) <= oracle._peak_states(region.cells, _ORDERS[1])
+def test_state_estimate_holds_on_punctured_regions(region):
+    # the colour-balance argument needs no shape: any set of cells will do,
+    # in either order
+    for order in _ORDERS:
+        assert _measured_peak(region, order) <= oracle._peak_states(region.cells, order)[0]
 
 
 def _lower_halves():

@@ -145,19 +145,23 @@ def test_counters_reach_past_enumeration():
 def test_counters_scan_along_the_narrower_order():
     column_major = oracle._COLUMN_MAJOR
     for region, order in [
-        # a row of box(10, 2, 10) holds 20 cells, all of which can wait at
-        # once; a column 23, of which 12 can
+        # box(10, 2, 10) is bounded at C(20, 10) = 184756 states row-major
+        # and 66 column-major
         (box_region(10, 2, 10), column_major),
-        # the same hexagon turned by 120 degrees: rows of 12 beat columns
+        # the same hexagon turned by 120 degrees: 66 row-major, 286 column-major
         (box_region(2, 10, 10), None),
-        # hexagon(a, side_m) has rows of 2a and columns of side_m + a
+        # hexagon(5, 3): 252 row-major, 56 column-major
         (build_region(HexagonSpec(5, 3), RegionKind.FULL_HEXAGON), column_major),
+        # hexagon(5, 6): 252 row-major, 462 column-major
         (build_region(HexagonSpec(5, 6), RegionKind.FULL_HEXAGON), None),
-        # a tie keeps the row-major scan
+        # a tie, 252 both ways, keeps the row-major scan
         (build_region(HexagonSpec(5, 5), RegionKind.FULL_HEXAGON), None),
-        # so do 8 columns or fewer, whatever the columns hold
+        # so do 8 columns or fewer, whatever the bounds
         (build_region(HexagonSpec(4, 1), RegionKind.FULL_HEXAGON), None),
         (Region(frozenset()), None),
+        # a lower half of 12 columns: 924 row-major, 220 column-major, which
+        # counts it about 9 times as fast
+        (build_region(HexagonSpec(6, 17), RegionKind.LOWER_HALF, 1), column_major),
     ]:
         assert oracle._scan_order(region.cells, 1000) is order
 
@@ -193,12 +197,13 @@ def test_wide_box_passes_the_state_budget():
     assert time.perf_counter() - start < 1.0
 
 
-def test_region_past_the_budget_in_its_line_order_takes_the_other_order():
-    # box(14, 13, 5) goes row-major by its line counts, where its frontier
-    # may take C(18, 9) = 92378 states; column-major it takes at most 8568
+def test_scan_order_takes_the_smaller_bound():
+    # box(14, 13, 5): colour balance bounds its frontier at 11628 states
+    # row-major and 8568 column-major, so it scans column-major; a bound on
+    # its longest row alone, of 19 cells, would give C(19, 9) = 92378
     region = box_region(14, 13, 5)
-    assert oracle._peak_states(region.cells, None) == 92378 > STATE_BUDGET
-    assert oracle._peak_states(region.cells, oracle._COLUMN_MAJOR) == 8568
+    assert oracle._peak_states(region.cells, None)[0] == 11628
+    assert oracle._peak_states(region.cells, oracle._COLUMN_MAJOR)[0] == 8568
     oracle.check_limits(region, max_cells=10**6)
     assert oracle._scan_order(region.cells, 10**6) is oracle._COLUMN_MAJOR
     assert count_tilings(region, max_cells=10**6) == macmahon_count(14, 13, 5)
