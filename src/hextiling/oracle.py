@@ -42,26 +42,29 @@ alone; ``_frontier`` says why that is enough.
 
 Tilings are yielded as frozensets of cell pairs, each pair sorted, so the
 pair ``hexagon.axis_rhombus_cells`` returns is tested by membership.
-Fixed-rhombus counts come in two shapes: ``count_with_fixed_rhombus``
-filters one enumeration per axis position, and ``hexagon_tally`` counts
-every axis position in one frontier pass; ``hexagon_tallies`` gives the
-``oracle-vs-theorems`` suite one tally per hexagon of its grid.  The
-``factorization`` suite of :mod:`hextiling.verify` reads the filtered
-enumeration per position and kernel counts of the two halves from here,
-and compares them itself.
+Fixed-rhombus counts come in two shapes, one pass per hexagon each:
+``count_with_fixed_rhombus`` tests every tiling of one enumeration for
+every axis rhombus, and ``hexagon_tally`` counts every axis position in one
+frontier pass; ``hexagon_tallies`` gives the ``oracle-vs-theorems`` suite
+one tally per hexagon of its grid.  The ``factorization`` suite of
+:mod:`hextiling.verify` reads the enumerated count per position and kernel
+counts of the two halves from here, and compares them itself.
 
 One hexagon's work is done once.  The suites ask for a hexagon's regions
 one after another: the full hexagon once per axis position, then its
-halves.  ``hexagon.build_region`` cuts them all from one cell set, and
-``_prepare`` keeps the scan of the last region, keyed on its cells and on
-the order ``_scan_order`` picks, so the n filtered enumerations of one
-hexagon sort and index it once.  Both memos hold one entry, the hexagon in
-hand.  ``count_with_fixed_rhombus`` still filters the public
-``enumerate_tilings`` once per position rather than reading
-``hexagon_tally``: it gives the ``factorization`` suite a left side that
-visits every tiling, apart from the frontier kernel that counts the two
-halves, and the benchmark's traced run reads its yields through the public
-name (``oracle.enumerate_tilings.yielded``, ``oracle.fixed.useful_ratio``).
+halves.  ``hexagon.build_region`` cuts them all from one cell set,
+``count_with_fixed_rhombus`` keeps the n position counts of the last
+(spec, cell limit) it enumerated (``_fixed_counts``), so the n calls for
+one hexagon enumerate it once, and ``_prepare`` keeps the scan of the last
+region, keyed on its cells and on the order ``_scan_order`` picks.  Each
+memo holds one entry, the hexagon in hand; the counts memo holds n ints,
+never tilings.
+``count_with_fixed_rhombus`` still enumerates through the public
+``enumerate_tilings`` rather than reading ``hexagon_tally``: it gives the
+``factorization`` suite a left side that visits every tiling, apart from
+the frontier kernel that counts the two halves, and the benchmark's traced
+run reads its yields through the public name
+(``oracle.enumerate_tilings.yielded``, ``oracle.fixed.useful_ratio``).
 
 Everything is exact; weighted counts run the kernel on integer pair weights
 and divide once at the end.  Regions larger than the configurable cell limit
@@ -193,10 +196,10 @@ def _prepare(region: Region, max_cells: int):
     higher-indexed neighbors (``_scan``).
 
     The limits are checked and the order picked on every call; the scan of
-    the last (cells, order) is kept, so the n filtered enumerations that
-    ``count_with_fixed_rhombus`` runs over one hexagon sort and index it
-    once.  Every caller of that region gets the same objects: the cells and
-    the neighbor lists are tuples, and the index must only be read.
+    the last (cells, order) is kept, so a region prepared twice in a row is
+    sorted and indexed once.  Every caller of that region gets the same
+    objects: the cells and the neighbor lists are tuples, and the index
+    must only be read.
     """
     return _scan(region.cells, _scan_order(region.cells, max_cells))
 
@@ -421,10 +424,29 @@ def weighted_count(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> Fract
 def count_with_fixed_rhombus(
     spec: HexagonSpec, l: int, max_cells: int = DEFAULT_CELL_LIMIT
 ) -> int:
-    """Tilings of the full hexagon whose pairing contains the l-th axis rhombus."""
-    target = axis_rhombus_cells(spec, l)
-    region = build_region(spec, RegionKind.FULL_HEXAGON)
-    return sum(1 for t in enumerate_tilings(region, max_cells) if target in t)
+    """Tilings of the full hexagon whose pairing contains the l-th axis rhombus.
+
+    ``l`` is checked first (``ValueError`` outside 1..n).  The counts come
+    from ``_fixed_counts``, which tallies every axis position from one
+    enumeration and keeps the n counts of the last (spec, max_cells), so
+    the n calls for one hexagon enumerate it once.
+    """
+    axis_rhombus_cells(spec, l)
+    return _fixed_counts(spec, max_cells)[l - 1]
+
+
+@lru_cache(maxsize=1)
+def _fixed_counts(spec: HexagonSpec, max_cells: int) -> Tuple[int, ...]:
+    """Per axis position l, the tilings of the full hexagon that hold the
+    l-th axis rhombus, from one pass over ``enumerate_tilings``: each
+    tiling is tested for every axis rhombus.  One slot, holding n ints."""
+    axis = [axis_rhombus_cells(spec, l) for l in range(1, spec.n + 1)]
+    counts = [0] * len(axis)
+    for tiling in enumerate_tilings(build_region(spec, RegionKind.FULL_HEXAGON), max_cells):
+        for i, pair in enumerate(axis):
+            if pair in tiling:
+                counts[i] += 1
+    return tuple(counts)
 
 
 def _tally(spec: HexagonSpec, index, later) -> Tuple[int, Dict[int, int]]:

@@ -136,16 +136,17 @@ def _ciucu(spec: HexagonSpec, upper, lower):
 
 def check_factorization(max_a: int = 3, max_m: int = 4,
                         max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
-    """Ciucu's factorization on oracle counts: the left side a filtered
-    enumeration per position, the upper half counted once per hexagon on
-    the frontier kernel and the lower half once per l.  Every hexagon is
-    checked against the oracle's limits before the first enumeration, so an
-    oversized request fails at once, on the first hexagon past them; a half
-    is never larger or wider than its hexagon, so no half fails first.
+    """Ciucu's factorization on oracle counts: the left side the count of
+    enumerated tilings that hold the rhombus at each position, the upper
+    half counted once per hexagon on the frontier kernel and the lower half
+    once per l.  Every hexagon is checked against the oracle's limits before
+    the first enumeration, so an oversized request fails at once, on the
+    first hexagon past them; a half is never larger or wider than its
+    hexagon, so no half fails first.
 
     A hexagon's regions are built in a row, so each hexagon's cells are
     computed once for its check and once for the limit check, and its
-    n enumerations share one sorted and indexed scan (see
+    n left sides are tallied from one enumeration of it (see
     :mod:`hextiling.oracle`)."""
     out: List[CaseResult] = []
     specs = [spec for spec in _grid(max_a, max_m) if spec.n > 0]

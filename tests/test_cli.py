@@ -511,6 +511,9 @@ _GOLDEN_COMMANDS = [
      "0dd1bdc0531e438b2faa20cc711e1ee453afe3b7578d174ef48c813a9c135dca"),
     (["verify", "--suite", "factorization", "--max-a", "3", "--max-m", "3"],
      "eb5bc88e82ee145a6d9599da07f017bb90246bc23da3951a16759fbdf4cf8bf1"),
+    # a = 5 hexagons are wider than 8 columns, so they may scan column-major
+    (["verify", "--suite", "factorization", "--max-a", "5", "--max-m", "2"],
+     "4db3dcf48077ee56505d3f907bf47afff1ce5c5720c8eca57b36cc3c0715455a"),
     (["count", "--sides", "12", "9"],
      "6c010f936f094e2004a0d31aafc37bafeec251165c218505801ba080a55426a5"),
     (["fixed", "--sides", "24", "25", "--l", "7"],

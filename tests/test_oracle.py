@@ -167,8 +167,8 @@ def test_counters_scan_along_the_narrower_order():
 
 
 def test_repeated_prepare_matches_a_fresh_scan():
-    # the n enumerations of one hexagon share its kept scan; every one of
-    # them must see what a scan made afresh would give, and cannot change it
+    # a region prepared twice in a row reads its kept scan; every caller
+    # must see what a scan made afresh would give, and cannot change it
     region = build_region(HexagonSpec(3, 4), RegionKind.FULL_HEXAGON)
     first = oracle._prepare(region, 1000)
     again = oracle._prepare(region, 1000)
@@ -380,6 +380,59 @@ def test_count_with_fixed_rhombus_matches_formulas():
             for l in range(1, axis_positions(spec) + 1):
                 got = count_with_fixed_rhombus(spec, l)
                 assert got == fixed_count(spec, l), (a, m_side, l)
+
+
+def _count_enumerations(monkeypatch) -> list:
+    """Patch ``oracle.enumerate_tilings`` to record each region it is asked
+    for, and return the list of those regions."""
+    calls = []
+    enumerate_all = oracle.enumerate_tilings
+
+    def counted(region, max_cells=oracle.DEFAULT_CELL_LIMIT):
+        calls.append(region)
+        return enumerate_all(region, max_cells)
+
+    monkeypatch.setattr(oracle, "enumerate_tilings", counted)
+    oracle._fixed_counts.cache_clear()
+    return calls
+
+
+def test_factorization_enumerates_each_hexagon_once(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    assert all(r.ok for r in verify.check_factorization(max_a=3, max_m=4))
+    grid = [HexagonSpec(a, m_side) for a in range(1, 4) for m_side in range(1, 5)]
+    with_axis = [spec for spec in grid if spec.n > 0]
+    assert len(with_axis) == 10
+    assert calls == [build_region(spec, RegionKind.FULL_HEXAGON) for spec in with_axis]
+
+
+def test_fixed_counts_follow_the_requested_hexagon_and_limit():
+    # the one-slot memo is keyed on (spec, max_cells): calls that alternate
+    # between hexagons, or between limits, read the counts of the hexagon
+    # they name
+    tallies = {spec: hexagon_tally(spec)[1] for spec in (HexagonSpec(3, 2), HexagonSpec(2, 2))}
+    for _ in range(2):
+        for spec, tally in tallies.items():
+            for max_cells in (120, 60):
+                assert {l: count_with_fixed_rhombus(spec, l, max_cells)
+                        for l in tally} == tally, (spec, max_cells)
+
+
+def test_fixed_counts_check_the_limit_on_every_call():
+    spec = HexagonSpec(3, 3)  # 54 cells
+    assert count_with_fixed_rhombus(spec, 1, max_cells=60) == 252
+    with pytest.raises(RegionTooLargeError, match="region has 54 cells"):
+        count_with_fixed_rhombus(spec, 1, max_cells=50)
+    assert count_with_fixed_rhombus(spec, 2, max_cells=60) == 252
+
+
+def test_fixed_counts_reject_a_position_before_enumerating(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    spec = HexagonSpec(3, 4)
+    for l in (0, spec.n + 1):
+        with pytest.raises(ValueError):
+            count_with_fixed_rhombus(spec, l)
+    assert calls == []
 
 
 def test_occupancy_tally_coherence():
