@@ -2,8 +2,8 @@
 
 A rhombus tiling of a triangular-grid region is a perfect matching of the
 region's dual graph (cells are vertices, edge-adjacent cells are joined).
-Cells are sorted once per region, and each cell keeps only its
-higher-indexed neighbors, read off its coordinates, each as a prebuilt
+Cells are sorted once per candidate scan order, and each cell keeps only
+its higher-indexed neighbors, read off its coordinates, each as a prebuilt
 ``(i, j)`` index tuple.
 
 Two kernels share that preparation.  Counts come from a frontier dynamic
@@ -27,9 +27,11 @@ Scan orders.  Every kernel scans a region in the one order
 orient), or column-major, by (col, row2, orient), whichever has the
 smaller state bound (``_peak_states``), row-major on a tie.  Both orders
 share one neighbor rule, so one colour-balance walk bounds either.  A
-region of at most 8 columns keeps row-major without walking, so the
-enumeration of every hexagon with a <= 4 comes in row-major order; wider
-regions enumerate, like they count, in the order of the smaller bound.
+region of at most 8 columns is sorted row-major once, without walking, so
+the enumeration of every hexagon with a <= 4 comes in row-major order; a
+wider region is sorted once in each order, each sorted list is walked, and
+the list with the smaller bound is the scan, so it enumerates, like it
+counts, in the order of the smaller bound.
 
 Every axis position in one pass.  ``hexagon_tally`` runs the frontier
 once over the full hexagon.  Each state's value packs fixed-width fields:
@@ -52,13 +54,13 @@ counts of the two halves from here, and compares them itself.
 
 One hexagon's work is done once.  The suites ask for a hexagon's regions
 one after another: the full hexagon once per axis position, then its
-halves.  ``hexagon.build_region`` cuts them all from one cell set,
-``count_with_fixed_rhombus`` keeps the n position counts of the last
-(spec, cell limit) it enumerated (``_fixed_counts``), so the n calls for
-one hexagon enumerate it once, and ``_prepare`` keeps the scan of the last
-region, keyed on its cells and on the order ``_scan_order`` picks.  Each
-memo holds one entry, the hexagon in hand; the counts memo holds n ints,
-never tilings.
+halves.  ``hexagon.build_region`` cuts them all from one cell set
+(``hexagon._cells_of``), and ``count_with_fixed_rhombus`` keeps the n
+position counts of the last (spec, cell limit) it enumerated
+(``_fixed_counts``), so the n calls for one hexagon enumerate it once.
+These are the only two memos; each holds one entry, the hexagon in hand,
+and the counts memo holds n ints, never tilings.  Each region is
+prepared afresh: no suite prepares one region twice in a row.
 ``count_with_fixed_rhombus`` still enumerates through the public
 ``enumerate_tilings`` rather than reading ``hexagon_tally``: it gives the
 ``factorization`` suite a left side that visits every tiling, apart from
@@ -102,7 +104,6 @@ STATE_BUDGET = 50_000
 
 _COL = itemgetter(1)
 _FEW_COLUMNS = 8
-_ROW_MAJOR = None  # sorted()'s own order of cells, (row2, col, orient)
 _COLUMN_MAJOR = itemgetter(1, 0, 2)  # (col, row2, orient)
 
 
@@ -115,9 +116,9 @@ class StateBudgetError(RegionTooLargeError):
     STATE_BUDGET states."""
 
 
-def _scan_order(cells: frozenset, max_cells: int):
-    """The sort key of every kernel's scan order: column-major when its
-    ``_peak_states`` bound is below row-major's, else row-major (``None``).
+def _scan_order(cells: frozenset, max_cells: int) -> list:
+    """``cells`` in every kernel's scan order: column-major when its
+    ``_peak_states`` bound is below row-major's, else row-major.
 
     A row holds at most one cell per column, so a region of at most
     ``_FEW_COLUMNS`` columns keeps the row-major scan without walking
@@ -126,7 +127,9 @@ def _scan_order(cells: frozenset, max_cells: int):
     hexagon(3, M), M = 1-8, 1.2-2.0 times as fast.  But the shortcut spares
     the oracle suites' small regions two walks that cost about as much as
     their count: on hexagon(3, 4) they take 0.14 ms together, two thirds of
-    its 0.21 ms frontier pass (2-vCPU Xeon VM, CPython 3.11).
+    its 0.21 ms frontier pass (2-vCPU Xeon VM, CPython 3.11).  A wider
+    region is sorted once in each order, and the list the kernels scan is
+    the one walked.
 
     The cell limit is checked first, then the smaller bound against
     ``STATE_BUDGET``; a region past it in both orders is rejected, with
@@ -139,35 +142,37 @@ def _scan_order(cells: frozenset, max_cells: int):
             f"region has {len(cells)} cells, exceeding the limit of {max_cells}"
         )
     if len(set(map(_COL, cells))) <= _FEW_COLUMNS:
-        return _ROW_MAJOR
-    row, column = _peak_states(cells, _ROW_MAJOR), _peak_states(cells, _COLUMN_MAJOR)
-    order, (peak, wide) = (_COLUMN_MAJOR, column) if column[0] < row[0] else (_ROW_MAJOR, row)
+        return sorted(cells)
+    row, column = sorted(cells), sorted(cells, key=_COLUMN_MAJOR)
+    by_row, by_column = _peak_states(row, cells), _peak_states(column, cells)
+    (peak, wide), scan = (by_column, column) if by_column[0] < by_row[0] else (by_row, row)
     if peak > STATE_BUDGET:
         raise StateBudgetError(
             f"region's frontier is {wide} cells wide, so counting it may "
             f"take {peak} states, exceeding the budget of {STATE_BUDGET}"
         )
-    return order
+    return scan
 
 
-def _peak_states(cells: frozenset, order) -> Tuple[int, int]:
+def _peak_states(scan: list, cells: frozenset) -> Tuple[int, int]:
     """A bound on the states the frontier holds at once when the kernels
-    scan ``cells`` in ``order``, and the number of cells that can wait for
-    a partner at that step (the widest such step, on a tie).
+    scan the region ``cells`` in the order of ``scan``, its cells sorted,
+    and the number of cells that can wait for a partner at that step (the
+    widest such step, on a tie).
 
     In either order a left cell's later neighbors are the right cells
     ``(r2, s + 1)`` and ``(r2 + 1, s)``, and a right cell's is the left
-    cell ``(r2 + 1, s)`` (``_scan``).  Past any cell, a state pairs a set X
-    of right cells ahead with scanned left cells, and a set Y of left cells
-    ahead with scanned right cells.  X lies among the WR right cells ahead
-    that neighbor a scanned left cell, Y among the WL left cells ahead that
-    neighbor a scanned right cell, and by the colour balance |X| - |Y| is
+    cell ``(r2 + 1, s)`` (``_prepare``).  Past any cell, a state pairs a
+    set X of right cells ahead with scanned left cells, and a set Y of left
+    cells ahead with scanned right cells.  X lies among the WR right cells
+    ahead that neighbor a scanned left cell, Y among the WL left cells ahead
+    that neighbor a scanned right cell, and by the colour balance |X| - |Y| is
     the excess e of scanned left over scanned right cells.  By Vandermonde
     that leaves at most C(WR + WL, WL + e) states, none when WL + e < 0.
     No shape is assumed.
     """
     excess, right, left, peak = 0, set(), set(), (1, 0)
-    for cell in sorted(cells, key=order):
+    for cell in scan:
         r2, s, orient = cell
         if orient == "left":
             left.discard(cell)
@@ -191,23 +196,9 @@ def check_limits(region: Region, max_cells: int = DEFAULT_CELL_LIMIT) -> None:
 
 
 def _prepare(region: Region, max_cells: int):
-    """Check the limits of ``region``, then its scan: its cells sorted by
-    the key ``_scan_order`` picks, their index and each cell's
-    higher-indexed neighbors (``_scan``).
-
-    The limits are checked and the order picked on every call; the scan of
-    the last (cells, order) is kept, so a region prepared twice in a row is
-    sorted and indexed once.  Every caller of that region gets the same
-    objects: the cells and the neighbor lists are tuples, and the index
-    must only be read.
-    """
-    return _scan(region.cells, _scan_order(region.cells, max_cells))
-
-
-@lru_cache(maxsize=1)
-def _scan(cells: frozenset, order):
-    """Sort ``cells`` by the key ``order`` and list each cell's
-    higher-indexed neighbors.
+    """Check the limits of ``region``, then list its scan: its cells in the
+    order ``_scan_order`` picks, their index and each cell's higher-indexed
+    neighbors.
 
     Row-major and column-major alike, the only higher neighbor of a right
     cell ``(r2, s)`` is ``(r2 + 1, s, "left")``, and those of a left cell
@@ -216,9 +207,9 @@ def _scan(cells: frozenset, order):
     second (the differential tests check these lists against a reference
     that lists all three neighbors of every cell).  Plain tuples hash and
     compare equal to ``Cell``, so they look up the index directly, once
-    each.  One slot, keyed on the order as well as the cells.
+    each.
     """
-    cells = sorted(cells, key=order)
+    cells = _scan_order(region.cells, max_cells)
     index = dict(zip(cells, range(len(cells))))
     get = index.get
     later = []
@@ -234,7 +225,7 @@ def _scan(cells: frozenset, order):
             later.append(((i, j),))
         else:
             later.append(((i, j), (i, k)) if j < k else ((i, k), (i, j)))
-    return tuple(cells), index, tuple(later)
+    return cells, index, later
 
 
 def _index_pair(index, a, b) -> tuple:
@@ -449,13 +440,6 @@ def _fixed_counts(spec: HexagonSpec, max_cells: int) -> Tuple[int, ...]:
     return tuple(counts)
 
 
-def _tally(spec: HexagonSpec, index, later) -> Tuple[int, Dict[int, int]]:
-    """``hexagon_tally`` of the prepared hexagon ``spec``."""
-    axis = [_index_pair(index, *axis_rhombus_cells(spec, l)) for l in range(1, spec.n + 1)]
-    total, *fixed = _frontier(later, axis=axis)
-    return total, dict(enumerate(fixed, start=1))
-
-
 def hexagon_tallies(
     specs: Iterable[HexagonSpec], max_cells: int = DEFAULT_CELL_LIMIT
 ) -> Dict[HexagonSpec, Tuple[int, Dict[int, int]]]:
@@ -464,7 +448,12 @@ def hexagon_tallies(
     and the state budget, before the first is counted."""
     scans = [(spec, _prepare(build_region(spec, RegionKind.FULL_HEXAGON), max_cells))
              for spec in specs]
-    return {spec: _tally(spec, index, later) for spec, (_, index, later) in scans}
+    tallies = {}
+    for spec, (_, index, later) in scans:
+        axis = [_index_pair(index, *axis_rhombus_cells(spec, l)) for l in range(1, spec.n + 1)]
+        total, *fixed = _frontier(later, axis=axis)
+        tallies[spec] = total, dict(enumerate(fixed, start=1))
+    return tallies
 
 
 def hexagon_tally(

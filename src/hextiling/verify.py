@@ -53,35 +53,32 @@ def _grid(max_a, max_m) -> List[HexagonSpec]:
 
 
 def _tallies(max_a, max_m, max_cells, parities=(Parity.EVEN, Parity.ODD)):
-    """``oracle.hexagon_tallies`` of the grid hexagons with their parity in
-    ``parities``, keyed by spec in grid order; every hexagon is checked
-    against the oracle's limits before the first is counted."""
-    return oracle.hexagon_tallies(
-        [spec for spec in _grid(max_a, max_m) if spec.parity in parities], max_cells)
+    """``{spec: (product, total, fixed)}`` for the grid hexagons with their
+    parity in ``parities``, in grid order: MacMahon's product, taken once
+    per hexagon, beside the total and the fixed counts of
+    ``oracle.hexagon_tallies``.  Every hexagon is checked against the
+    oracle's limits before the first is counted."""
+    specs = [spec for spec in _grid(max_a, max_m) if spec.parity in parities]
+    return {spec: (formulas.macmahon_count(spec.side_a, spec.side_a, spec.side_m), *tally)
+            for spec, tally in oracle.hexagon_tallies(specs, max_cells).items()}
 
 
-def _product(spec: HexagonSpec) -> int:
-    """MacMahon's product for the hexagon ``spec``."""
-    return formulas.macmahon_count(spec.side_a, spec.side_a, spec.side_m)
-
-
-def _total_cases(tallies, box_limit, max_cells, product=_product) -> List[CaseResult]:
-    """Hexagon totals from the walk against ``product(spec)``, then every
-    box with sides up to box_limit.  box(a, b, a) has the cells of
+def _total_cases(tallies, box_limit, max_cells) -> List[CaseResult]:
+    """Hexagon totals from the walk against their products, then every box
+    with sides up to box_limit.  box(a, b, a) has the cells of
     hexagon(a, b), so it takes that hexagon's count when the walk holds it;
     each box is still compared with the product in its own argument
     order."""
     out: List[CaseResult] = []
-    for spec, (got, _) in tallies.items():
+    for spec, (want, got, _) in tallies.items():
         a, m = spec
-        want = product(spec)
         _case(out, f"hexagon({a},{m}) total", got == want, f"oracle {got} vs product {want}")
     for a in range(1, box_limit + 1):
         for b in range(1, box_limit + 1):
             for c in range(1, box_limit + 1):
                 hexagon = HexagonSpec(a, b)
                 if c == a and hexagon in tallies:
-                    got = tallies[hexagon][0]
+                    got = tallies[hexagon][1]
                 else:
                     got = oracle.count_tilings(box_region(a, b, c), max_cells)
                 want = formulas.macmahon_count(a, b, c)
@@ -89,17 +86,14 @@ def _total_cases(tallies, box_limit, max_cells, product=_product) -> List[CaseRe
     return out
 
 
-def _fixed_cases(tallies, product=_product) -> List[CaseResult]:
-    """Oracle fixed counts against the proportion times ``product(spec)``,
-    taken once per hexagon with an axis position.  The closed form is
-    compared as a fraction, so a product that makes it non-integral fails
-    the check of its position instead of stopping the run."""
+def _fixed_cases(tallies) -> List[CaseResult]:
+    """Oracle fixed counts against the proportion times the hexagon's
+    product.  The closed form is compared as a fraction, so a product that
+    makes it non-integral fails the check of its position instead of
+    stopping the run."""
     out: List[CaseResult] = []
-    for spec, (_, fixed) in tallies.items():
-        if not fixed:
-            continue
+    for spec, (total, _, fixed) in tallies.items():
         a, m = spec
-        total = product(spec)
         for l, got in fixed.items():
             want = formulas.proportion(spec, l) * total
             _case(out, f"hexagon({a},{m}) fixed l={l}", got == want,
@@ -431,11 +425,11 @@ def check_oracle_vs_theorems(max_a: int = 3, max_m: int = 4,
                              max_cells: int = oracle.DEFAULT_CELL_LIMIT) -> List[CaseResult]:
     """Totals plus fixed-rhombus counts for both parities on one grid.
 
-    The grid is walked once: ``oracle.hexagon_tallies`` gives every
-    hexagon's total and fixed counts, and MacMahon's product is taken once
-    per hexagon, for its total and, times the proportion at each position,
-    for its fixed counts.  A product that is wrong shows as FAIL lines,
-    also where it leaves a fixed count non-integral.  box(a, b, a) reuses
+    The grid is walked once: ``_tallies`` gives every hexagon's total and
+    fixed counts from ``oracle.hexagon_tallies`` beside MacMahon's product,
+    taken once per hexagon, for its total and, times the proportion at each
+    position, for its fixed counts.  A product that is wrong shows as FAIL
+    lines, also where it leaves a fixed count non-integral.  box(a, b, a) reuses
     hexagon(a, b)'s total but takes its own product, in its own argument
     order.  Box totals stop at sides of _BOX_LIMIT whatever max_a is; a
     larger max_a is reported on stderr as bounding the hexagons only.
@@ -446,9 +440,7 @@ def check_oracle_vs_theorems(max_a: int = 3, max_m: int = 4,
               f"{side}x{side}x{side}; max_a={max_a} bounds the hexagons only",
               file=sys.stderr)
     tallies = _tallies(max_a, max_m, max_cells)
-    product = {spec: _product(spec) for spec in tallies}.__getitem__
-    return (_total_cases(tallies, min(max_a, _BOX_LIMIT), max_cells, product)
-            + _fixed_cases(tallies, product))
+    return _total_cases(tallies, min(max_a, _BOX_LIMIT), max_cells) + _fixed_cases(tallies)
 
 
 SUITES: Dict[str, Callable[..., List[CaseResult]]] = {

@@ -163,21 +163,26 @@ def test_counters_scan_along_the_narrower_order():
         # counts it about 9 times as fast
         (build_region(HexagonSpec(6, 17), RegionKind.LOWER_HALF, 1), column_major),
     ]:
-        assert oracle._scan_order(region.cells, 1000) is order
+        assert oracle._scan_order(region.cells, 1000) == sorted(region.cells, key=order)
 
 
-def test_repeated_prepare_matches_a_fresh_scan():
-    # a region prepared twice in a row reads its kept scan; every caller
-    # must see what a scan made afresh would give, and cannot change it
-    region = build_region(HexagonSpec(3, 4), RegionKind.FULL_HEXAGON)
-    first = oracle._prepare(region, 1000)
-    again = oracle._prepare(region, 1000)
-    assert again is first
-    fresh = oracle._scan.__wrapped__(region.cells, oracle._scan_order(region.cells, 1000))
-    assert again == fresh
-    cells, _, later = again
-    assert type(cells) is tuple and type(later) is tuple
-    assert all(type(choices) is tuple for choices in later)
+@pytest.mark.parametrize("region, sorts", [
+    # wider than 8 columns: sorted once row-major and once column-major
+    (box_region(10, 2, 10), 2),
+    (build_region(HexagonSpec(5, 3), RegionKind.FULL_HEXAGON), 2),
+    # 8 columns or fewer: sorted row-major once, with no walk
+    (build_region(HexagonSpec(3, 4), RegionKind.FULL_HEXAGON), 1),
+])
+def test_prepare_sorts_once_per_candidate_order(monkeypatch, region, sorts):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "sorted", counted, raising=False)
+    oracle._prepare(region, 1000)
+    assert len(calls) == sorts
 
 
 def test_wide_box_counts_in_milliseconds():
@@ -202,10 +207,11 @@ def test_scan_order_takes_the_smaller_bound():
     # row-major and 8568 column-major, so it scans column-major; a bound on
     # its longest row alone, of 19 cells, would give C(19, 9) = 92378
     region = box_region(14, 13, 5)
-    assert oracle._peak_states(region.cells, None)[0] == 11628
-    assert oracle._peak_states(region.cells, oracle._COLUMN_MAJOR)[0] == 8568
+    row, column = sorted(region.cells), sorted(region.cells, key=oracle._COLUMN_MAJOR)
+    assert oracle._peak_states(row, region.cells)[0] == 11628
+    assert oracle._peak_states(column, region.cells)[0] == 8568
     oracle.check_limits(region, max_cells=10**6)
-    assert oracle._scan_order(region.cells, 10**6) is oracle._COLUMN_MAJOR
+    assert oracle._scan_order(region.cells, 10**6) == column
     assert count_tilings(region, max_cells=10**6) == macmahon_count(14, 13, 5)
 
 

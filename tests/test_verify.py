@@ -118,19 +118,34 @@ def _references(tree: ast.AST, skip: ast.AST = None) -> set:
     return found
 
 
+def _defined_names(node: ast.stmt) -> list:
+    """The names a module-level statement defines: a function's or class's
+    name, or each name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
 def _unreferenced_private_definitions(sources: dict) -> list:
-    """Every module-level private function or class of the modules
-    ``sources`` (module name to source) that no module refers to outside
-    its own body, as ``module.name``."""
+    """Every module-level private function, class or assigned name of the
+    modules ``sources`` (module name to source), dunders aside, that no
+    module refers to outside its own definition, as ``module.name``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not any(node.name in _references(other, skip=node)
-                                for other in trees.values())):
-                dead.append(f"{module}.{node.name}")
+            for name in _defined_names(node):
+                if (name.startswith("_") and not name.startswith("__")
+                        and not any(name in _references(other, skip=node)
+                                    for other in trees.values())):
+                    dead.append(f"{module}.{name}")
     return dead
 
 
@@ -145,6 +160,15 @@ def test_dead_code_detection():
              "class _Unused: pass\n",
         "b": "from .a import _used\n_used()\n",
     }) == ["a._recursive", "a._Unused"]
+    assert _unreferenced_private_definitions({
+        "a": "__all__ = ['f']\n"
+             "_READ = 1\n"
+             "_UNREAD = None  # a constant nothing reads any more\n"
+             "_LEFT, _RIGHT = 1, 2\n"
+             "_TYPED: int = 3\n"
+             "def f(): return _READ\n",
+        "b": "from . import a\nprint(a._RIGHT)\n",
+    }) == ["a._UNREAD", "a._LEFT", "a._TYPED"]
 
 
 def test_package_has_no_unread_import_or_uncalled_private_definition():
